@@ -196,6 +196,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_tables)
 
     args = parser.parse_args(argv)
+    if getattr(args, "genus", 1) < 1:
+        parser.error("genus must be >= 1")
     if getattr(args, "boundary", None) == 0 and args.command in ("verify",) and args.genus < 4:
         parser.error("closed-surface verification needs genus >= 4")
     return args.fn(args)

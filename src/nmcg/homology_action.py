@@ -17,6 +17,8 @@ closed relator's Z matrix must be the identity modulo the column vector
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .words import Word, Gen, inverse
 from . import pi1_action
 
@@ -62,14 +64,30 @@ def f2_matrix(word: Word, g: int, env=None):
     return acc
 
 
+_F2_MAX = 8
+_f2_shared = OrderedDict()  # (g, id(env)) -> (env, copy of env, matrices), least recent first
+
+
 def _f2_letter(gen: Gen, sign: int, g, env):
     try:
         return f2_generator(gen, g)  # swaps and the transvection square to I
     except KeyError:
         if env is None or gen not in env:
             raise
+    # env letters are expanded once per (g, env object), kept and bounded
+    # like pi1_action.evaluate's Evaluators; a mutated env misses
+    key = (g, id(env))
+    hit = _f2_shared.get(key)
+    if hit is None or hit[1] != env:
+        hit = _f2_shared[key] = (env, dict(env), {})
+    _f2_shared.move_to_end(key)
+    if len(_f2_shared) > _F2_MAX:
+        _f2_shared.popitem(last=False)
+    memo = hit[2]
+    if (gen, sign) not in memo:
         w = env[gen]
-        return f2_matrix(w if sign > 0 else inverse(w), g, env)
+        memo[gen, sign] = tuple(f2_matrix(w if sign > 0 else inverse(w), g, env))
+    return memo[gen, sign]
 
 
 def f2_transpose(M):

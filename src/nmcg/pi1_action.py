@@ -27,13 +27,7 @@ XWord = tuple  # tuple of nonzero ints
 
 
 def xreduce(seq) -> XWord:
-    out = []
-    for c in seq:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
+    return xmul(seq)
 
 
 def xinv(w: XWord) -> XWord:
@@ -41,6 +35,8 @@ def xinv(w: XWord) -> XWord:
 
 
 def xmul(*ws) -> XWord:
+    """Free reduction of the concatenation of ws: the one word kernel that
+    xreduce, xsub and compose share."""
     out = []
     for w in ws:
         for c in w:
@@ -59,15 +55,7 @@ def xpow(w: XWord, k: int) -> XWord:
 
 def xsub(w: XWord, table) -> XWord:
     """Image of w under the automorphism given by table."""
-    out = []
-    for c in w:
-        img = table[c - 1] if c > 0 else xinv(table[-c - 1])
-        for d in img:
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-    return tuple(out)
+    return xmul(*(table[c - 1] if c > 0 else xinv(table[-c - 1]) for c in w))
 
 
 def identity_table(g: int):
@@ -75,12 +63,22 @@ def identity_table(g: int):
 
 
 def compose(t1, t2):
-    """t1 after t2 (x -> t1(t2(x)))."""
-    return tuple(xsub(im, t1) for im in t2)
+    """t1 after t2 (x -> t1(t2(x))). An image (j,) of t2 is t1[j-1]
+    itself, shared rather than copied (tables are reduced and immutable);
+    each image of t1 is inverted at most once per call."""
+    inv = {}
 
+    def image(c):
+        if c > 0:
+            return t1[c - 1]
+        if c not in inv:
+            inv[c] = xinv(t1[-c - 1])
+        return inv[c]
 
-def table_eq(t1, t2) -> bool:
-    return t1 == t2
+    return tuple([
+        t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else xmul(*map(image, im))
+        for im in t2
+    ])
 
 
 def boundary_word(g: int) -> XWord:

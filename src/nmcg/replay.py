@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .words import Word, parse_raw, fmt, free_reduce, inverse, concat, cyclic_reduce
 from .catalogue import relation_index, KMAX
-from .presentations import expansion_env
+from .verify import _env
 from . import pi1_action
 
 SCRIPT_DIR = Path(__file__).parent / "fixtures" / "scripts"
@@ -135,30 +135,31 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
     word = list(parse_raw(data["start"]))
     for i, step in enumerate(data["steps"]):
         word = _apply_step(name, i, word, step, index)
+    last = len(data["steps"])
     end = list(parse_raw(data["end"]))
     if word != end:
         raise StepMismatch(
-            name, len(data["steps"]),
+            name, last,
             f"final word {fmt(tuple(word))} != declared end {fmt(tuple(end))}",
         )
 
     tier = data["tier"]
     eq = concat(parse_raw(data["start"]), inverse(parse_raw(data["end"])))
-    table = pi1_action.evaluate(eq, g, expansion_env(g, n))
+    table = pi1_action.evaluate(eq, g, _env(g, n))
     if tier == 1:
-        assert table == pi1_action.identity_table(g), (
-            f"script {name}: endpoint fails tier-1 table equality"
-        )
+        if table != pi1_action.identity_table(g):
+            raise StepMismatch(name, last, "endpoint fails tier-1 table equality")
         k = 0
     else:
-        assert tier == 2, f"script {name}: unsupported tier {tier}"
+        if tier != 2:
+            raise StepMismatch(name, last, f"unsupported tier {tier}")
         k = pi1_action.conjugation_exponent(table, g, KMAX)
-        assert k is not None, f"script {name}: endpoint not inner up to W^k"
+        if k is None:
+            raise StepMismatch(name, last, "endpoint not inner up to W^k")
         pinned = data.get("w_power")
-        assert pinned is None or pinned == k, (
-            f"script {name}: exponent {k} != pinned {pinned}"
-        )
-    report = ReplayReport(name, g, n, len(data["steps"]), tier, k)
+        if pinned is not None and pinned != k:
+            raise StepMismatch(name, last, f"exponent {k} != pinned {pinned}")
+    report = ReplayReport(name, g, n, last, tier, k)
     memo[name] = report
     stack.discard(name)
     return report

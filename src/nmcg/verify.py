@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import pi1_action
 from .catalogue import KMAX, Entry, catalogue
-from .homology_action import is_identity_mod_boundary_class, z_matrix
+from .homology_action import is_identity_mod_boundary_class, z_matrix_of_table
 from .one_relator import VERIFIED, find_inner_conjugator
 from .presentations import expansion_env, nonorientable_mcg_presentation
 from .words import lit
@@ -95,7 +95,7 @@ def verify_entry(e: Entry, radius=None, hints=None) -> Verdict:
         return Verdict(g, e.boundary, e.label(), 2, True, f"conjugation by w^{k}")
 
     assert e.tier == 3, f"entry {e.label()} has unverifiable tier {e.tier}"
-    if not is_identity_mod_boundary_class(z_matrix(e.word, g, env)):
+    if not is_identity_mod_boundary_class(z_matrix_of_table(table, g)):
         return Verdict(
             g, e.boundary, e.label(), 3, False,
             "homology gate: action on H_1 is not of boundary-class type",

@@ -60,6 +60,18 @@ def test_verify_rejects_closed_small_genus(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "-g", "0", "-n", "1"],
+    ["present", "-g", "-1", "-n", "0"],
+    ["tables", "-g", "0"],
+])
+def test_rejects_genus_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "genus must be >= 1" in capsys.readouterr().err
+
+
 def test_abelianize(capsys):
     assert main(["abelianize", "-g", "2", "-n", "0"]) == 0
     out = capsys.readouterr().out

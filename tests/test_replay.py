@@ -126,3 +126,38 @@ def test_scripts_declare_consistent_metadata():
         assert data["tier"] in (1, 2)
         assert data["genus"] >= 3 and data["boundary"] in (0, 1)
         assert isinstance(data["steps"], list) and data["steps"]
+
+
+def test_bogus_tier1_endpoint_fails_under_optimize(tmp_path):
+    # B4 holds in the closed group only, so a tier-1 script that applies it
+    # replays step by step but its endpoint fails in the punctured
+    # representation; python -O must not strip that check
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nmcg.replay as replay_mod
+
+    bogus = {
+        "name": "bogus", "genus": 4, "boundary": 0, "tier": 1,
+        "start": "u1*u2*u1*u2*u1*u2", "end": "1",
+        "steps": [{"op": "apply", "at": 0, "rel": "B4", "params": [], "dir": "LtoR"}],
+    }
+    (tmp_path / "bogus.json").write_text(json.dumps(bogus))
+    code = (
+        "import pathlib, runpy, sys; import nmcg.replay as r;"
+        " r.SCRIPT_DIR = pathlib.Path(sys.argv[1]);"
+        " sys.argv = ['nmcg', 'replay', 'bogus'];"
+        " runpy.run_module('nmcg.cli', run_name='__main__')"
+    )
+    src = str(Path(replay_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode != 0, res.stdout + res.stderr
+    assert "FAIL bogus" in res.stdout and "tier-1 table equality" in res.stdout
