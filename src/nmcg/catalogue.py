@@ -7,8 +7,10 @@ tier 2: the sides agree up to conjugation by a power w^k of the
         boundary word, |k| <= 4 (relations that live in the punctured
         closed group).
 tier 3: the relator becomes an inner automorphism of the one-relator
-        quotient pi_1(closed surface); verified by Dehn's algorithm
-        (needs g >= 4 for the small-cancellation condition).
+        quotient pi_1(closed surface); decided exactly by cyclic Dehn
+        reduction, which finds the conjugator or names the generator
+        whose image rules it out (needs g >= 4 for the small-cancellation
+        condition).
 tier 0: not representation-verifiable here (small-genus closed cases);
         covered by coset enumeration and homology instead.
 """

@@ -26,7 +26,6 @@ from .presentations import expansion_env, nonorientable_mcg_presentation
 from .verify import (
     Verdict,
     boundary_fixation,
-    pinned_conjugators,
     pinned_exponents,
     verify_catalogue,
     verify_entry,
@@ -60,49 +59,30 @@ def _cmd_present(args) -> int:
 
 
 def _refresh_diff(args) -> None:
-    """Recompute pinned values in scope and print differences."""
-    from .one_relator import find_inner_conjugator
+    """Recompute the pinned tier-2 exponents in scope and print differences."""
     from .catalogue import KMAX
 
-    env = expansion_env(args.genus, args.boundary)
-    if args.boundary == 0:
-        stored = pinned_conjugators()
-        for e in catalogue(args.genus, 0):
-            if e.tier != 3:
-                continue
-            key = f"{e.genus}:{e.label()}"
-            table = pi1_action.evaluate(e.word, e.genus, env)
-            res = find_inner_conjugator(table, e.genus, radius=args.radius)
-            fresh = tuple(res.conjugator) if res.conjugator is not None else None
-            if stored.get(key) != fresh:
-                print(f"fixture diff conjugators.json {key}: "
-                      f"{list(stored[key]) if key in stored else 'absent'}"
-                      f" -> {list(fresh) if fresh is not None else res.status}")
-    else:
-        stored = pinned_exponents()
-        for e in catalogue(args.genus, 1):
-            if e.tier != 2:
-                continue
-            key = f"{e.genus}:{e.label()}"
-            table = pi1_action.evaluate(e.word, e.genus, env)
-            k = pi1_action.conjugation_exponent(table, e.genus, KMAX)
-            if stored.get(key, "absent") != k:
-                print(f"fixture diff tier2_exponents.json {key}: "
-                      f"{stored.get(key, 'absent')} -> {k}")
+    env = expansion_env(args.genus, 1)
+    stored = pinned_exponents()
+    for e in catalogue(args.genus, 1):
+        if e.tier != 2:
+            continue
+        key = f"{e.genus}:{e.label()}"
+        table = pi1_action.evaluate(e.word, e.genus, env)
+        k = pi1_action.conjugation_exponent(table, e.genus, KMAX)
+        if stored.get(key, "absent") != k:
+            print(f"fixture diff tier2_exponents.json {key}: "
+                  f"{stored.get(key, 'absent')} -> {k}")
 
 
 def _cmd_verify(args) -> int:
     tiers = None if args.tier == "all" else {int(args.tier)}
-    hints = {} if args.no_hints else None
     bad = 0
     if args.boundary == 1 and (tiers is None or tiers == {1}):
         bad += _print_verdicts(verify_relators(args.genus))
         bad += _print_verdicts(boundary_fixation(args.genus))
-    bad += _print_verdicts(
-        verify_catalogue(args.genus, args.boundary, tiers=tiers,
-                         radius=args.radius, hints=hints)
-    )
-    if args.refresh_fixtures:
+    bad += _print_verdicts(verify_catalogue(args.genus, args.boundary, tiers=tiers))
+    if args.refresh_fixtures and args.boundary == 1:
         _refresh_diff(args)
     return 1 if bad else 0
 
@@ -169,12 +149,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run tiered verification")
     _add_gn(p)
     p.add_argument("--tier", choices=("1", "2", "3", "all"), default="all")
-    p.add_argument("--radius", type=int, default=None,
-                   help="search radius cap for the tier-3 conjugator search")
-    p.add_argument("--no-hints", action="store_true",
-                   help="ignore pinned conjugators and search from scratch")
     p.add_argument("--refresh-fixtures", action="store_true",
-                   help="recompute pinned values in scope and print differences")
+                   help="with -n 1, recompute the pinned tier-2 exponents and print differences")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("abelianize", help="H_1 via Smith normal form")

@@ -1,16 +1,44 @@
-"""Word problem and bounded conjugacy in the one-relator quotient
+"""Word problem and the innerness decision in the one-relator quotient
 G_g = < x_1..x_g | x_1^2 x_2^2 ... x_g^2 >, the fundamental group of the
 closed nonorientable surface.
 
-For g >= 4 the relator satisfies C'(1/6) (pieces are single letters, and
-1 < 2g/6), so Dehn's algorithm decides the word problem: any nonempty
-freely reduced word equal to 1 contains more than half of a cyclic
-shift of the relator or its inverse; replacing it by the shorter
-complement strictly shrinks the word.
+For g >= 4 the relator R satisfies C'(1/6): pieces are single letters,
+and 1 < |R|/6 = g/3. So Dehn's algorithm decides the word problem: any
+nonempty freely reduced word equal to 1 contains more than half of a
+cyclic shift of R or R^-1, and replacing it by the shorter complement
+strictly shrinks the word.
 
 A relation of the closed mapping class group, evaluated in the punctured
 representation, must act as an inner automorphism of G_g (the filling
-point-push). verify_word() finds and validates the conjugator.
+point-push). find_inner_conjugator() decides this exactly for a table
+phi, with no search (Lyndon-Schupp, Combinatorial Group Theory, Ch. V
+section 5, is the reference for the small-cancellation facts):
+
+1. Thin annulus. Call a word cyclically Dehn-reduced when it is
+   cyclically reduced and no cyclic subword is more than half of a
+   relator. Let c be such a word, conjugate in G_g to x_1. A reduced
+   annular diagram between c and x_1 is, under C'(1/6), a single layer:
+   every region meets both boundaries. The inner boundary is one edge,
+   so there is at most one region. Its label has 2g letters, of which at
+   most one lies on the inner boundary and at most two on the piece
+   where the region meets itself; the other 2g - 3 > g letters lie
+   on the outer boundary, inside c read cyclically, which c excludes.
+   So there is no region, c is conjugate to x_1 in the free group, and
+   c = x_1. Hence: cyclically Dehn-reduce phi(x_1) to q c q^-1; if
+   c != x_1, phi is not inner.
+2. Cyclic centralizers. If phi is conjugation by u, then q^-1 u
+   centralizes x_1. Centralizers in G_g are cyclic, and x_1 is no proper
+   power (it is a basis vector of H_1 modulo torsion), so u = q x_1^k.
+   Then psi = q^-1 phi q maps x_2 to x_1^k x_2 x_1^-k; reducing psi(x_2)
+   to q2 c2 q2^-1 as in step 1 forces c2 = x_2 and q2 = x_1^k x_2^m.
+3. Abelianization. The exponent-sum vector of a word is defined in G_g
+   modulo (2, ..., 2), the vector of R. That of q2 is (k, m, 0, ..., 0)
+   + t (2, ..., 2); coordinate 3 gives t, coordinates 1 and 2 then give
+   k and m. One Dehn equality checks q2 = x_1^k x_2^m, and u = q x_1^k
+   is the only possible conjugator: it is checked on every generator.
+
+The result is Verified with u, or Refuted naming the first generator
+whose image rules every conjugator out.
 """
 
 from __future__ import annotations
@@ -18,26 +46,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .pi1_action import XWord, boundary_word, xinv, xmul, xreduce
+from .pi1_action import XWord, boundary_word, xinv, xmul, xpow, xreduce
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
-INCONCLUSIVE = "Inconclusive"
 
 
 @lru_cache(maxsize=None)
 def _tables(g: int):
-    assert g >= 4, "Dehn's algorithm needs C'(1/6), i.e. genus >= 4"
+    if g < 4:
+        raise ValueError(f"Dehn's algorithm needs C'(1/6), i.e. genus >= 4, not {g}")
     w = boundary_word(g)
     by_len = {L: {} for L in range(g + 1, 2 * g + 1)}
     for base in (w, xinv(w)):
         for r in range(2 * g):
             rot = base[r:] + base[:r]
             for L in range(g + 1, 2 * g + 1):
-                key = rot[:L]
-                repl = xinv(rot[L:])
-                assert xreduce(key + xinv(repl)) == rot
-                by_len[L].setdefault(key, repl)
+                by_len[L].setdefault(rot[:L], xinv(rot[L:]))
     return by_len
 
 
@@ -65,98 +90,59 @@ def equal_in_quotient(lhs, rhs, g: int) -> bool:
     return dehn_reduce(xmul(lhs, xinv(rhs)), g) == ()
 
 
-def _conjugates_to(conj, img, i, g) -> bool:
-    return equal_in_quotient(xmul(conj, (i,), xinv(conj)), img, g)
+def cyclic_dehn_reduce(word, g: int) -> tuple:
+    """(q, c) with word = q c q^-1 in G_g and c cyclically Dehn-reduced."""
+    tables = _tables(g)
+    q, w = [], dehn_reduce(word, g)
+    while True:
+        while len(w) > 1 and w[0] == -w[-1]:
+            q.append(w[0])
+            w = w[1:-1]
+        n, ww = len(w), w + w
+        # Dehn-reduced w has no long subword inside it, only across its end
+        pos = next((p for L in range(min(n, 2 * g), g, -1)
+                    for p in range(n - L + 1, n) if ww[p : p + L] in tables[L]),
+                   None)
+        if pos is None:
+            return xreduce(q), w
+        q.extend(w[:pos])
+        w = dehn_reduce(w[pos:] + w[:pos], g)
 
 
-def _candidate_conjugators(images, g: int):
-    """Guesses for u with u x_i u^-1 = images[i-1], cheap ones first."""
-    seen = set()
-
-    def emit(w):
-        w = dehn_reduce(w, g)
-        if w not in seen:
-            seen.add(w)
-            yield w
-
-    v = dehn_reduce(images[0], g)
-    for pos in range(len(v)):
-        if abs(v[pos]) == 1:
-            prefix = v[:pos]
-            for j in range(-2, 3):
-                yield from emit(xmul(prefix, (1,) * j if j > 0 else (-1,) * (-j)))
-    # powers of single squared letters (crosscap boundary pieces)
-    for i in range(1, g + 1):
-        for k in (1, -1, 2, -2):
-            yield from emit(((i if k > 0 else -i),) * (2 * abs(k)))
-    w = boundary_word(g)
-    for k in (1, -1, 2, -2):
-        yield from emit(w * k if k > 0 else xinv(w) * (-k))
-    # partial boundary products x_1^2..x_m^2 and their inverses
-    for m in range(1, g):
-        part = tuple(c for i in range(1, m + 1) for c in (i, i))
-        yield from emit(part)
-        yield from emit(xinv(part))
-
-
-def _beam_search(images, g: int, radius: int, width: int = 48):
-    """Greedy conjugator search; sound (only returns validated words)."""
-
-    def score(c):
-        ci = xinv(c)
-        return sum(
-            len(dehn_reduce(xmul(c, (i,), ci, xinv(images[i - 1])), g))
-            for i in range(1, g + 1)
-        )
-
-    letters = [i for i in range(1, g + 1)] + [-i for i in range(1, g + 1)]
-    beam = [((), score(()))]
-    seen = {()}
-    for _ in range(radius):
-        nxt = []
-        for c, _s in beam:
-            for l in letters:
-                cand = dehn_reduce(c + (l,), g)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                s = score(cand)
-                if s == 0:
-                    return cand
-                nxt.append((cand, s))
-        if not nxt:
-            return None
-        nxt.sort(key=lambda t: (t[1], len(t[0]), t[0]))
-        beam = nxt[:width]
-    return None
+def _x1_exponent(q2: XWord, g: int):
+    """k with q2 = x_1^k x_2^m in G_g, or None when no such k, m exist."""
+    sums = [0] * (g + 1)
+    for c in q2:
+        sums[abs(c)] += 1 if c > 0 else -1
+    t2 = sums[3]
+    if t2 % 2 or any(s != t2 for s in sums[4:]):
+        return None
+    k, m = sums[1] - t2, sums[2] - t2
+    return k if equal_in_quotient(q2, xmul(xpow((1,), k), xpow((2,), m)), g) else None
 
 
 @dataclass
 class ConjugacyResult:
     status: str
     conjugator: XWord | None = None
+    generator: int | None = None  # the failing x_i of a refutation
 
 
-def find_inner_conjugator(table, g: int, radius=None, hint=None) -> ConjugacyResult:
+def find_inner_conjugator(table, g: int) -> ConjugacyResult:
     """Decide whether the automorphism given by table is conjugation by
     some u in G_g, i.e. table(x_i) = u x_i u^-1 in the quotient for all
-    i. Returns Verified with the conjugator, or Inconclusive (bounded
-    search; never falsely refutes)."""
-    images = [dehn_reduce(table[i - 1], g) for i in range(1, g + 1)]
-
-    def valid(c):
-        return all(_conjugates_to(c, images[i - 1], i, g) for i in range(1, g + 1))
-
-    if hint is not None:
-        if valid(hint):
-            return ConjugacyResult(VERIFIED, hint)
-        return ConjugacyResult(INCONCLUSIVE)
-    for cand in _candidate_conjugators(images, g):
-        if valid(cand):
-            return ConjugacyResult(VERIFIED, cand)
-    if radius is None:
-        radius = 2 * max((len(im) for im in images), default=1)
-    found = _beam_search(images, g, radius)
-    if found is not None and valid(found):
-        return ConjugacyResult(VERIFIED, found)
-    return ConjugacyResult(INCONCLUSIVE)
+    i (g >= 4). Returns Verified with u, or Refuted with the first
+    generator whose image fails."""
+    q, c = cyclic_dehn_reduce(table[0], g)
+    if c != (1,):
+        return ConjugacyResult(REFUTED, generator=1)
+    q2, c2 = cyclic_dehn_reduce(xmul(xinv(q), table[1], q), g)
+    k = _x1_exponent(q2, g) if c2 == (2,) else None
+    if k is None:
+        return ConjugacyResult(REFUTED, generator=2)
+    u = dehn_reduce(xmul(q, xpow((1,), k)), g)
+    ui = xinv(u)
+    for i in range(1, g + 1):
+        if not equal_in_quotient(xmul(u, (i,), ui), table[i - 1], g):
+            return ConjugacyResult(REFUTED, generator=i)
+    return ConjugacyResult(VERIFIED, u)

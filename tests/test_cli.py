@@ -6,6 +6,7 @@ import json
 import pytest
 
 import nmcg.verify as verify_mod
+from nmcg.catalogue import catalogue
 from nmcg.cli import main
 
 
@@ -47,11 +48,19 @@ def test_verify_tier3_closed(capsys):
     assert main(["verify", "-g", "4", "-n", "0", "--tier", "3"]) == 0
     out = capsys.readouterr().out
     assert "tier 3" in out and "FAIL" not in out
+    tier3 = [e for e in catalogue(4, 0) if e.tier == 3]
+    assert out.count("inner in the quotient, conjugator") == len(tier3)
 
 
 def test_verify_no_hints(capsys):
-    assert main(["verify", "-g", "4", "-n", "0", "--tier", "3", "--no-hints"]) == 0
+    # the tier-3 decision is exact: it reads no pinned conjugators, and the
+    # flag that used to switch them off is refused as an unknown option
+    assert not hasattr(verify_mod, "pinned_conjugators")
+    assert main(["verify", "-g", "5", "-n", "0", "--tier", "3"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-g", "4", "-n", "0", "--tier", "3", "--no-hints"])
+    assert exc.value.code == 2
 
 
 def test_verify_rejects_closed_small_genus(capsys):

@@ -1,4 +1,5 @@
-"""Verification driver: verdict mechanics and the pin/hint policy.
+"""Verification driver: verdict mechanics, the tier-2 pin policy, and
+tier-3 rejection of corrupted relations.
 
 Pins are regression baselines: a wrong pin may flip a passing verdict to
 a failure but can never rescue a failing one."""
@@ -76,14 +77,6 @@ def test_tier2_honest_failure_is_not_rescued_by_pin(monkeypatch):
         assert not v.ok and v.tier == 2, f"pin {pin!r} rescued the B4 verdict"
 
 
-def test_tier3_wrong_hint_falls_back_to_search():
-    e = _entry(4, 0, "D")
-    fresh = verify_entry(e, hints={})
-    assert fresh.ok, "search from scratch must verify D at genus 4"
-    stale = verify_entry(e, hints={fixture_key(e): (3, 3, 3, 3)})
-    assert stale.ok, "a stale hint must trigger a re-search, not a failure"
-
-
 def test_tier3_homology_gate_blocks_corrupted_words(monkeypatch):
     import dataclasses
 
@@ -98,3 +91,85 @@ def test_verify_catalogue_tier_filter():
     assert out and all(v.tier == 1 for v in out)
     everything = verify_catalogue(5, 1)
     assert len(everything) == len(catalogue(5, 1))
+
+
+def _letter_mutants(e):
+    """e with one a/u/b letter inverted, for each such letter in turn.
+
+    These letters have infinite order, so each mutant differs from the true
+    relation by a conjugate of a nontrivial square and is false. Named
+    letters are left alone: r_g is an involution in the closed group."""
+    w = e.word
+    for i, (gen_, sign) in enumerate(w):
+        if gen_.fam in "aub":
+            yield i, Entry(e.tag, e.params, e.genus, 0,
+                           w[:i] + ((gen_, -sign),) + w[i + 1:], (), 3)
+
+
+def test_tier3_rejects_every_single_letter_inversion():
+    import re
+    import time
+
+    t0 = time.perf_counter()
+    refuted = gated = 0
+    wrong = []
+    for g in (4, 5, 6):
+        for e in catalogue(g, 0):
+            if e.tier != 3:
+                continue
+            for i, m in _letter_mutants(e):
+                v = verify_entry(m)
+                if v.detail.startswith("homology gate") and not v.ok:
+                    gated += 1
+                elif not v.ok and re.search(r"^Refuted: .* x_\d+$", v.detail):
+                    refuted += 1
+                else:
+                    wrong.append(f"({g},0) {e.label()} letter {i}: {v.ok} {v.detail}")
+    dt = time.perf_counter() - t0
+    assert not wrong, "mutants not rejected:\n" + "\n".join(wrong)
+    assert refuted and gated, (refuted, gated)
+    assert dt < 10.0, f"mutation sweep exceeded its 10s budget: {dt:.2f}s"
+
+
+def test_tier3_guards_survive_optimize():
+    # Refuted is sound only under C'(1/6), i.e. genus >= 4, and only tiers
+    # 1-3 are verifiable; python -O strips asserts, so both guards must raise
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import json
+from nmcg.catalogue import Entry, catalogue
+from nmcg.verify import verify_entry
+from nmcg.words import parse
+
+e = next(e for e in catalogue(4, 0) if e.label() == "D")
+w = e.word
+i = next(i for i, (x, s) in enumerate(w) if x.fam == "u")
+mutant = Entry("D", (), 4, 0, w[:i] + ((w[i][0], -w[i][1]),) + w[i + 1:], (), 3)
+v = verify_entry(mutant)
+out = {"mutant": [v.ok, v.detail]}
+for key, entry in (("genus3", Entry("X", (), 3, 0, parse("1"), (), 3)),
+                   ("tier4", Entry("X", (), 4, 0, parse("1"), (), 4))):
+    try:
+        out[key] = ["returned", verify_entry(entry).ok]
+    except ValueError as exc:
+        out[key] = ["ValueError", str(exc)]
+print(json.dumps(out))
+"""
+    src = str(Path(verify_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    ok, detail = out["mutant"]
+    assert not ok and detail.startswith("Refuted"), detail
+    assert out["genus3"][0] == "ValueError" and "genus >= 4" in out["genus3"][1]
+    assert out["tier4"][0] == "ValueError" and "tier 4" in out["tier4"][1]
