@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, concat, inverse, lit, named, power
+from .words import Factored, Word, concat, inverse, lit, named, power
 from .presentations import (
     a,
     arun,
@@ -98,24 +98,23 @@ def punctured_entries(g: int) -> list:
         mid = concat(arun_down(4, 1), urun(1, 4))
         add("C9", (), concat(b(1), mid), concat(mid, b(1)))
     for k in range(2, g + 1):
-        dk = delta_word(k)
+        dk, dk1 = delta_word(k), delta_word(k - 1)
+        dk2 = Factored(((dk, 2),))
         for i in range(1, k):
-            add("B5", (k, i), concat(dk, u(i)), concat(u(k - i), dk))
-            add("E1", (k, i), concat(dk, a(i)), concat(inverse(a(k - i)), dk))
-        add("B6", (k,), dk, concat(delta_word(k - 1), urun_down(k - 1, 1)))
-        add("B7", (k,), power(dk, 2), power(urun(1, k - 1), k))
-        add(
-            "B8",
-            (k,),
-            power(dk, 2),
-            concat(power(delta_word(k - 1), 2), urun_down(k - 1, 1), urun(1, k - 1)),
-        )
+            add("B5", (k, i), Factored(((dk, 1), (u(i), 1))), Factored(((u(k - i), 1), (dk, 1))))
+            add("E1", (k, i), Factored(((dk, 1), (a(i), 1))),
+                Factored(((inverse(a(k - i)), 1), (dk, 1))))
+        add("B6", (k,), dk, Factored(((dk1, 1), (urun_down(k - 1, 1), 1))))
+        add("B7", (k,), dk2, Factored(((urun(1, k - 1), k),)))
+        add("B8", (k,), dk2,
+            Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun(1, k - 1), 1))))
     stab = ()
     for m in range(g - 1, 0, -1):
         stab = concat(stab, urun(m, g - 2), power(u(g - 1), 2), urun_down(g - 2, m))
-    add("DeltaStab", (), power(delta_word(g), 2), stab)
+    dg2 = Factored(((delta_word(g), 2),))
+    add("DeltaStab", (), dg2, stab)
     rg = r_word(g)
-    add("E2", (), power(rg, 2), power(delta_word(g), 2))
+    add("E2", (), Factored(((rg, 2),)), dg2)
     for i in range(2, g):
         add("E3", (i,), concat(rg, a(i)), concat(a(i), rg))
         add("E4", (i,), concat(u(i), rg, u(i)), rg)
@@ -200,7 +199,8 @@ def closed_entries(g: int) -> list:
     def add(tag, params, lhs, rhs=(), tier=3):
         E.append(Entry(tag, tuple(params), g, 0, lhs, rhs, tier))
 
-    assert g >= 4, "closed verification needs the small-cancellation range"
+    if g < 4:
+        raise ValueError(f"closed verification needs genus >= 4 (small cancellation), not {g}")
     rg = r_word(g)
     add("B3", (), power(urun(1, g - 1), g))
     add("B4", (), power(urun(1, g - 2), g - 1))

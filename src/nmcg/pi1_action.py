@@ -14,20 +14,36 @@ the commutations each twist must satisfy, then validated against the
 full relator suite); they are frozen here and pinned by tests.
 
 evaluate() composes generator tables in word order: the rightmost
-letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2.
+letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
+words.Factored word is evaluated from its parts: each part's table is
+raised to its power by repeated squaring (a negative power is the table
+of the inverse word), and the table of every Factored part is cached on
+the Evaluator next to its letter tables, so a shared factor such as the
+half-twist Delta_k is built once per (g, env).
+
+The word kernel (xmul and the helpers built on it) takes freely reduced
+parts, such as table images and their inverses: only the letters where
+two parts meet can cancel. xreduce reduces an arbitrary sequence.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from .words import Gen, Word, inverse as winv
+from .words import Factored, Gen, Word, inverse as winv
 
 XWord = tuple  # tuple of nonzero ints
 
 
 def xreduce(seq) -> XWord:
-    return xmul(seq)
+    """Free reduction of any sequence of letters, one letter at a time."""
+    out = []
+    for c in seq:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
 
 
 def xinv(w: XWord) -> XWord:
@@ -35,19 +51,22 @@ def xinv(w: XWord) -> XWord:
 
 
 def xmul(*ws) -> XWord:
-    """Free reduction of the concatenation of ws: the one word kernel that
-    xreduce, xsub and compose share."""
+    """Free reduction of the concatenation of ws, the word kernel that
+    xsub, xpow and compose share. Every part must be freely reduced: then
+    only letters where the result so far meets the next part can cancel,
+    and the rest of that part is appended whole."""
     out = []
     for w in ws:
-        for c in w:
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
+        i, n = 0, len(w)
+        while i < n and out and out[-1] == -w[i]:
+            out.pop()
+            i += 1
+        out.extend(w[i:])
     return tuple(out)
 
 
 def xpow(w: XWord, k: int) -> XWord:
+    """w^k for a freely reduced w."""
     if k < 0:
         w, k = xinv(w), -k
     return xmul(*([w] * k)) if k else ()
@@ -86,6 +105,7 @@ def boundary_word(g: int) -> XWord:
 
 
 def conjugation_table(w: XWord, g: int):
+    """Conjugation by the freely reduced w."""
     return tuple(xmul(w, (i,), xinv(w)) for i in range(1, g + 1))
 
 
@@ -135,13 +155,16 @@ class Evaluator:
     env maps non-primitive generators (b_0, b_j for j >= 2, named
     elements like y1 or d) to their defining words; expansion recurses
     until only primitive letters (a_i, u_i, b_1) remain. Tables are
-    cached per (generator, sign).
+    cached per (generator, sign), and per (Factored part, sign): a
+    Factored part is meant to be a shared factor, and its cached table
+    lives as long as the Evaluator.
     """
 
     def __init__(self, g: int, env=None):
         self.g = g
         self.env = dict(env or {})
         self._cache = {}
+        self._parts = {}  # (id(part), sign) -> (part, table); part keeps its id
 
     def letter_table(self, gen: Gen, sign: int):
         key = (gen, sign)
@@ -166,34 +189,69 @@ class Evaluator:
         return t
 
     def evaluate(self, word: Word):
-        acc = identity_table(self.g)
-        for gen, sign in word:
-            acc = compose(acc, self.letter_table(gen, sign))
-        return acc
+        if isinstance(word, Factored):
+            hit = self._parts.get((id(word), 1))
+            return hit[1] if hit is not None else self._product(word.parts)
+        return self._fold(self.letter_table(gen, sign) for gen, sign in word)
+
+    def _fold(self, tables):
+        acc = None
+        for t in tables:
+            acc = t if acc is None else compose(acc, t)
+        return identity_table(self.g) if acc is None else acc
+
+    def _product(self, parts):
+        return self._fold(self._power(part, k) for part, k in parts if k)
+
+    def _power(self, part, k: int):
+        """Table of part^k (k != 0) by repeated squaring."""
+        sign = 1 if k > 0 else -1
+        if isinstance(part, Factored):
+            key = (id(part), sign)
+            hit = self._parts.get(key)
+            if hit is None:
+                inv = part.parts if sign == 1 else [(p, -e) for p, e in reversed(part.parts)]
+                hit = self._parts[key] = (part, self._product(inv))
+            t = hit[1]
+        else:
+            t = self.evaluate(part if sign == 1 else winv(part))
+        k, acc = abs(k), None
+        while True:
+            if k & 1:
+                acc = t if acc is None else compose(acc, t)
+            k >>= 1
+            if not k:
+                return acc
+            t = compose(t, t)
 
 
 _SHARED_MAX = 8
 _shared = OrderedDict()  # (g, id(env)) -> (env, Evaluator), least recent first
 
 
-def evaluate(word: Word, g: int, env=None):
-    """Table of word. One Evaluator is kept per (g, env object), so letter
-    tables (b_j, y, v, r_g) are built once across calls. A hit costs one
-    dict comparison with shared values, independent of the length of the
-    env words; an env mutated since it was cached misses. At most
-    _SHARED_MAX are kept, so callers that pass a fresh env each time
-    cannot grow memory."""
+def evaluator(g: int, env=None) -> Evaluator:
+    """The shared Evaluator of (g, env object), so letter tables (b_j, y,
+    v, r_g) and Factored part tables are built once across calls. A hit
+    costs one dict comparison with shared values, independent of the
+    length of the env words; an env mutated since it was cached misses.
+    At most _SHARED_MAX are kept, so callers that pass a fresh env each
+    time cannot grow memory."""
     key = (g, id(env))
     hit = _shared.get(key)
     if hit is not None and hit[1].env == (env or {}):
         _shared.move_to_end(key)
-        return hit[1].evaluate(word)
+        return hit[1]
     ev = Evaluator(g, env)
     _shared[key] = (env, ev)  # holding env keeps its id from being reused
     _shared.move_to_end(key)
     if len(_shared) > _SHARED_MAX:
         _shared.popitem(last=False)
-    return ev.evaluate(word)
+    return ev
+
+
+def evaluate(word: Word, g: int, env=None):
+    """Table of word, by the shared Evaluator of (g, env)."""
+    return evaluator(g, env).evaluate(word)
 
 
 def fixes_boundary(table, g: int) -> bool:

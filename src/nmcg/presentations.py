@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .words import (
+    Factored,
     Gen,
     Word,
     concat,
@@ -65,12 +67,13 @@ def urun_down(i: int, j: int) -> Word:
     return tuple((gen("u", k), 1) for k in range(i, j - 1, -1))
 
 
-def delta_word(k: int) -> Word:
-    """Half-twist word: empty for k = 1, else (u_1..u_{k-1}) * previous."""
-    w = ()
-    for m in range(k, 1, -1):
-        w = concat(w, urun(1, m - 1))
-    return w
+@lru_cache(maxsize=None)
+def delta_word(k: int) -> Factored:
+    """Half-twist Delta_k = (u_1..u_{k-1}) * Delta_{k-1}, empty for k <= 1;
+    one shared Factored per k, so an Evaluator builds its table once."""
+    if k <= 1:
+        return Factored(())
+    return Factored(((urun(1, k - 1), 1), (delta_word(k - 1), 1)))
 
 
 def r_word(g: int) -> Word:

@@ -1,11 +1,15 @@
 """Verification driver: evaluates catalogue entries at their declared
 tiers and reports one verdict per item.
 
-tier 1 runs exact table comparison in the punctured representation,
-tier 2 searches for a boundary-twist exponent k with |k| <= KMAX, and
-tier 3 first applies the integral-homology gate and then decides
-innerness in the one-relator quotient exactly (one_relator): Verified
-with the conjugator, or Refuted naming the generator whose image fails.
+tier 1 decides lhs = rhs as T(lhs) == T(rhs), the two sides' tables in
+the punctured representation: the same statement as "lhs rhs^-1 acts
+trivially", but each side keeps its words.Factored structure, so a
+shared factor's table is built once per surface. Presentation relators
+are checked as tier-1 entries on the same path. Tier 2 searches for a
+boundary-twist exponent k with |k| <= KMAX, and tier 3 first applies
+the integral-homology gate and then decides innerness in the one-relator
+quotient exactly (one_relator): Verified with the conjugator, or Refuted
+naming the generator whose image fails.
 The pinned tier-2 exponents act as regression baselines: a wrong or
 stale pin can only fail a verdict, never fake one.
 """
@@ -60,13 +64,14 @@ class Verdict:
 
 def verify_entry(e: Entry) -> Verdict:
     g = e.genus
-    env = _env(g, e.boundary)
-    table = pi1_action.evaluate(e.word, g, env)
+    ev = pi1_action.evaluator(g, _env(g, e.boundary))
 
     if e.tier == 1:
-        ok = table == pi1_action.identity_table(g)
-        detail = "identity table" if ok else "sides differ in the punctured representation"
+        ok = ev.evaluate(e.lhs) == ev.evaluate(e.rhs)
+        detail = "sides have equal tables" if ok else "sides differ in the punctured representation"
         return Verdict(g, e.boundary, e.label(), 1, ok, detail)
+
+    table = ev.evaluate(e.word)
 
     if e.tier == 2:
         k = pi1_action.conjugation_exponent(table, g, KMAX)
@@ -114,17 +119,8 @@ def verify_catalogue(g: int, n: int, tiers=None) -> list:
 def verify_relators(g: int) -> list:
     """Every defining relator of the one-boundary presentation holds as
     an exact identity of punctured-surface automorphisms (g >= 3)."""
-    pres = nonorientable_mcg_presentation(g, 1)
-    env = _env(g, 1)
-    ident = pi1_action.identity_table(g)
-    out = []
-    for r in pres.relators:
-        table = pi1_action.evaluate(r.word, g, env)
-        ok = table == ident
-        label = r.text().split(":")[0]
-        detail = "identity table" if ok else "relator acts nontrivially"
-        out.append(Verdict(g, 1, label, 1, ok, detail))
-    return out
+    return [verify_entry(Entry(r.tag, r.params, g, 1, r.lhs, r.rhs, 1))
+            for r in nonorientable_mcg_presentation(g, 1).relators]
 
 
 def boundary_fixation(g: int) -> list:

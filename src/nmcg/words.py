@@ -2,8 +2,18 @@
 
 A generator is a ``Gen`` (family tag + index, or a bare name). A word is
 a tuple of letters, each letter a pair ``(Gen, sign)`` with sign +-1.
-Words are always plain tuples so they hash and compare cheaply; nothing
-here mutates its input.
+Words are tuples so they hash and compare cheaply; nothing here mutates
+its input, and the word functions keep the letter objects of their inputs
+rather than building a fresh pair per letter.
+
+A ``Factored`` word is a tuple of the same flat, freely reduced letters
+that also keeps how it was built: ``parts = ((part, k), ...)``, the
+product of part^k in order, each part a word or a ``Factored``. It is a
+straight-line program in the sense of Lohrey, *The Compressed Word
+Problem for Groups* (2014). Every function here sees only the flat
+letters; ``pi1_action.Evaluator`` reads ``parts`` to build the table of a
+shared factor (such as the half-twist ``presentations.delta_word(k)``)
+once and to take powers by squaring.
 
 Text syntax: letters like ``a3``, ``u2``, ``b0``, ``x4``, or a bare name
 (``d``, ``y1``, ``r4``, ``c``, ``v``), separated by ``*`` or whitespace,
@@ -34,12 +44,14 @@ Word = tuple  # tuple of Letter
 
 
 def gen(fam: str, idx: int) -> Gen:
-    assert fam in _FAMS, f"unknown generator family {fam!r}"
+    if fam not in _FAMS:
+        raise ValueError(f"unknown generator family {fam!r}")
     return Gen(fam, idx)
 
 
 def named(name: str) -> Gen:
-    assert name, "named generator needs a nonempty name"
+    if not name:
+        raise ValueError("named generator needs a nonempty name")
     return Gen("n", 0, name)
 
 
@@ -48,7 +60,8 @@ def gen_sort_key(g: Gen):
 
 
 def lit(g: Gen, sign: int = 1) -> Word:
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"letter sign must be 1 or -1, not {sign!r}")
     return ((g, sign),)
 
 
@@ -97,13 +110,7 @@ def fmt(word: Word) -> str:
 
 
 def free_reduce(word: Iterable) -> Word:
-    out = []
-    for g, s in word:
-        if out and out[-1][0] == g and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((g, s))
-    return tuple(out)
+    return concat(word)
 
 
 def inverse(word: Word) -> Word:
@@ -111,15 +118,28 @@ def inverse(word: Word) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    """Freely reduced product."""
+    """Freely reduced product; the kept letters are the input's objects."""
     out = []
     for w in words:
-        for g, s in w:
-            if out and out[-1][0] == g and out[-1][1] == -s:
+        for letter in w:
+            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
                 out.pop()
             else:
-                out.append((g, s))
+                out.append(letter)
     return tuple(out)
+
+
+class Factored(tuple):
+    """The freely reduced word part_1^k_1 part_2^k_2 ..., built from
+    parts = ((part, k), ...) and keeping them. The letters are computed
+    here from parts, so the flat word and its structure cannot disagree.
+    Slices, products and inverses of it are plain words."""
+
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        self = super().__new__(cls, concat(*(power(p, k) for p, k in parts)))
+        self.parts = parts
+        return self
 
 
 def power(word: Word, k: int) -> Word:
@@ -149,19 +169,14 @@ def cyclic_reduce(word: Word) -> tuple[Word, Word]:
 
 def substitute(word: Word, images: Mapping[Gen, Word]) -> Word:
     """Apply the homomorphism sending g to images[g] (default: itself)."""
-    out = []
-    for g, s in word:
-        img = images.get(g)
+
+    def piece(letter):
+        img = images.get(letter[0])
         if img is None:
-            piece = ((g, s),)
-        else:
-            piece = img if s == 1 else inverse(img)
-        for h, t in piece:
-            if out and out[-1][0] == h and out[-1][1] == -t:
-                out.pop()
-            else:
-                out.append((h, t))
-    return tuple(out)
+            return (letter,)
+        return img if letter[1] == 1 else inverse(img)
+
+    return concat(*map(piece, word))
 
 
 def gens_of(word: Word) -> set:

@@ -3,7 +3,9 @@ boundary behaviour, and the twist-exponent detector."""
 
 from hypothesis import given, settings, strategies as st
 
+from nmcg.catalogue import catalogue
 from nmcg.pi1_action import (
+    Evaluator,
     boundary_word,
     compose,
     conjugation_exponent,
@@ -11,11 +13,19 @@ from nmcg.pi1_action import (
     evaluate,
     fixes_boundary,
     identity_table,
+    xmul,
     xreduce,
     xsub,
 )
-from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
-from nmcg.words import gen, lit, parse
+from nmcg.presentations import (
+    a,
+    delta_word,
+    expansion_env,
+    nonorientable_mcg_presentation,
+    r_word,
+    u,
+)
+from nmcg.words import Factored, gen, lit, parse
 
 _G = 4
 _letters = st.tuples(
@@ -38,6 +48,41 @@ _images = st.one_of(
     st.lists(_xletters, max_size=30).map(xreduce),
 )
 _tables = st.lists(_images, min_size=_G, max_size=_G).map(tuple)
+
+
+@given(st.lists(st.lists(_xletters, max_size=12).map(xreduce), max_size=6))
+def test_xmul_of_reduced_parts_is_the_reduced_concatenation(parts):
+    assert xmul(*parts) == xreduce(sum(parts, ()))
+
+
+def test_factored_sides_evaluate_to_their_flat_words():
+    # part tables (cached, powers by squaring) against the flat letters
+    # evaluated one by one by an Evaluator that has cached nothing
+    checked = 0
+    for g in list(range(4, 13)) + [16]:
+        env = expansion_env(g, 1)
+        for e in catalogue(g, 1):
+            for side in (e.lhs, e.rhs):
+                if isinstance(side, Factored):
+                    flat = Evaluator(g, env).evaluate(tuple(side))
+                    assert evaluate(side, g, env) == flat, (g, e.label())
+                    checked += 1
+    assert checked > 1000
+
+
+def test_factored_negative_and_nested_powers():
+    g = 7
+    env = expansion_env(g, 1)
+    d5 = delta_word(5)
+    inner = Factored(((d5, -1), (u(2), 3), (a(4), -2)))
+    for w in (
+        Factored(((d5, -1),)),
+        Factored(((d5, 3), (a(1), -1), (delta_word(4), -2))),
+        Factored(((inner, -3), (r_word(g), 2), (inner, 1))),
+        Factored(((d5, 0),)),
+    ):
+        assert evaluate(w, g, env) == Evaluator(g, env).evaluate(tuple(w))
+    assert Factored(((d5, 2), (d5, -2))) == ()
 
 
 def test_identity_table_shape():

@@ -11,12 +11,24 @@ from nmcg.presentations import (
     Presentation,
     Relator,
     braid_presentation,
+    delta_word,
     expansion_env,
     nonorientable_mcg_presentation,
     slide_presentation,
     tietze_eliminate,
+    urun,
 )
-from nmcg.words import free_reduce, gen, named, parse, substitute
+from nmcg.words import Factored, concat, free_reduce, gen, named, parse, substitute
+
+
+def test_delta_word_is_the_flat_half_twist_recursion():
+    for k in range(21):
+        flat = ()
+        for m in range(k, 1, -1):
+            flat = concat(flat, urun(1, m - 1))
+        dk = delta_word(k)
+        assert isinstance(dk, Factored) and dk == flat and len(dk) == k * (k - 1) // 2
+        assert delta_word(k) is dk, "one shared object per k"
 
 
 def test_generator_inventory_grows_with_genus():

@@ -6,7 +6,7 @@ a failure but can never rescue a failing one."""
 
 import nmcg.verify as verify_mod
 from nmcg.catalogue import Entry, catalogue
-from nmcg.presentations import urun
+from nmcg.presentations import delta_word, urun
 from nmcg.verify import (
     Verdict,
     boundary_fixation,
@@ -15,7 +15,7 @@ from nmcg.verify import (
     verify_entry,
     verify_relators,
 )
-from nmcg.words import power
+from nmcg.words import Factored, power
 
 
 def _entry(g, n, label):
@@ -131,9 +131,35 @@ def test_tier3_rejects_every_single_letter_inversion():
     assert dt < 10.0, f"mutation sweep exceeded its 10s budget: {dt:.2f}s"
 
 
+def test_tier1_rejects_an_extra_half_twist_on_a_factored_side():
+    # Delta_k (k >= 2) is a nontrivial mapping class and the punctured
+    # representation is faithful, so side * Delta_k breaks every relation
+    import dataclasses
+
+    mutants = 0
+    wrong = []
+    for g in (5, 6, 7, 8):
+        for e in catalogue(g, 1):
+            if e.tier != 1:
+                continue
+            for field in ("lhs", "rhs"):
+                side = getattr(e, field)
+                if not isinstance(side, Factored):
+                    continue
+                for k in range(2, g + 1):
+                    bad = Factored(side.parts + ((delta_word(k), 1),))
+                    v = verify_entry(dataclasses.replace(e, **{field: bad}))
+                    mutants += 1
+                    if v.ok or v.detail != "sides differ in the punctured representation":
+                        wrong.append(f"({g},1) {e.label()} {field}*Delta_{k}: {v.detail}")
+    assert not wrong, "mutants not rejected:\n" + "\n".join(wrong)
+    assert mutants > 1000
+
+
 def test_tier3_guards_survive_optimize():
     # Refuted is sound only under C'(1/6), i.e. genus >= 4, and only tiers
-    # 1-3 are verifiable; python -O strips asserts, so both guards must raise
+    # 1-3 are verifiable; python -O strips asserts, so these guards, and
+    # those of the closed catalogue and the letter builders, must raise
     import json
     import os
     import subprocess
@@ -144,7 +170,7 @@ def test_tier3_guards_survive_optimize():
 import json
 from nmcg.catalogue import Entry, catalogue
 from nmcg.verify import verify_entry
-from nmcg.words import parse
+from nmcg.words import gen, lit, named, parse
 
 e = next(e for e in catalogue(4, 0) if e.label() == "D")
 w = e.word
@@ -156,6 +182,12 @@ for key, entry in (("genus3", Entry("X", (), 3, 0, parse("1"), (), 3)),
                    ("tier4", Entry("X", (), 4, 0, parse("1"), (), 4))):
     try:
         out[key] = ["returned", verify_entry(entry).ok]
+    except ValueError as exc:
+        out[key] = ["ValueError", str(exc)]
+for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z", 1)),
+                  ("named", lambda: named("")), ("lit", lambda: lit(gen("a", 1), 2))):
+    try:
+        out[key] = ["returned", repr(call())]
     except ValueError as exc:
         out[key] = ["ValueError", str(exc)]
 print(json.dumps(out))
@@ -173,3 +205,7 @@ print(json.dumps(out))
     assert not ok and detail.startswith("Refuted"), detail
     assert out["genus3"][0] == "ValueError" and "genus >= 4" in out["genus3"][1]
     assert out["tier4"][0] == "ValueError" and "tier 4" in out["tier4"][1]
+    assert out["closed3"][0] == "ValueError" and "genus >= 4" in out["closed3"][1]
+    assert out["gen"][0] == "ValueError" and "'z'" in out["gen"][1]
+    assert out["named"][0] == "ValueError" and "nonempty" in out["named"][1]
+    assert out["lit"][0] == "ValueError" and "sign" in out["lit"][1]

@@ -117,6 +117,15 @@ def test_parse_named_letters():
     assert len(w) == 1 and w[0][0].name == "q3"
 
 
+def test_concat_keeps_the_input_letter_objects():
+    v, w = parse("a1*u2*b1"), parse("b1^-1*x3*a2")
+    out = concat(v, w)
+    assert out == parse("a1*u2*x3*a2")
+    assert all(x is y for x, y in zip(out, v[:2] + w[1:]))
+    assert all(x is y for x, y in zip(free_reduce(v), v))
+    assert substitute(v, {})[1] is v[1]
+
+
 def test_substitute_is_a_homomorphism():
     images = {gen("a", 1): parse("u1*u2"), gen("u", 2): parse("a1^-1")}
     v, w = parse("a1*u2"), parse("u2^-1*a1*x1")
