@@ -32,8 +32,8 @@ def smith_diagonal(rows, ncols) -> tuple:
     """Invariant factors d_1 | d_2 | ... (positive, 1s included)."""
     m = [list(r) for r in rows]
     nr, nc = len(m), ncols
-    for r in m:
-        assert len(r) == nc, "ragged relation matrix"
+    if any(len(r) != nc for r in m):
+        raise ValueError(f"ragged relation matrix: a row does not have {nc} entries")
     diag = []
     t = 0
     while t < min(nr, nc):

@@ -6,7 +6,7 @@ Subcommands:
   abelianize  H_1 of a presented group via Smith normal form
   enumerate   Todd-Coxeter coset enumeration (small groups only)
   replay      replay recorded derivation scripts
-  tables      dump the frozen generator action tables
+  tables      dump the generator action tables that verify uses
 
 Exit status: 0 on success, 1 if any verification check fails, 2 on
 usage errors. Output is deterministic for fixed inputs.
@@ -15,7 +15,6 @@ usage errors. Output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import pi1_action, replay
@@ -23,14 +22,7 @@ from .abelianized import h1
 from .catalogue import catalogue
 from .cosets import CapExceeded, coset_enumeration
 from .presentations import expansion_env, nonorientable_mcg_presentation
-from .verify import (
-    Verdict,
-    boundary_fixation,
-    pinned_exponents,
-    verify_catalogue,
-    verify_entry,
-    verify_relators,
-)
+from .verify import boundary_fixation, pinned_exponents, verify_catalogue, verify_relators
 
 
 def _pres(args):
@@ -48,13 +40,7 @@ def _print_verdicts(verdicts) -> int:
 
 def _cmd_present(args) -> int:
     pres = _pres(args)
-    if args.format == "json":
-        print(pres.to_json())
-        return 0
-    print(f"genus {pres.genus}, boundary components {pres.boundary}")
-    print("generators: " + " ".join(g.label() for g in pres.generators))
-    for r in pres.relators:
-        print("  " + r.text())
+    print(pres.to_json() if args.format == "json" else pres.to_text(), end="")
     return 0
 
 

@@ -63,7 +63,8 @@ class _Enumerator:
 
     def _cols(self, word: Word):
         for let in word:
-            assert let in self.colof, f"letter {let[0].label()} not a generator"
+            if let not in self.colof:
+                raise ValueError(f"letter {let[0].label()} not a generator")
         return tuple(self.colof[let] for let in word)
 
     def rep(self, c: int) -> int:
@@ -213,15 +214,18 @@ class _Enumerator:
 
     def check_complete(self):
         for c, row in enumerate(self.tab):
-            assert all(v is not None for v in row), f"incomplete row {c}"
+            if any(v is None for v in row):
+                raise ValueError(f"incomplete row {c}")
             for col, t in enumerate(row):
-                assert self.tab[t][col ^ 1] == c, "table not involutive"
+                if self.tab[t][col ^ 1] != c:
+                    raise ValueError("table not involutive")
         for c in range(len(self.tab)):
             for w in self.relators:
                 d = c
                 for col in w:
                     d = self.tab[d][col]
-                assert d == c, f"relator open at coset {c}"
+                if d != c:
+                    raise ValueError(f"relator open at coset {c}")
 
 
 def coset_enumeration(

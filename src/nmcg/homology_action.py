@@ -2,9 +2,10 @@
 
 H_1 is Z^g on the crosscap classes e_1..e_g. Two independent routes:
 
-* F_2 matrices are written down directly (a_i and u_i swap e_i, e_{i+1};
-  the genus-4 twist is the transvection by e_1+e_2+e_3+e_4) and stored
-  as bitmask rows.
+* F_2 matrices are written down directly and stored as bitmask rows:
+  u_i swaps e_i, e_{i+1}, and the twist about the curve through
+  crosscaps k..k+m-1 (a_i: k = i, m = 2; b_j: k = 1, m = 2j+2) is the
+  transvection by e_k+...+e_{k+m-1}, which for a_i is the same swap.
 * Z matrices come from abelianizing the pi_1 action (that derivation
   order is deliberate; the two routes cross-check each other mod 2).
 
@@ -32,14 +33,15 @@ def f2_identity(g: int):
 
 def f2_generator(gen: Gen, g: int):
     m = f2_identity(g)
-    if gen.fam in ("a", "u"):
+    if gen.fam == "u":
         i = gen.idx - 1
         m[i], m[i + 1] = m[i + 1], m[i]
         return m
-    if gen.fam == "b" and gen.idx == 1:
-        quad = 0b1111
-        for r in range(4):
-            m[r] ^= quad
+    if gen.fam in ("a", "b"):
+        k, n = (gen.idx - 1, 2) if gen.fam == "a" else (0, 2 * gen.idx + 2)
+        curve = ((1 << n) - 1) << k
+        for r in range(k, k + n):
+            m[r] ^= curve
         return m
     raise KeyError(f"no direct F2 matrix for {gen.label()}")
 
@@ -70,7 +72,7 @@ _f2_shared = OrderedDict()  # (g, id(env)) -> (env, copy of env, matrices), leas
 
 def _f2_letter(gen: Gen, sign: int, g, env):
     try:
-        return f2_generator(gen, g)  # swaps and the transvection square to I
+        return f2_generator(gen, g)  # swaps and transvections square to I
     except KeyError:
         if env is None or gen not in env:
             raise

@@ -8,10 +8,10 @@ fixing W letter-for-letter. Words in x_1..x_g are tuples of signed ints
 (+i for x_i, -i for its inverse); an automorphism is a table: a tuple
 whose entry i-1 is the image of x_i.
 
-Generator images were derived by solving the defining relations over
-the free group (insertion search constrained by boundary fixation and
-the commutations each twist must satisfy, then validated against the
-full relator suite); they are frozen here and pinned by tests.
+Every twist generator, a_i and each b_j (b_0 included), is built by one
+rule, curve_twist, from the two-sided curve through its crosscaps: i, i+1
+for a_i and 1..2j+2 for b_j. The crosscap transposition u_i is written
+out directly. Tests pin the tables of a_1, a_2, u_1 and b_1.
 
 evaluate() composes generator tables in word order: the rightmost
 letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
@@ -115,46 +115,45 @@ def _one(g, images: dict):
 
 def crosscap_transposition(i: int, g: int, sign: int = 1):
     """u_i: slides crosscap i+1 through crosscap i."""
-    assert 1 <= i <= g - 1, f"u_{i} needs genus > {i}"
+    if not 1 <= i <= g - 1:
+        raise ValueError(f"u_{i} needs genus > {i}, not {g}")
     if sign == 1:
         return _one(g, {i: (i, i, i + 1, -i, -i), i + 1: (i,)})
     return _one(g, {i: (i + 1,), i + 1: (-(i + 1), -(i + 1), i, i + 1, i + 1)})
 
 
-def twist(i: int, g: int, sign: int = 1):
-    """a_i: Dehn twist about the two-sided curve through crosscaps i, i+1."""
-    assert 1 <= i <= g - 1, f"a_{i} needs genus > {i}"
-    if sign == 1:
-        return _one(g, {i: (i, -(i + 1), -i), i + 1: (i, i + 1, i + 1)})
-    return _one(g, {i: (i, i, i + 1), i + 1: (-(i + 1), -i, i + 1)})
-
-
-_B_PLUS = {
-    1: (1, -4, -3, -2, -1),
-    2: (1, 2, 3, 4, 2, 3, 4, 1, 2, -4, -3, -2, -1),
-    3: (1, 2, 3, 4, -2, -1, -4, -4, -3, -2, -1),
-    4: (1, 2, 3, 4, 4),
-}
-_B_MINUS = {
-    1: (1, 1, 2, 3, 4),
-    2: (-4, -3, -2, -1, -1, -4, -3, 1, 2, 3, 4),
-    3: (-4, -3, -2, -1, 3, 4, 1, 2, 3, 1, 2, 3, 4),
-    4: (-4, -3, -2, -1, 4),
-}
-
-
-def genus4_twist(g: int, sign: int = 1):
-    """b: Dehn twist about the curve enclosing crosscaps 1..4."""
-    assert g >= 4, "b needs genus >= 4"
-    return _one(g, dict(_B_PLUS if sign == 1 else _B_MINUS))
+def curve_twist(k: int, m: int, g: int, sign: int = 1):
+    """Dehn twist T^sign about the two-sided curve through crosscaps
+    k..k+m-1 (m even): a_i is (i, 2) and b_j is (1, 2j+2). With
+    C = x_k..x_{k+m-1}, T^+ sends x_k to x_k C^-1 and x_{k+m-1} to
+    C x_{k+m-1}; an interior x_i at even position p = i-k+1 goes to
+    C (x_i..x_{k+m-1} x_k..x_i) C^-1 and one at odd position to
+    C (x_{i+1}..x_{k+m-1} x_k..x_{i-1})^-1 C^-1. T^- replaces C by C^-1
+    and swaps the two interior rules. Every other x_i is fixed."""
+    last = k + m - 1
+    if m < 2 or m % 2 or k < 1 or last > g:
+        raise ValueError(f"no two-sided curve through crosscaps {k}..{last} at genus {g}")
+    c = tuple(range(k, last + 1))
+    ci = xinv(c)
+    if sign == -1:
+        c, ci = ci, c
+    images = {k: (k,) + ci, last: c + (last,)}
+    for i in range(k + 1, last):
+        even = (i - k) % 2 == 1  # position i-k+1 is even
+        if even == (sign == 1):
+            mid = tuple(range(i, last + 1)) + tuple(range(k, i + 1))
+        else:
+            mid = xinv(tuple(range(i + 1, last + 1)) + tuple(range(k, i)))
+        images[i] = xmul(c, mid, ci)
+    return _one(g, images)
 
 
 class Evaluator:
     """Evaluates words over presentation generators to tables.
 
-    env maps non-primitive generators (b_0, b_j for j >= 2, named
-    elements like y1 or d) to their defining words; expansion recurses
-    until only primitive letters (a_i, u_i, b_1) remain. Tables are
+    a_i and b_j are built by curve_twist and u_i by
+    crosscap_transposition; env maps the named elements (y1, y2, v, r_g,
+    c, d) to their defining words over a_i, u_i and b_j. Tables are
     cached per (generator, sign), and per (Factored part, sign): a
     Factored part is meant to be a shared factor, and its cached table
     lives as long as the Evaluator.
@@ -173,13 +172,11 @@ class Evaluator:
             return hit
         g = self.g
         if gen.fam == "a":
-            t = twist(gen.idx, g, sign)
+            t = curve_twist(gen.idx, 2, g, sign)
+        elif gen.fam == "b":
+            t = curve_twist(1, 2 * gen.idx + 2, g, sign)
         elif gen.fam == "u":
             t = crosscap_transposition(gen.idx, g, sign)
-        elif gen.fam == "b" and gen.idx == 1:
-            t = genus4_twist(g, sign)
-        elif gen.fam == "b" and gen.idx == 0:
-            t = twist(1, g, sign)  # b_0 = a_1
         else:
             word = self.env.get(gen)
             if word is None:
@@ -270,7 +267,8 @@ def conjugation_exponent(table, g: int, kmax: int = 4):
 
 
 def format_tables(g: int) -> str:
-    """Printable dump of the frozen generator tables at genus g."""
+    """Printable dump of the generator tables that verify uses at genus g:
+    a_i, u_i and b_j for j = 0..(g-2)//2."""
 
     def show(name, t):
         ims = ", ".join(
@@ -280,11 +278,7 @@ def format_tables(g: int) -> str:
         )
         return f"{name}: {ims or 'identity'}"
 
-    lines = []
-    for i in range(1, g):
-        lines.append(show(f"a{i}", twist(i, g)))
-    for i in range(1, g):
-        lines.append(show(f"u{i}", crosscap_transposition(i, g)))
-    if g >= 4:
-        lines.append(show("b1", genus4_twist(g)))
-    return "\n".join(lines) + "\n"
+    gens = [Gen(f, i) for f in "au" for i in range(1, g)]
+    gens += [Gen("b", j) for j in range((g - 2) // 2 + 1)]
+    ev = Evaluator(g)
+    return "".join(show(x.label(), ev.letter_table(x, 1)) + "\n" for x in gens)

@@ -1,10 +1,10 @@
 """Finite presentations of mapping class groups of nonorientable
-surfaces (genus g, 0 or 1 boundary components), plus the braid-type and
-orientable-surface presentations that feed into them.
+surfaces (genus g, 0 or 1 boundary components), plus the braid-type
+presentations that feed into them.
 
 Generators: a_i (twists about two-sided curves through crosscaps i,
-i+1), u_i (crosscap transpositions), b_j (twists about curves enclosing
-the first 4j+4 crosscaps; b_0 = a_1, b_1 written b). Small-genus groups
+i+1), u_i (crosscap transpositions), b_j (twists about the curves through
+the first 2j+2 crosscaps; b_0 = a_1, b_1 written b). Small-genus groups
 get their classical ad-hoc presentations. Relators are stored as
 equations (lhs, rhs); the single-word form is lhs * rhs^-1.
 """
@@ -12,7 +12,7 @@ equations (lhs, rhs); the single-word form is lhs * rhs^-1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import (
@@ -94,13 +94,15 @@ def c_word() -> Word:
 
 
 def a8_word(i: int) -> Word:
-    """Right side of the b_{i+1} recursion."""
+    """Right side of relator A8(i), b_{i+1} = a8_word(i): a word over
+    b_{i-1}, b_i and the a's."""
     head = concat(b(i - 1), arun(2 * i, 2 * i + 3))
     return concat(power(concat(head, b(i)), 5), power(head, -6))
 
 
 def chain_word(i: int, which: int) -> Word:
-    assert which in (1, 2)
+    if which not in (1, 2):
+        raise ValueError(f"chain word {which} is not 1 or 2")
     if which == 2:
         return power(concat(b(i - 1), arun(2 * i, 2 * i + 3), b(i)), 5)
     w = ()
@@ -123,12 +125,9 @@ def lantern_d_word() -> Word:
 
 
 def expansion_env(g: int, n: int) -> dict:
-    """Defining words for the non-primitive generators at (g, n)."""
-    env = {gen("b", 0): a(1)}
-    j = 2
-    while 2 * j <= g - 2:
-        env[gen("b", j)] = a8_word(j - 1)
-        j += 1
+    """Defining words for the named elements at (g, n), words over a_i,
+    u_i and b_j."""
+    env = {}
     if g >= 2:
         env[named("y1")] = y_word(1)
     if g >= 3:
@@ -188,26 +187,6 @@ class Presentation:
             ],
         }
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-    def to_cas(self) -> str:
-        labels = self.generator_labels()
-        quoted = ", ".join(f'"{s}"' for s in labels)
-        rels = ",\n  ".join(fmt(r.word).replace("*", " * ") or "One(F)" for r in self.relators)
-        return (
-            f"F := FreeGroup({quoted});;\n"
-            "AssignGeneratorVariables(F);;\n"
-            f"rels := [\n  {rels}\n];;\n"
-            "G := F / rels;;\n"
-        )
-
-
-def from_json(text) -> Presentation:
-    doc = json.loads(text)
-    gens = tuple(parse(s)[0][0] for s in doc["generators"])
-    rels = tuple(
-        Relator(r["tag"], tuple(r["params"]), parse(r["word"])) for r in doc["relators"]
-    )
-    return Presentation(doc["genus"], doc["boundary"], gens, rels)
 
 
 def _rel(tag, params, lhs, rhs=()):
@@ -337,18 +316,6 @@ def braid_presentation(g: int, spherical: bool = False) -> Presentation:
     return Presentation(g, 1, gens, tuple(_braid_relators(g, spherical)))
 
 
-def orientable_mcg_presentation(rho: int, r: int) -> Presentation:
-    """Twist presentation for the orientable surface of genus rho with r
-    boundary components (r = 1 or 2), on a_1..a_{g-1} and b_j where
-    g = 2 rho + r."""
-    assert r in (1, 2)
-    g = 2 * rho + r
-    gens = [gen("a", i) for i in range(1, g)]
-    gens += [gen("b", j) for j in range(0, (g - 2) // 2 + 1)]
-    gens.sort(key=gen_sort_key)
-    return Presentation(g, r, tuple(gens), tuple(_twist_relators(g)))
-
-
 def _small_genus(g: int, n: int) -> Presentation:
     sg = lambda k, lhs, rhs=(): _rel("smallgenus", (f"{g},{n}", k), lhs, rhs)
     if g == 1:
@@ -376,13 +343,13 @@ def _small_genus(g: int, n: int) -> Presentation:
     raise ValueError(f"no small-genus presentation for ({g},{n})")
 
 
-def nonorientable_mcg_presentation(
-    g: int, n: int, use_da: bool = False, use_b4a: bool = False
-) -> Presentation:
+def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
     """Presentation of the mapping class group of the nonorientable
     surface of genus g with n boundary components (n in {0, 1})."""
-    assert n in (0, 1), "only 0 or 1 boundary components"
-    assert g >= 1
+    if n not in (0, 1):
+        raise ValueError(f"only 0 or 1 boundary components, not {n}")
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, not {g}")
     if g <= 2 or (g, n) == (3, 0):
         return _small_genus(g, n)
     gens = [gen("a", i) for i in range(1, g)]
@@ -392,20 +359,13 @@ def nonorientable_mcg_presentation(
     rels = _twist_relators(g) + _braid_relators(g, False) + _crosscap_relators(g)
     if n == 0:
         rels.append(_rel("B3", (), power(urun(1, g - 1), g)))
-        if use_b4a:
-            rels.append(_rel("B4a", (), concat(urun_down(g - 1, 1), urun(1, g - 1))))
-        else:
-            rels.append(_rel("B4", (), power(urun(1, g - 2), g - 1)))
-        if use_da:
-            mid = concat(urun_down(g - 2, 1), arun(1, g - 2))
-            rels.append(_rel("Da", (), concat(a(g - 1), mid, a(g - 1)), mid))
-        else:
-            mid = concat(arun(2, g - 1), urun_down(g - 1, 2))
-            rels.append(_rel("D", (), concat(a(1), mid, a(1)), mid))
+        rels.append(_rel("B4", (), power(urun(1, g - 2), g - 1)))
+        mid = concat(arun(2, g - 1), urun_down(g - 1, 2))
+        rels.append(_rel("D", (), concat(a(1), mid, a(1)), mid))
     order = {
         t: k
         for k, t in enumerate(
-            "A1 A2 A3 A4 A5 A6 A7 A8 A9a A9b B1 B2 B3 B4 B4a C1 C2 C3 C4 C5 C6 C7 C8 D Da".split()
+            "A1 A2 A3 A4 A5 A6 A7 A8 A9a A9b B1 B2 B3 B4 C1 C2 C3 C4 C5 C6 C7 C8 D".split()
         )
     }
     rels.sort(key=lambda r: (order[r.tag], r.params))
@@ -471,31 +431,6 @@ def slide_presentation(g: int, n: int) -> Presentation:
         ]
         return Presentation(4, 0, gens, tuple(rels))
     raise ValueError(f"no slide presentation for ({g},{n})")
-
-
-def extension_presentation(kernel: Presentation, quotient: Presentation, relator_lifts, conjugations) -> Presentation:
-    """Presentation of a group extension 1 -> K -> G -> H -> 1.
-
-    relator_lifts[i] is the kernel word w_r equal in G to the lift of
-    quotient relator i; conjugations[(h, k)] is the kernel word equal to
-    h k h^-1 for each quotient generator h and kernel generator k.
-    Generator name clashes are the caller's problem.
-    """
-    gens = tuple(kernel.generators) + tuple(quotient.generators)
-    assert len(set(gens)) == len(gens), "kernel/quotient generator names clash"
-    rels = list(kernel.relators)
-    for i, r in enumerate(quotient.relators):
-        w = relator_lifts.get(i, ())
-        rels.append(_rel("ext-lift", (r.tag,) + r.params, r.word, w))
-    for h in quotient.generators:
-        for k in kernel.generators:
-            w = conjugations[(h, k)]
-            rels.append(
-                _rel("ext-conj", (h.label(), k.label()), concat(lit(h), lit(k), inverse(lit(h))), w)
-            )
-    count = len(kernel.relators) + len(quotient.relators) + len(quotient.generators) * len(kernel.generators)
-    assert len(rels) == count
-    return Presentation(quotient.genus, quotient.boundary, gens, tuple(rels))
 
 
 def tietze_eliminate(pres: Presentation, victim: Gen, relator_index=None) -> Presentation:

@@ -80,11 +80,6 @@ def _apply_step(name, i, word, step, index):
     op = step["op"]
     if op == "cancel":
         return list(free_reduce(tuple(word)))
-    if op == "invert":
-        return _raw_inverse(word)
-    if op == "conjugate":
-        aux = list(parse_raw(step["aux"]))
-        return aux + word + _raw_inverse(aux)
     if op == "insert":
         at = step["at"]
         aux = list(parse_raw(step["aux"]))

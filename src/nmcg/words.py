@@ -94,7 +94,7 @@ def parse_raw(text: str) -> Word:
     return tuple(out)
 
 
-def parse(text: str, *_, **__) -> Word:
+def parse(text: str) -> Word:
     """Parse the text syntax into a freely reduced word."""
     return free_reduce(parse_raw(text))
 

@@ -122,9 +122,10 @@ def test_replay_named(capsys):
 
 
 def test_tables(capsys):
-    assert main(["tables", "-g", "3"]) == 0
+    assert main(["tables", "-g", "8"]) == 0
     out = capsys.readouterr().out
     assert "a1" in out and "x1" in out
+    assert any(line.startswith("b3: ") for line in out.splitlines())
 
 
 def test_unknown_command_exits_2():

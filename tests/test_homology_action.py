@@ -50,11 +50,14 @@ def test_f2_inverse_multiplies_to_identity(w):
 
 
 def test_generator_matrices_are_unimodular_and_form_preserving():
-    for g in (3, 5, 8):
+    for g in (3, 5, 8, 12):
         pres = nonorientable_mcg_presentation(g, 1)
         env = expansion_env(g, 1)
         for gen_ in pres.generators:
             mz = z_matrix(lit(gen_), g, env)
+            # the direct F2 rule (swap or curve transvection) against the
+            # curve-built pi_1 table, abelianized
+            assert f2_matrix(lit(gen_), g, env) == z_mod2(mz), f"{gen_.label()} at g={g}"
             assert det(mz) in (1, -1), f"{gen_.label()} not unimodular at g={g}"
             assert preserves_mod2_form(z_mod2(mz)), (
                 f"{gen_.label()} breaks the mod-2 form at g={g}"

@@ -10,6 +10,7 @@ from nmcg.pi1_action import (
     compose,
     conjugation_exponent,
     conjugation_table,
+    curve_twist,
     evaluate,
     fixes_boundary,
     identity_table,
@@ -141,6 +142,16 @@ def test_generator_tables_are_pinned():
     w = boundary_word(3)
     for text in ("a1", "u1", "a2"):
         assert xsub(w, evaluate(parse(text), 3)) == w
+
+
+def test_curve_twists_are_inverse_pairs_fixing_the_boundary():
+    for g in range(4, 13):
+        ident, w = identity_table(g), boundary_word(g)
+        for k in range(1, g):
+            for m in range(2, g - k + 2, 2):
+                plus, minus = curve_twist(k, m, g, 1), curve_twist(k, m, g, -1)
+                assert compose(plus, minus) == ident == compose(minus, plus), (g, k, m)
+                assert xsub(w, plus) == w == xsub(w, minus), (g, k, m)
 
 
 def test_all_generators_fix_boundary_g3_to_g5():

@@ -10,6 +10,7 @@ from nmcg.cosets import group_order
 from nmcg.presentations import (
     Presentation,
     Relator,
+    a,
     braid_presentation,
     delta_word,
     expansion_env,
@@ -18,7 +19,7 @@ from nmcg.presentations import (
     tietze_eliminate,
     urun,
 )
-from nmcg.words import Factored, concat, free_reduce, gen, named, parse, substitute
+from nmcg.words import Factored, concat, free_reduce, gen, named, parse
 
 
 def test_delta_word_is_the_flat_half_twist_recursion():
@@ -86,30 +87,38 @@ def test_expansion_env_covers_abbreviations():
     env6 = expansion_env(6, 1)
     for label in ("y1", "y2", "c", "v", "r6"):
         assert named(label) in env6, f"missing abbreviation {label} at (6,1)"
-    assert gen("b", 0) in env6 and gen("b", 2) in env6
+    for g in range(3, 13):
+        for n in (0, 1):
+            assert all(k.fam != "b" for k in expansion_env(g, n)), "b_j is built from its curve"
     assert named("d") in expansion_env(3, 1), "slide abbreviation missing at (3,1)"
     for k, image in env6.items():
         assert image, f"{k.label()} expands to the empty word"
 
 
-def test_env_b2_matches_its_defining_relator():
-    # env stores a normal form for b2, not the literal defining word, so the
-    # agreement is as automorphisms rather than letter-for-letter
-    from nmcg.pi1_action import evaluate
+def test_a8_compares_the_curve_built_twist_with_its_word(monkeypatch):
+    # b_{i+1} is built from its curve, not from a8_word(i), so a wrong
+    # right side of A8 fails A8 itself, and nothing else, within the budget
+    import time
 
-    for g in (6, 8):
+    import nmcg.presentations as pres_mod
+    import nmcg.verify as verify_mod
+
+    def failing(g):
+        verify_mod._env.cache_clear()  # let the patch reach every word built from a8_word
+        return sorted(v.label for v in verify_mod.verify_relators(g) if not v.ok)
+
+    def a8_labels(g):
         pres = nonorientable_mcg_presentation(g, 1)
-        env = expansion_env(g, 1)
-        for r in pres.relators:
-            if r.tag != "A8":
-                continue
-            assert free_reduce(substitute(r.lhs, env)) != free_reduce(
-                substitute(r.rhs, env)
-            ), "normal form unexpectedly literal; tighten this test"
-            assert evaluate(r.lhs, g, env) == evaluate(r.rhs, g, env), (
-                f"A8({r.params}): evaluator expansion disagrees with the "
-                "defining relator"
-            )
+        return sorted(f"A8({r.params[0]})" for r in pres.relators if r.tag == "A8")
+
+    true_a8 = pres_mod.a8_word
+    start = time.perf_counter()
+    for g in (8, 10, 12):
+        assert failing(g) == [], g
+        monkeypatch.setattr(pres_mod, "a8_word", lambda i: concat(true_a8(i), a(2 * i + 1)))
+        assert a8_labels(g) and failing(g) == a8_labels(g), g
+        monkeypatch.setattr(pres_mod, "a8_word", true_a8)
+    assert time.perf_counter() - start < 30
 
 
 def test_tietze_eliminate_toy():

@@ -159,7 +159,8 @@ def test_tier1_rejects_an_extra_half_twist_on_a_factored_side():
 def test_tier3_guards_survive_optimize():
     # Refuted is sound only under C'(1/6), i.e. genus >= 4, and only tiers
     # 1-3 are verifiable; python -O strips asserts, so these guards, and
-    # those of the closed catalogue and the letter builders, must raise
+    # those of the closed catalogue, the letter and table builders, the
+    # presentation, Smith normal form and coset enumeration, must raise
     import json
     import os
     import subprocess
@@ -168,7 +169,11 @@ def test_tier3_guards_survive_optimize():
 
     code = """
 import json
+from nmcg.abelianized import smith_diagonal
 from nmcg.catalogue import Entry, catalogue
+from nmcg.cosets import coset_enumeration
+from nmcg.pi1_action import crosscap_transposition, curve_twist
+from nmcg.presentations import Presentation, Relator, chain_word, nonorientable_mcg_presentation
 from nmcg.verify import verify_entry
 from nmcg.words import gen, lit, named, parse
 
@@ -184,8 +189,15 @@ for key, entry in (("genus3", Entry("X", (), 3, 0, parse("1"), (), 3)),
         out[key] = ["returned", verify_entry(entry).ok]
     except ValueError as exc:
         out[key] = ["ValueError", str(exc)]
+foreign = Presentation(0, 0, (gen("a", 1),), (Relator("X", (), parse("a1 a2")),))
 for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z", 1)),
-                  ("named", lambda: named("")), ("lit", lambda: lit(gen("a", 1), 2))):
+                  ("named", lambda: named("")), ("lit", lambda: lit(gen("a", 1), 2)),
+                  ("u4", lambda: crosscap_transposition(4, 4)),
+                  ("curve", lambda: curve_twist(1, 6, 4)),
+                  ("chain", lambda: chain_word(1, 3)),
+                  ("boundary2", lambda: nonorientable_mcg_presentation(4, 2)),
+                  ("ragged", lambda: smith_diagonal([[1, 2], [3]], 2)),
+                  ("foreign", lambda: coset_enumeration(foreign))):
     try:
         out[key] = ["returned", repr(call())]
     except ValueError as exc:
@@ -209,3 +221,9 @@ print(json.dumps(out))
     assert out["gen"][0] == "ValueError" and "'z'" in out["gen"][1]
     assert out["named"][0] == "ValueError" and "nonempty" in out["named"][1]
     assert out["lit"][0] == "ValueError" and "sign" in out["lit"][1]
+    assert out["u4"][0] == "ValueError" and "u_4" in out["u4"][1]
+    assert out["curve"][0] == "ValueError" and "1..6" in out["curve"][1]
+    assert out["chain"][0] == "ValueError" and "3" in out["chain"][1]
+    assert out["boundary2"][0] == "ValueError" and "boundary" in out["boundary2"][1]
+    assert out["ragged"][0] == "ValueError" and "ragged" in out["ragged"][1]
+    assert out["foreign"][0] == "ValueError" and "a2" in out["foreign"][1]
