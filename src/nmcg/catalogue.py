@@ -3,9 +3,9 @@ at which it is expected to hold.
 
 tier 1: the two sides evaluate to the same automorphism of pi_1 of the
         punctured surface (exact table equality).
-tier 2: the sides agree up to conjugation by a power w^k of the
-        boundary word, |k| <= 4 (relations that live in the punctured
-        closed group).
+tier 2: lhs = rhs times the k-th power of the boundary twist, for the
+        k the entry states (Entry.twist): relations of the capped
+        surface, checked exactly at every genus.
 tier 3: the relator becomes an inner automorphism of the one-relator
         quotient pi_1(closed surface); decided exactly by cyclic Dehn
         reduction, which finds the conjugator or names the generator
@@ -38,9 +38,6 @@ from .presentations import (
     v_word,
 )
 
-KMAX = 4  # boundary-twist power bound for tier 2
-
-
 @dataclass(frozen=True)
 class Entry:
     tag: str
@@ -50,6 +47,7 @@ class Entry:
     lhs: Word
     rhs: Word
     tier: int
+    twist: int = 0  # tier 2: the stated boundary-twist exponent k
 
     @property
     def word(self) -> Word:
@@ -73,8 +71,8 @@ def punctured_entries(g: int) -> list:
     """Tier-1 and tier-2 entries valid in the genus-g one-boundary group."""
     E = []
 
-    def add(tag, params, lhs, rhs, tier=1):
-        E.append(Entry(tag, tuple(params), g, 1, lhs, rhs, tier))
+    def add(tag, params, lhs, rhs, twist=0):
+        E.append(Entry(tag, tuple(params), g, 1, lhs, rhs, 2 if twist else 1, twist))
 
     for i in range(1, g):
         add("star", (i,), concat(u(i), a(i), inverse(u(i))), inverse(a(i)))
@@ -165,30 +163,30 @@ def punctured_entries(g: int) -> list:
     if g == 3:
         for r in slide_presentation(3, 1).relators:
             add(r.tag, r.params, r.lhs, r.rhs)
-    # tier 2: boundary-twist phenomena (statements of the punctured
-    # closed group, checked here up to conjugation by w^k). B4 is not one:
-    # it twists about the curve around crosscaps 1..g-1, which bounds a
-    # Moebius band only once the boundary is capped. It is tier 3 in
+    # tier 2: relations of the capped surface, which hold at (g,1) up to
+    # the stated power of the boundary twist. B4 is not one: it twists
+    # about the curve around crosscaps 1..g-1, which bounds a Moebius
+    # band only once the boundary is capped. It is tier 3 in
     # closed_entries; at (g,1) its word is Delta_{g-1}^2 (tier-1 B7(g-1))
-    add("B7", (g, "closed"), power(delta_word(g), 2), (), 2)
-    add("B3", (), power(urun(1, g - 1), g), (), 2)
-    if g == 4:
+    add("B7", (g, "closed"), dg2, (), twist=1)
+    add("B3", (), Factored(((urun(1, g - 1), g),)), (), twist=1)
+    if g == 4:  # G1 holds exactly; G2 and G3 up to one boundary twist
         x3 = power(arun(1, 3), 3)
         add(
             "G1",
             (),
             concat(b(1), u(3), u(2), inverse(b(1))),
             concat(x3, u(2), u(3), inverse(arun(1, 3))),
-            2,
         )
         add(
             "G2",
             (),
             concat(b(1), u(3), u(2), u(1), b(1)),
             concat(x3, inverse(urun_down(3, 1)), x3),
-            2,
+            twist=1,
         )
-        add("G3", (), power(concat(power(arun(1, 3), -4), b(1), lit(named("r4"))), 2), (), 2)
+        add("G3", (), power(concat(power(arun(1, 3), -4), b(1), lit(named("r4"))), 2), (),
+            twist=1)
     return E
 
 

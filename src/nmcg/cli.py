@@ -19,10 +19,9 @@ import sys
 
 from . import pi1_action, replay
 from .abelianized import h1
-from .catalogue import catalogue
 from .cosets import CapExceeded, coset_enumeration
-from .presentations import expansion_env, nonorientable_mcg_presentation
-from .verify import boundary_fixation, pinned_exponents, verify_catalogue, verify_relators
+from .presentations import nonorientable_mcg_presentation
+from .verify import boundary_fixation, verify_catalogue, verify_relators
 
 
 def _pres(args):
@@ -44,23 +43,6 @@ def _cmd_present(args) -> int:
     return 0
 
 
-def _refresh_diff(args) -> None:
-    """Recompute the pinned tier-2 exponents in scope and print differences."""
-    from .catalogue import KMAX
-
-    env = expansion_env(args.genus, 1)
-    stored = pinned_exponents()
-    for e in catalogue(args.genus, 1):
-        if e.tier != 2:
-            continue
-        key = f"{e.genus}:{e.label()}"
-        table = pi1_action.evaluate(e.word, e.genus, env)
-        k = pi1_action.conjugation_exponent(table, e.genus, KMAX)
-        if stored.get(key, "absent") != k:
-            print(f"fixture diff tier2_exponents.json {key}: "
-                  f"{stored.get(key, 'absent')} -> {k}")
-
-
 def _cmd_verify(args) -> int:
     tiers = None if args.tier == "all" else {int(args.tier)}
     bad = 0
@@ -68,8 +50,6 @@ def _cmd_verify(args) -> int:
         bad += _print_verdicts(verify_relators(args.genus))
         bad += _print_verdicts(boundary_fixation(args.genus))
     bad += _print_verdicts(verify_catalogue(args.genus, args.boundary, tiers=tiers))
-    if args.refresh_fixtures and args.boundary == 1:
-        _refresh_diff(args)
     return 1 if bad else 0
 
 
@@ -135,8 +115,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run tiered verification")
     _add_gn(p)
     p.add_argument("--tier", choices=("1", "2", "3", "all"), default="all")
-    p.add_argument("--refresh-fixtures", action="store_true",
-                   help="with -n 1, recompute the pinned tier-2 exponents and print differences")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("abelianize", help="H_1 via Smith normal form")

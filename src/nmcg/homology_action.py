@@ -32,13 +32,19 @@ def f2_identity(g: int):
 
 
 def f2_generator(gen: Gen, g: int):
+    """The range checks are those of pi1_action's builders, so both
+    routes reject a generator that does not exist at genus g."""
     m = f2_identity(g)
     if gen.fam == "u":
         i = gen.idx - 1
+        if not 0 <= i <= g - 2:
+            raise ValueError(f"no crosscap transposition u_{gen.idx} at genus {g}")
         m[i], m[i + 1] = m[i + 1], m[i]
         return m
     if gen.fam in ("a", "b"):
         k, n = (gen.idx - 1, 2) if gen.fam == "a" else (0, 2 * gen.idx + 2)
+        if k < 0 or k + n > g:
+            raise ValueError(f"no two-sided curve through crosscaps {k + 1}..{k + n} at genus {g}")
         curve = ((1 << n) - 1) << k
         for r in range(k, k + n):
             m[r] ^= curve

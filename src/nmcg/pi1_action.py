@@ -109,6 +109,16 @@ def conjugation_table(w: XWord, g: int):
     return tuple(xmul(w, (i,), xinv(w)) for i in range(1, g + 1))
 
 
+def boundary_conjugate(table, g: int, k: int):
+    """table followed by conjugation by W^k, W the boundary word.
+    Conjugation by W is the action of the boundary twist, which is
+    central, so lhs = rhs times its k-th power reads
+    T(lhs) == boundary_conjugate(T(rhs), g, k); k = 0 gives table."""
+    if not k:
+        return table
+    return compose(conjugation_table(xpow(boundary_word(g), k), g), table)
+
+
 def _one(g, images: dict):
     return tuple(tuple(images.get(i, (i,))) for i in range(1, g + 1))
 
@@ -116,7 +126,7 @@ def _one(g, images: dict):
 def crosscap_transposition(i: int, g: int, sign: int = 1):
     """u_i: slides crosscap i+1 through crosscap i."""
     if not 1 <= i <= g - 1:
-        raise ValueError(f"u_{i} needs genus > {i}, not {g}")
+        raise ValueError(f"no crosscap transposition u_{i} at genus {g}")
     if sign == 1:
         return _one(g, {i: (i, i, i + 1, -i, -i), i + 1: (i,)})
     return _one(g, {i: (i + 1,), i + 1: (-(i + 1), -(i + 1), i, i + 1, i + 1)})
@@ -254,16 +264,6 @@ def evaluate(word: Word, g: int, env=None):
 def fixes_boundary(table, g: int) -> bool:
     w = boundary_word(g)
     return xsub(w, table) == w
-
-
-def conjugation_exponent(table, g: int, kmax: int = 4):
-    """Smallest |k| <= kmax with table = conjugation by W^k, else None."""
-    basis = identity_table(g)
-    for k in sorted(range(-kmax, kmax + 1), key=lambda k: (abs(k), -k)):
-        wk = xpow(boundary_word(g), k)
-        if all(table[i] == xmul(wk, basis[i], xinv(wk)) for i in range(g)):
-            return k
-    return None
 
 
 def format_tables(g: int) -> str:

@@ -1,44 +1,27 @@
 """Verification driver: evaluates catalogue entries at their declared
 tiers and reports one verdict per item.
 
-tier 1 decides lhs = rhs as T(lhs) == T(rhs), the two sides' tables in
-the punctured representation: the same statement as "lhs rhs^-1 acts
-trivially", but each side keeps its words.Factored structure, so a
-shared factor's table is built once per surface. Presentation relators
-are checked as tier-1 entries on the same path. Tier 2 searches for a
-boundary-twist exponent k with |k| <= KMAX, and tier 3 first applies
-the integral-homology gate and then decides innerness in the one-relator
-quotient exactly (one_relator): Verified with the conjugator, or Refuted
-naming the generator whose image fails.
-The pinned tier-2 exponents act as regression baselines: a wrong or
-stale pin can only fail a verdict, never fake one.
+Tiers 1 and 2 are one decision, T(lhs) == C o T(rhs), with C the
+conjugation by w^k, w the boundary word and k the exponent the entry
+states (Entry.twist; tier 1 is k = 0). Each side keeps its
+words.Factored structure, so a shared factor's table is built once per
+surface. Presentation relators are checked as tier-1 entries on the same
+path. Tier 3 first applies the integral-homology gate and then decides
+innerness in the one-relator quotient exactly (one_relator): Verified
+with the conjugator, or Refuted naming the generator whose image fails.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from . import pi1_action
-from .catalogue import KMAX, Entry, catalogue
+from .catalogue import Entry, catalogue
 from .homology_action import is_identity_mod_boundary_class, z_matrix_of_table
 from .one_relator import VERIFIED, find_inner_conjugator
 from .presentations import expansion_env, nonorientable_mcg_presentation
 from .words import lit
-
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
-
-
-@lru_cache(maxsize=None)
-def _fixture(name: str) -> str:
-    with open(FIXTURE_DIR / name, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def pinned_exponents() -> dict:
-    return dict(json.loads(_fixture("tier2_exponents.json")))
 
 
 @lru_cache(maxsize=16)
@@ -46,10 +29,6 @@ def _env(g: int, n: int) -> dict:
     """expansion_env(g, n), built once per surface so that pi1_action
     reuses its letter tables across verdicts; nothing here mutates it."""
     return expansion_env(g, n)
-
-
-def fixture_key(e: Entry) -> str:
-    return f"{e.genus}:{e.label()}"
 
 
 @dataclass(frozen=True)
@@ -66,30 +45,18 @@ def verify_entry(e: Entry) -> Verdict:
     g = e.genus
     ev = pi1_action.evaluator(g, _env(g, e.boundary))
 
-    if e.tier == 1:
-        ok = ev.evaluate(e.lhs) == ev.evaluate(e.rhs)
-        detail = "sides have equal tables" if ok else "sides differ in the punctured representation"
-        return Verdict(g, e.boundary, e.label(), 1, ok, detail)
-
-    table = ev.evaluate(e.word)
-
-    if e.tier == 2:
-        k = pi1_action.conjugation_exponent(table, g, KMAX)
-        if k is None:
-            return Verdict(
-                g, e.boundary, e.label(), 2, False,
-                f"not conjugation by w^k for any |k| <= {KMAX}",
-            )
-        pin = pinned_exponents().get(fixture_key(e), k)
-        if pin != k:
-            return Verdict(
-                g, e.boundary, e.label(), 2, False,
-                f"twist exponent {k} != pinned {pin}",
-            )
-        return Verdict(g, e.boundary, e.label(), 2, True, f"conjugation by w^{k}")
+    if e.tier in (1, 2):
+        k = e.twist
+        ok = ev.evaluate(e.lhs) == pi1_action.boundary_conjugate(ev.evaluate(e.rhs), g, k)
+        if not k:
+            detail = "sides have equal tables" if ok else "sides differ in the punctured representation"
+        else:
+            detail = f"lhs = rhs*w^{k}" if ok else f"lhs != rhs*w^{k} for the stated twist k = {k}"
+        return Verdict(g, e.boundary, e.label(), e.tier, ok, detail)
 
     if e.tier != 3:
         raise ValueError(f"entry {e.label()} has unverifiable tier {e.tier}")
+    table = ev.evaluate(e.word)
     if not is_identity_mod_boundary_class(z_matrix_of_table(table, g)):
         return Verdict(
             g, e.boundary, e.label(), 3, False,

@@ -15,7 +15,7 @@ import random
 import time
 
 from nmcg.abelianized import h1
-from nmcg.catalogue import KMAX, catalogue
+from nmcg.catalogue import catalogue
 from nmcg.cosets import group_order
 from nmcg.homology_action import (
     f2_identity,
@@ -25,7 +25,7 @@ from nmcg.homology_action import (
     z_matrix,
     z_mod2,
 )
-from nmcg.pi1_action import conjugation_exponent, evaluate, xinv, xmul
+from nmcg.pi1_action import evaluate, identity_table, xinv, xmul
 from nmcg.presentations import (
     braid_presentation,
     expansion_env,
@@ -103,7 +103,8 @@ def test_criterion_3_boundary_twist_exponents():
     # B4 is a closed-surface relation: at (g,1) it is the twist about the
     # curve around crosscaps 1..g-1, the partial conjugation by
     # V = x_1^2 ... x_{g-1}^2 on x_1..x_{g-1} fixing x_g, and conjugation
-    # by no power of the boundary word
+    # by no power of the boundary word W: W^k commutes with x_g only for
+    # k = 0, and B4 is not the identity
     subsurface = []
     for g in GENUS_RANGE:
         table = evaluate(power(urun(1, g - 2), g - 1), g, expansion_env(g, 1))
@@ -111,15 +112,15 @@ def test_criterion_3_boundary_twist_exponents():
         partial = tuple(xmul(vw, (i,), xinv(vw)) for i in range(1, g)) + ((g,),)
         if table != partial:
             subsurface.append(f"({g},1) B4: not the partial conjugation by x_1^2..x_{g-1}^2")
-        elif conjugation_exponent(table, g, KMAX) is not None:
-            subsurface.append(f"({g},1) B4: unexpectedly a power of the boundary twist")
+        if table[g - 1] != (g,) or table == identity_table(g):
+            subsurface.append(f"({g},1) B4: may be conjugation by a power of the boundary word")
     dt = time.perf_counter() - t0
     ok = not failed and not subsurface
     _report(
         3,
         ok,
-        f"{len(passed)} boundary-twist exponents found; "
-        f"{len(failed)} words with no exponent |k| <= {KMAX}",
+        f"{len(passed)} stated boundary-twist exponents hold; "
+        f"{len(failed)} fail",
         dt,
         10,
     )
@@ -226,6 +227,28 @@ def test_criterion_7_abelianization_stability():
                 f"({g},1) H1 moved after eliminating {victim}: "
                 f"{h1(pres)} != {reference}"
             )
+    # the whole table at g = 1..12, n = 0, 1: an extra or missing relator
+    # would move it. Closed surfaces: Korkmaz, "First homology group of
+    # mapping class groups of nonorientable surfaces", Math. Proc. Camb.
+    # Phil. Soc. 123 (1998); one boundary component: Stukow, "Generating
+    # mapping class groups of nonorientable surfaces with boundary", Adv.
+    # Geom. 10 (2010). Entries are (free rank, torsion invariants)
+    def expected(g, n):
+        if g == 1:
+            return (0, ())
+        if g == 2:
+            return (1, (2,)) if n else (0, (2, 2))
+        if g == 4:
+            return (0, (2, 2, 2))
+        return (0, (2, 2)) if g in (3, 5, 6) else (0, (2,))
+
+    table = {}
+    for g in range(1, 13):
+        for n in (0, 1):
+            r = h1(nonorientable_mcg_presentation(g, n))
+            table[g, n] = (r.free_rank, tuple(r.torsion))
+    wrong = {gn: got for gn, got in table.items() if got != expected(*gn)}
+    assert not wrong, f"H1 differs from Korkmaz 1998 / Stukow 2010 at {wrong}"
     # the closed-surface abelianization stabilizes from genus 7 on
     stable = [h1(nonorientable_mcg_presentation(g, 0)) for g in range(7, 11)]
     assert all(r == stable[0] for r in stable), f"closed H1 not stable on g=7..10: {stable}"
@@ -237,7 +260,8 @@ def test_criterion_7_abelianization_stability():
         f"(2,0) abelianization is {low.label()}, expected Z/2 x Z/2"
     )
     dt = time.perf_counter() - t0
-    _report(7, True, "H1 invariant under elimination; stable Z/2 for g >= 7", dt, 5)
+    _report(7, True, "H1 table at g=1..12, n=0,1; invariant under elimination; "
+               "stable Z/2 for g >= 7", dt, 5)
     assert dt < 5.0, f"criterion 7 exceeded its 5s budget: {dt:.2f}s"
 
 

@@ -1,8 +1,7 @@
 """Derived-relation catalogue: labels, tiers, and the relation index the
 replayer rewrites against."""
 
-from nmcg.catalogue import KMAX, catalogue, relation_index
-from nmcg.verify import fixture_key, pinned_exponents
+from nmcg.catalogue import catalogue, relation_index
 from nmcg.words import free_reduce, parse
 
 
@@ -61,9 +60,11 @@ def test_tier2_entries_are_the_boundary_words():
             e.label() for e in catalogue(g, 1) if e.tier == 2
         )
         expected = sorted(["B3", f"B7({g},closed)"] + (
-            ["G1", "G2", "G3"] if g == 4 else []
+            ["G2", "G3"] if g == 4 else []
         ))
         assert tier2 == expected, f"tier-2 set at genus {g}: {tier2}"
+    # G1 holds exactly at (4,1), with no boundary twist
+    assert [e.tier for e in catalogue(4, 1) if e.label() == "G1"] == [1]
     # B4 holds only once the boundary is capped: it is a closed relation
     for g in range(4, 9):
         tiers = [e.tier for e in catalogue(g, 0) if e.label() == "B4"]
@@ -82,15 +83,13 @@ def test_relation_index_contains_defining_and_derived_relations():
         assert lhs or rhs, f"{tag}{params}: both sides empty"
 
 
-def test_fixture_keys_resolve():
-    exps = pinned_exponents()
-    tier2_keys = set()
-    for g in range(3, 9):
+def test_tier2_entries_state_a_twist_and_fixtures_hold_only_scripts():
+    from nmcg.replay import SCRIPT_DIR
+
+    for g in range(1, 13):
         for e in catalogue(g, 1):
-            if e.tier != 2:
-                continue
-            tier2_keys.add(fixture_key(e))
-            assert fixture_key(e) in exps, f"no pinned exponent for {fixture_key(e)}"
-    stale = sorted(set(exps) - tier2_keys)
-    assert not stale, f"pinned exponents name no tier-2 entry: {stale}"
-    assert KMAX == 4
+            if e.tier == 2:
+                assert e.twist != 0, f"({g},1) {e.label()} states no twist"
+            else:
+                assert e.twist == 0, f"({g},1) tier-1 {e.label()} states twist {e.twist}"
+    assert [p.name for p in SCRIPT_DIR.parent.iterdir()] == ["scripts"]

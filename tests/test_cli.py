@@ -1,6 +1,7 @@
 """Command-line surface: exit codes and output shapes for every
 subcommand."""
 
+import dataclasses
 import json
 
 import pytest
@@ -33,15 +34,21 @@ def test_verify_tier2_reports_the_honest_failure(capsys, monkeypatch):
     rc = main(["verify", "-g", "4", "-n", "1", "--tier", "2"])
     out = capsys.readouterr().out
     assert rc == 0 and "FAIL" not in out
-    for label in ("B3", "B7(4,closed)", "G1", "G2", "G3"):
-        assert f"ok   (4,1) tier 2 {label}:" in out, f"{label} not reported ok"
+    for label in ("B3", "B7(4,closed)", "G2", "G3"):
+        assert f"ok   (4,1) tier 2 {label}: lhs = rhs*w^1" in out, f"{label} not reported ok"
+    assert "G1" not in out, "G1 holds exactly and is reported at tier 1"
     # a tier-2 failure must surface in the exit code
-    pins = dict(verify_mod.pinned_exponents(), **{"4:B7(4,closed)": 3})
-    monkeypatch.setattr(verify_mod, "pinned_exponents", lambda: pins)
+    entries = [dataclasses.replace(e, twist=3) if e.label() == "B7(4,closed)" else e
+               for e in catalogue(4, 1)]
+    monkeypatch.setattr(verify_mod, "catalogue", lambda g, n: entries)
     rc = main(["verify", "-g", "4", "-n", "1", "--tier", "2"])
     out = capsys.readouterr().out
     assert rc == 1, "a failed tier-2 verdict must surface in the exit code"
-    assert "FAIL" in out and "B7(4,closed)" in out
+    assert "FAIL (4,1) tier 2 B7(4,closed): lhs != rhs*w^3" in out
+    # the stated exponents replaced the pinned ones: nothing is left to refresh
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-g", "4", "-n", "1", "--refresh-fixtures"])
+    assert exc.value.code == 2
 
 
 def test_verify_tier3_closed(capsys):

@@ -1,6 +1,7 @@
 """First-homology actions: the two independent matrix routes, the mod-2
 form, and the twist-lattice identity test."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nmcg.homology_action import (
@@ -15,7 +16,7 @@ from nmcg.homology_action import (
     z_matrix_of_table,
     z_mod2,
 )
-from nmcg.pi1_action import identity_table
+from nmcg.pi1_action import evaluate, identity_table
 from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
 from nmcg.words import gen, inverse, lit, parse
 
@@ -101,3 +102,12 @@ def test_twist_matrix_pins():
     assert det(m) in (1, -1)
     assert m != z_matrix_of_table(identity_table(3), 3)
     assert z_matrix(parse("a1*a1^-1"), 3) == z_matrix_of_table(identity_table(3), 3)
+
+
+@pytest.mark.parametrize("label", ["u0", "u4", "a0", "a4", "b2"])
+def test_both_routes_reject_generators_outside_the_genus(label):
+    # unchecked, u0 indexes row -1 and swaps the last and first rows
+    with pytest.raises(ValueError):
+        f2_matrix(parse(label), 4)
+    with pytest.raises(ValueError):
+        evaluate(parse(label), 4)

@@ -1,20 +1,22 @@
 """Punctured-surface representation: automorphism tables, evaluation,
-boundary behaviour, and the twist-exponent detector."""
+boundary behaviour, and conjugation by powers of the boundary word."""
 
 from hypothesis import given, settings, strategies as st
 
 from nmcg.catalogue import catalogue
 from nmcg.pi1_action import (
     Evaluator,
+    boundary_conjugate,
     boundary_word,
     compose,
-    conjugation_exponent,
     conjugation_table,
     curve_twist,
     evaluate,
     fixes_boundary,
     identity_table,
+    xinv,
     xmul,
+    xpow,
     xreduce,
     xsub,
 )
@@ -163,18 +165,21 @@ def test_all_generators_fix_boundary_g3_to_g5():
             assert fixes_boundary(t, g), f"{gen_.label()} moves the boundary at g={g}"
 
 
-def test_conjugation_exponent_detects_twists():
+def test_boundary_conjugate_follows_a_table_by_conjugation_by_w_k():
     g = 4
-    assert conjugation_exponent(identity_table(g), g, 4) == 0
-    from nmcg.pi1_action import xpow
-
-    for k in (-3, -1, 1, 2, 4):
-        t = conjugation_table(xpow(boundary_word(g), k), g)
-        assert conjugation_exponent(t, g, 4) == k, f"missed exponent {k}"
-    assert conjugation_exponent(evaluate(parse("a1"), g), g, 4) is None
-    # out-of-range twist is reported as absent, not misread
-    t5 = conjugation_table(xpow(boundary_word(g), 5), g)
-    assert conjugation_exponent(t5, g, 4) is None
+    w = boundary_word(g)
+    a1 = evaluate(parse("a1"), g)
+    assert boundary_conjugate(a1, g, 0) is a1
+    seen = set()
+    for k in range(-3, 6):
+        wk = xpow(w, k)
+        assert boundary_conjugate(identity_table(g), g, k) == conjugation_table(wk, g)
+        t = boundary_conjugate(a1, g, k)
+        assert t == tuple(xmul(wk, im, xinv(wk)) for im in a1), f"wrong table at k = {k}"
+        assert fixes_boundary(t, g)
+        seen.add(t)
+    # conjugation by w^k determines k, 5 included: there is no search bound
+    assert len(seen) == 9
 
 
 def test_boundary_word_is_crosscap_norm():

@@ -119,6 +119,26 @@ def test_tampered_endpoint_is_caught(tmp_path, monkeypatch):
         replay_script("transport_u2")
 
 
+def test_tier2_endpoint_checks_the_stated_exponent(tmp_path, monkeypatch):
+    import json
+
+    import nmcg.replay as replay_mod
+
+    for p in replay_mod.SCRIPT_DIR.glob("*.json"):
+        (tmp_path / p.name).write_text(p.read_text())
+    monkeypatch.setattr(replay_mod, "SCRIPT_DIR", tmp_path)
+    data = load_script("g2")
+    assert data["tier"] == 2 and data["w_power"] == 1
+    del data["w_power"]
+    (tmp_path / "g2.json").write_text(json.dumps(data))
+    with pytest.raises(StepMismatch, match="w_power"):
+        replay_script("g2")
+    data["w_power"] = 2
+    (tmp_path / "g2.json").write_text(json.dumps(data))
+    with pytest.raises(StepMismatch, match="tier-2 table equality up to w\\^2"):
+        replay_script("g2")
+
+
 def test_scripts_declare_consistent_metadata():
     for name in available_scripts():
         data = load_script(name)
