@@ -9,73 +9,70 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import exponent_sums
+from .words import exponent_matrix
 from .presentations import Presentation
 
 
 def relation_matrix(pres: Presentation):
     """Rows indexed by relators, columns by pres.generators."""
-    return [exponent_sums(r.word, pres.generators) for r in pres.relators]
+    return exponent_matrix([r.word for r in pres.relators], pres.generators)
 
 
-def _pick_pivot(m, t, nr, nc):
-    best = None
-    for i in range(t, nr):
-        for j in range(t, nc):
-            v = m[i][j]
-            if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
+def _nearest(a, d):
+    """The integer q nearest a/d, so that |a - q*d| <= |d|/2."""
+    return (2 * a + d) // (2 * d)
+
+
+def _add(row, k, x):
+    """row[k] += x in a sparse row, dropping a zero."""
+    x += row.get(k, 0)
+    if x:
+        row[k] = x
+    else:
+        row.pop(k, None)
 
 
 def smith_diagonal(rows, ncols) -> tuple:
-    """Invariant factors d_1 | d_2 | ... (positive, 1s included)."""
-    m = [list(r) for r in rows]
-    nr, nc = len(m), ncols
-    if any(len(r) != nc for r in m):
-        raise ValueError(f"ragged relation matrix: a row does not have {nc} entries")
+    """Invariant factors d_1 | d_2 | ... (positive, 1s included).
+
+    One sparse loop: each nonzero row is a {col: value} dict. A round
+    takes the entry d of least |d| (ties: shortest row) and clears its
+    column by row operations and its row by column operations, each with
+    the nearest-integer quotient, so every remainder has |r| <= |d|/2.
+    With both clear, |d| is emitted if it divides every remaining entry;
+    otherwise an offending row is added to the pivot row, reduced mod d.
+    So each round emits or leaves a nonzero entry of at most |d|/2: the
+    loop ends, and the entries stay bounded where elimination without
+    small remainders lets them explode (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979).
+    """
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"ragged relation matrix: a row does not have {ncols} entries")
+    m = [r for r in ({j: v for j, v in enumerate(row) if v} for row in rows) if r]
     diag = []
-    t = 0
-    while t < min(nr, nc):
-        piv = _pick_pivot(m, t, nr, nc)
-        if piv is None:
-            break
-        i, j = piv
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for c in range(t, nc):
-                        m[i][c] -= q * m[t][c]
-                    if m[i][t]:  # remainder is a strictly smaller pivot
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for r in range(t, nr):
-                        m[r][j] -= q * m[r][t]
-                    if m[t][j]:
-                        for r in range(t, nr):
-                            m[r][t], m[r][j] = m[r][j], m[r][t]
-                        dirty = True
-        d = m[t][t]
-        bad = None
-        for i in range(t + 1, nr):
-            if any(m[i][j] % d for j in range(t + 1, nc)):
-                bad = i
-                break
-        if bad is not None:
-            for c in range(t, nc):
-                m[t][c] += m[bad][c]
-            continue
-        diag.append(abs(d))
-        t += 1
+    while m:
+        _, _, i, j = min((abs(v), len(r), i, j) for i, r in enumerate(m) for j, v in r.items())
+        piv = m[i]
+        d = piv[j]
+        for r in m:
+            if r is not piv and j in r:
+                q = _nearest(r[j], d)
+                for k, v in piv.items():
+                    _add(r, k, -q * v)
+        col = [r for r in m if j in r]
+        for k in [k for k in piv if k != j]:
+            q = _nearest(piv[k], d)
+            for r in col:
+                _add(r, k, -q * r[j])
+        if len(col) == 1 and len(piv) == 1:
+            bad = next((r for r in m if any(v % d for v in r.values())), None)
+            if bad is None:
+                diag.append(abs(d))
+                piv.clear()
+            else:
+                for k, v in bad.items():
+                    _add(piv, k, v - _nearest(v, d) * d)
+        m = [r for r in m if r]
     return tuple(diag)
 
 

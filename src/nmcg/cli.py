@@ -140,6 +140,8 @@ def main(argv=None) -> int:
         parser.error("genus must be >= 1")
     if getattr(args, "boundary", None) == 0 and args.command in ("verify",) and args.genus < 4:
         parser.error("closed-surface verification needs genus >= 4")
+    if getattr(args, "max_cosets", 1) < 1:
+        parser.error("--max-cosets must be >= 1")
     return args.fn(args)
 
 

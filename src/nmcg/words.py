@@ -185,8 +185,16 @@ def gens_of(word: Word) -> set:
 
 def exponent_sums(word: Word, order: list) -> list:
     """Exponent sum of each generator in `order` (abelianization row)."""
+    return exponent_matrix((word,), order)[0]
+
+
+def exponent_matrix(words, order: list) -> list:
+    """One exponent-sum row per word; the generator-to-column map is built once."""
     pos = {g: i for i, g in enumerate(order)}
-    row = [0] * len(order)
-    for g, s in word:
-        row[pos[g]] += s
-    return row
+    rows = []
+    for word in words:
+        row = [0] * len(order)
+        for g, s in word:
+            row[pos[g]] += s
+        rows.append(row)
+    return rows

@@ -1,15 +1,21 @@
 """Abelianization: Smith normal form, first homology of the shipped
 presentations, and invariance under presentation reshuffling."""
 
+import itertools
 import random
+import time
+from math import gcd
 
-from nmcg.abelianized import exponent_sums, h1, relation_matrix, smith_diagonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nmcg.abelianized import h1, relation_matrix, smith_diagonal
 from nmcg.presentations import (
     Presentation,
     Relator,
     nonorientable_mcg_presentation,
 )
-from nmcg.words import gen, parse
+from nmcg.words import exponent_sums, gen, parse
 
 
 def _toy(relator_texts, gens="a1 a2"):
@@ -30,6 +36,92 @@ def test_smith_diagonal_known_matrices():
     assert tuple(smith_diagonal([[2, 0], [0, 3]], 2)) == (1, 6), (
         "diagonal must be put in divisibility order"
     )
+
+
+def _det(a):
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    a = [list(r) for r in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _determinantal_factors(m, ncols):
+    """d_k = D_k / D_(k-1), D_k the gcd of all k x k minors."""
+    out, prev = [], 1
+    for k in range(1, min(len(m), ncols) + 1):
+        dk = 0
+        for rs in itertools.combinations(m, k):
+            for cs in itertools.combinations(range(ncols), k):
+                dk = gcd(dk, _det([[r[c] for c in cs] for r in rs]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return tuple(out)
+
+
+def _is_chain(diag):
+    return all(d > 0 for d in diag) and all(b % a == 0 for a, b in zip(diag, diag[1:]))
+
+
+@st.composite
+def _small_matrices(draw):
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr)), nc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_matrices())
+def test_smith_diagonal_matches_determinantal_divisors(case):
+    m, nc = case
+    diag = smith_diagonal(m, nc)
+    assert diag == _determinantal_factors(m, nc)
+    assert _is_chain(diag)
+
+
+def test_smith_diagonal_bounds_its_entries():
+    # The unbounded dense sweep let these entries reach 228 bits after
+    # five pivots and did not finish in 20 s.
+    m = [[0, 4, 3, 3, 1, 6, 6], [1, -9, -2, 6, 4, 0, 1], [4, 6, -2, -2, -9, 6, -9],
+         [1, 0, 4, 1, -9, -2, 0], [-1, 6, 2, 0, 1, 0, 3], [0, 3, 0, 0, 2, 2, 0],
+         [0, 0, 3, 0, 4, 0, -2]]
+    t0 = time.perf_counter()
+    diag = smith_diagonal(m, 7)
+    dt = time.perf_counter() - t0
+    assert diag == _determinantal_factors(m, 7)
+    assert dt < 1.0, f"7x7 Smith normal form exceeded its 1s budget: {dt:.2f}s"
+
+
+def test_smith_diagonal_dense_12x12_batch():
+    rng = random.Random(12)
+    mats = [[[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)] for _ in range(50)]
+    t0 = time.perf_counter()
+    diags = [smith_diagonal(m, 12) for m in mats]
+    dt = time.perf_counter() - t0
+    for m, diag in zip(mats, diags):
+        assert _is_chain(diag)
+        det = abs(_det(m))
+        if det:
+            prod = 1
+            for d in diag:
+                prod *= d
+            assert len(diag) == 12 and prod == det
+        else:
+            assert len(diag) < 12
+    assert dt < 2.0, f"50 dense 12x12 matrices exceeded their 2s budget: {dt:.2f}s"
 
 
 def test_h1_toy_groups():
@@ -111,3 +203,13 @@ def test_h1_of_shipped_presentations():
         assert res.free_rank == 0 and res.torsion == torsion, (
             f"H1 at ({g},1) is {res.label()}"
         )
+
+
+def test_h1_at_large_genus():
+    # Z/2 from g = 7 on, with or without a boundary (Korkmaz 1998; Stukow 2010)
+    t0 = time.perf_counter()
+    for g, n in ((32, 1), (48, 0), (48, 1)):
+        res = h1(nonorientable_mcg_presentation(g, n))
+        assert (res.free_rank, res.torsion) == (0, (2,)), f"H1 at ({g},{n}) is {res.label()}"
+    dt = time.perf_counter() - t0
+    assert dt < 3.0, f"H1 at genus 32 and 48 exceeded its 3s budget: {dt:.2f}s"

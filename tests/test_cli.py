@@ -116,6 +116,17 @@ def test_enumerate_cap(capsys):
     assert "10" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["-g", "2", "-n", "0", "--max-cosets", "-5"],
+                                  ["-g", "1", "-n", "0", "--max-cosets", "0"]])
+def test_enumerate_rejects_cap_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-cosets must be >= 1" in captured.err
+    assert "index" not in captured.out
+
+
 def test_replay_all(capsys):
     assert main(["replay"]) == 0
     out = capsys.readouterr().out
