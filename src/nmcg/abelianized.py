@@ -15,7 +15,7 @@ from .presentations import Presentation
 
 def relation_matrix(pres: Presentation):
     """Rows indexed by relators, columns by pres.generators."""
-    return exponent_matrix([r.word for r in pres.relators], pres.generators)
+    return exponent_matrix([(r.lhs, r.rhs) for r in pres.relators], pres.generators)
 
 
 def _nearest(a, d):

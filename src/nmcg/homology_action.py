@@ -1,13 +1,21 @@
 """Action on first homology of the punctured nonorientable surface.
 
-H_1 is Z^g on the crosscap classes e_1..e_g. Two independent routes:
+H_1 is Z^g on the crosscap classes e_1..e_g. Two independent routes,
+each a product of per-letter matrices in word order (the action is a
+homomorphism), cross-check each other mod 2:
 
-* F_2 matrices are written down directly and stored as bitmask rows:
-  u_i swaps e_i, e_{i+1}, and the twist about the curve through
-  crosscaps k..k+m-1 (a_i: k = i, m = 2; b_j: k = 1, m = 2j+2) is the
-  transvection by e_k+...+e_{k+m-1}, which for a_i is the same swap.
-* Z matrices come from abelianizing the pi_1 action (that derivation
-  order is deliberate; the two routes cross-check each other mod 2).
+* F_2 matrices come from direct rules, as bitmask rows: u_i swaps e_i,
+  e_{i+1}, and the twist about the curve through crosscaps k..k+m-1
+  (a_i: k = i, m = 2; b_j: k = 1, m = 2j+2) is the transvection by
+  e_k+...+e_{k+m-1}, which for a_i is the same swap. A named letter is
+  the product over its env word.
+* Z matrices abelianize the pi_1 letter tables. z_matrix_of_table
+  abelianizes a whole table: the reference for the letterwise product,
+  and what verify's gate applies to a table it already holds.
+
+Each letter's matrix is built once per (g, env) and kept as the rows
+(F_2) or columns (Z) where it differs from the identity, in the cache of
+the shared pi1_action.evaluator(g, env); a product rebuilds only those.
 
 Mapping classes preserve the mod-2 intersection form, which is the
 standard dot product in this basis: M^T M = I over F_2. Words of the
@@ -17,8 +25,6 @@ closed relator's Z matrix must be the identity modulo the column vector
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from .words import Word, Gen, inverse
 from . import pi1_action
@@ -65,37 +71,48 @@ def f2_mul(A, B):
 
 
 def f2_matrix(word: Word, g: int, env=None):
-    """F2 matrix of a word, expanding non-primitive letters via env."""
-    acc = f2_identity(g)
-    for gen, sign in word:
-        acc = f2_mul(acc, _f2_letter(gen, sign, g, env))
+    """F2 matrix of a word, the product of its letters' matrices; named
+    letters are expanded via env."""
+    return _f2_product(*_route(g, env, "f2"), word)
+
+
+def _route(g: int, env, name: str):
+    """The shared Evaluator of (g, env) and its letter cache for one route."""
+    ev = pi1_action.evaluator(g, env)
+    return ev, ev.homology.setdefault(name, {})
+
+
+def _f2_product(ev, cache, word: Word):
+    """Row r of acc L is (acc[r] & ~mask) ^ XOR{L[k] : k moved, bit k of acc[r]}."""
+    acc = f2_identity(ev.g)
+    for letter in word:
+        hit = cache.get(letter)
+        if hit is None:
+            hit = cache[letter] = _f2_letter(ev, cache, *letter)
+        mask, moved = hit
+        keep = ~mask
+        for r, row in enumerate(acc):
+            if row & mask:
+                out = row & keep
+                for k, lk in moved:
+                    if row >> k & 1:
+                        out ^= lk
+                acc[r] = out
     return acc
 
 
-_F2_MAX = 8
-_f2_shared = OrderedDict()  # (g, id(env)) -> (env, copy of env, matrices), least recent first
-
-
-def _f2_letter(gen: Gen, sign: int, g, env):
+def _f2_letter(ev, cache, gen: Gen, sign: int):
+    """(mask, moved) of a letter: moved holds (k, row k) for each row k
+    that differs from the identity's, and mask has bit k set for each."""
     try:
-        return f2_generator(gen, g)  # swaps and transvections square to I
+        m = f2_generator(gen, ev.g)  # swaps and transvections square to I
     except KeyError:
-        if env is None or gen not in env:
+        w = ev.env.get(gen)
+        if w is None:
             raise
-    # env letters are expanded once per (g, env object), kept and bounded
-    # like pi1_action.evaluate's Evaluators; a mutated env misses
-    key = (g, id(env))
-    hit = _f2_shared.get(key)
-    if hit is None or hit[1] != env:
-        hit = _f2_shared[key] = (env, dict(env), {})
-    _f2_shared.move_to_end(key)
-    if len(_f2_shared) > _F2_MAX:
-        _f2_shared.popitem(last=False)
-    memo = hit[2]
-    if (gen, sign) not in memo:
-        w = env[gen]
-        memo[gen, sign] = tuple(f2_matrix(w if sign > 0 else inverse(w), g, env))
-    return memo[gen, sign]
+        m = _f2_product(ev, cache, w if sign > 0 else inverse(w))
+    moved = tuple((k, row) for k, row in enumerate(m) if row != 1 << k)
+    return sum(1 << k for k, _ in moved), moved
 
 
 def f2_transpose(M):
@@ -122,24 +139,31 @@ def z_matrix_of_table(table, g: int):
 
 
 def z_matrix(word: Word, g: int, env=None):
-    return z_matrix_of_table(pi1_action.evaluate(word, g, env), g)
+    """Z matrix of a word, the product of its letters' matrices; it equals
+    z_matrix_of_table(pi1_action.evaluate(word, g, env), g)."""
+    ev, cache = _route(g, env, "z")
+    cols = [[int(r == c) for r in range(g)] for c in range(g)]
+    for letter in word:
+        hit = cache.get(letter)
+        if hit is None:
+            hit = cache[letter] = _z_letter(ev, *letter)
+        new = cols[:]
+        for c, ((k, a), *rest) in hit:  # column c of acc L = sum of L[k][c] acc[:, k]
+            col = cols[k] if a == 1 else [a * x for x in cols[k]]
+            for k, a in rest:
+                col = [x + a * y for x, y in zip(col, cols[k])]
+            new[c] = col
+        cols = new
+    return [list(row) for row in zip(*cols)]
 
 
-def z_mul(A, B):
-    g = len(A)
-    return [
-        [sum(A[r][k] * B[k][c] for k in range(g)) for c in range(g)] for r in range(g)
-    ]
-
-
-def z_matrix_by_letters(word: Word, g: int, env=None):
-    """Same matrix, but by multiplying per-letter matrices (the
-    homomorphism property is the cross-check)."""
-    ev = pi1_action.Evaluator(g, env)
-    acc = [[int(r == c) for c in range(g)] for r in range(g)]
-    for gen, sign in word:
-        acc = z_mul(acc, z_matrix_of_table(ev.letter_table(gen, sign), g))
-    return acc
+def _z_letter(ev, gen: Gen, sign: int):
+    """The columns c where a letter's abelianized pi_1 table differs from
+    the identity, each as (c, ((row k, coefficient), ...)) over its
+    nonzero entries (never empty: the matrix is invertible)."""
+    m = z_matrix_of_table(ev.letter_table(gen, sign), ev.g)
+    cols = ((c, tuple((k, row[c]) for k, row in enumerate(m) if row[c])) for c in range(ev.g))
+    return tuple((c, terms) for c, terms in cols if terms != ((c, 1),))
 
 
 def z_mod2(M):

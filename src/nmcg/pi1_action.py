@@ -166,7 +166,9 @@ class Evaluator:
     c, d) to their defining words over a_i, u_i and b_j. Tables are
     cached per (generator, sign), and per (Factored part, sign): a
     Factored part is meant to be a shared factor, and its cached table
-    lives as long as the Evaluator.
+    lives as long as the Evaluator. homology holds homology_action's
+    per-letter matrices, derived from these tables and env, so a mutated
+    env, which gets a fresh Evaluator from evaluator(), rebuilds them too.
     """
 
     def __init__(self, g: int, env=None):
@@ -174,6 +176,7 @@ class Evaluator:
         self.env = dict(env or {})
         self._cache = {}
         self._parts = {}  # (id(part), sign) -> (part, table); part keeps its id
+        self.homology = {}  # route -> {(gen, sign): letter matrix}
 
     def letter_table(self, gen: Gen, sign: int):
         key = (gen, sign)

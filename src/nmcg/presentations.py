@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .words import (
     Factored,
@@ -151,7 +151,7 @@ class Relator:
     lhs: Word
     rhs: Word = ()
 
-    @property
+    @cached_property  # writes __dict__ directly, so frozen does not stop it
     def word(self) -> Word:
         return concat(self.lhs, inverse(self.rhs))
 

@@ -4,7 +4,8 @@ A generator is a ``Gen`` (family tag + index, or a bare name). A word is
 a tuple of letters, each letter a pair ``(Gen, sign)`` with sign +-1.
 Words are tuples so they hash and compare cheaply; nothing here mutates
 its input, and the word functions keep the letter objects of their inputs
-rather than building a fresh pair per letter.
+rather than building a fresh pair per letter; parse_raw shares one pair
+per distinct letter across calls.
 
 A ``Factored`` word is a tuple of the same flat, freely reduced letters
 that also keeps how it was built: ``parts = ((part, k), ...)``, the
@@ -24,6 +25,7 @@ denotes the empty word. A bare ``b`` normalizes to ``b1``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 _FAMS = ("a", "u", "b", "x")
@@ -89,9 +91,14 @@ def parse_raw(text: str) -> Word:
         else:
             g = Gen("n", 0, base + digits)
         k = int(exp) if exp else 1
-        s = 1 if k > 0 else -1
-        out.extend((g, s) for _ in range(abs(k)))
+        out.extend([_letter(g, 1 if k > 0 else -1)] * abs(k))
     return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _letter(g: Gen, sign: int) -> Letter:
+    """One shared pair per letter, so parsed words do not hold a pair per letter."""
+    return (g, sign)
 
 
 def parse(text: str) -> Word:
@@ -185,16 +192,20 @@ def gens_of(word: Word) -> set:
 
 def exponent_sums(word: Word, order: list) -> list:
     """Exponent sum of each generator in `order` (abelianization row)."""
-    return exponent_matrix((word,), order)[0]
+    return exponent_matrix([(word, ())], order)[0]
 
 
-def exponent_matrix(words, order: list) -> list:
-    """One exponent-sum row per word; the generator-to-column map is built once."""
+def exponent_matrix(equations, order: list) -> list:
+    """One exponent-sum row of lhs rhs^-1 per equation (lhs, rhs); the
+    generator-to-column map is built once. Free reduction does not change
+    exponent sums, so lhs rhs^-1 itself is never built."""
     pos = {g: i for i, g in enumerate(order)}
     rows = []
-    for word in words:
+    for lhs, rhs in equations:
         row = [0] * len(order)
-        for g, s in word:
+        for g, s in lhs:
             row[pos[g]] += s
+        for g, s in rhs:
+            row[pos[g]] -= s
         rows.append(row)
     return rows

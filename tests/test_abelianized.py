@@ -144,13 +144,15 @@ def test_h1_labels():
 
 
 def test_relation_matrix_shape():
-    pres = nonorientable_mcg_presentation(4, 1)
-    m = relation_matrix(pres)
-    assert len(m) == len(pres.relators)
-    assert all(len(row) == len(pres.generators) for row in m)
-    order = list(pres.generators)
-    for row, r in zip(m, pres.relators):
-        assert row == exponent_sums(r.word, order)
+    # rows come from lhs and rhs; they must match the reduced relator word
+    for g, n in ((4, 1), (7, 0), (12, 1)):
+        pres = nonorientable_mcg_presentation(g, n)
+        m = relation_matrix(pres)
+        assert len(m) == len(pres.relators)
+        assert all(len(row) == len(pres.generators) for row in m)
+        order = list(pres.generators)
+        for row, r in zip(m, pres.relators):
+            assert row == exponent_sums(r.word, order), f"({g},{n}) {r.text()}"
 
 
 def test_h1_invariant_under_relator_shuffle():

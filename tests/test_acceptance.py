@@ -23,6 +23,7 @@ from nmcg.homology_action import (
     is_identity_mod_boundary_class,
     preserves_mod2_form,
     z_matrix,
+    z_matrix_of_table,
     z_mod2,
 )
 from nmcg.pi1_action import evaluate, identity_table, xinv, xmul
@@ -151,6 +152,14 @@ def test_criterion_4_closed_relators_inner_by_search():
     assert dt < 300.0, f"criterion 4 exceeded its 300s budget: {dt:.2f}s"
 
 
+def _three_routes(w, g, env):
+    """Direct F2, letterwise Z mod 2, and the abelianized automorphism
+    table mod 2, with the letterwise Z matrix."""
+    mz = z_matrix(w, g, env)
+    via_table = z_mod2(z_matrix_of_table(evaluate(w, g, env), g))
+    return (f2_matrix(w, g, env), z_mod2(mz), via_table), mz
+
+
 def test_criterion_5_homology_gate():
     t0 = time.perf_counter()
     # every relator of both presentation families dies on first homology
@@ -162,9 +171,9 @@ def test_criterion_5_homology_gate():
             env = expansion_env(g, n)
             ident2 = f2_identity(g)
             for r in pres.relators:
-                m2 = f2_matrix(r.word, g, env)
+                (m2, *others), mz = _three_routes(r.word, g, env)
                 assert m2 == ident2, f"({g},{n}) {r.tag}: nontrivial mod-2 action"
-                mz = z_matrix(r.word, g, env)
+                assert others == [m2, m2], f"({g},{n}) {r.tag}: routes disagree"
                 assert is_identity_mod_boundary_class(mz), (
                     f"({g},{n}) {r.tag}: nontrivial integral action mod the twist lattice"
                 )
@@ -175,8 +184,8 @@ def test_criterion_5_homology_gate():
         for gen_ in pres.generators:
             m2 = f2_matrix(lit(gen_), g, env)
             assert preserves_mod2_form(m2), f"({g},1) {gen_.label()}: breaks the mod-2 form"
-    # the letter-by-letter mod-2 route agrees with the abelianized
-    # automorphism route on seeded random words
+    # the direct mod-2 route, the letterwise integral route and the
+    # abelianized automorphism table agree on seeded random words
     words_per_genus = 1000
     for g in GENUS_RANGE:
         pres = nonorientable_mcg_presentation(g, 1)
@@ -188,9 +197,8 @@ def test_criterion_5_homology_gate():
                 (rng.choice(alphabet), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 12))
             )
-            direct = f2_matrix(w, g, env)
-            via_pi1 = z_mod2(z_matrix(w, g, env))
-            assert direct == via_pi1, f"({g},1) route disagreement on {w!r}"
+            (direct, *others), _ = _three_routes(w, g, env)
+            assert others == [direct, direct], f"({g},1) route disagreement on {w!r}"
     dt = time.perf_counter() - t0
     _report(5, True, f"homology gate, {words_per_genus} random words per genus", dt, 10)
     assert dt < 10.0, f"criterion 5 exceeded its 10s budget: {dt:.2f}s"

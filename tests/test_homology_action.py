@@ -6,19 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from nmcg.homology_action import (
     det,
+    f2_generator,
     f2_identity,
     f2_matrix,
     f2_mul,
     is_identity_mod_boundary_class,
     preserves_mod2_form,
     z_matrix,
-    z_matrix_by_letters,
     z_matrix_of_table,
     z_mod2,
 )
 from nmcg.pi1_action import evaluate, identity_table
 from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
-from nmcg.words import gen, inverse, lit, parse
+from nmcg.words import gen, inverse, lit, named, parse
 
 _G = 4
 _ENV = expansion_env(_G, 1)
@@ -32,8 +32,59 @@ _words = st.lists(_letters, max_size=10).map(tuple)
 @settings(max_examples=60, deadline=None)
 @given(_words)
 def test_integral_routes_agree(w):
-    # automorphism-then-abelianize versus letterwise matrix product
-    assert z_matrix(w, _G, _ENV) == z_matrix_by_letters(w, _G, _ENV)
+    # letterwise matrix product versus automorphism-then-abelianize
+    assert z_matrix(w, _G, _ENV) == z_matrix_of_table(evaluate(w, _G, _ENV), _G)
+
+
+def _dense_f2(word, g, env):
+    """Reference: the dense f2_mul fold over each letter's full matrix,
+    a named letter's matrix being the fold over its env word."""
+    acc = f2_identity(g)
+    for x, sign in word:
+        if x.fam == "n":
+            m = _dense_f2(env[x] if sign > 0 else inverse(env[x]), g, env)
+        else:
+            m = f2_generator(x, g)
+        acc = f2_mul(acc, m)
+    return acc
+
+
+@st.composite
+def _env_words(draw):
+    g = draw(st.integers(4, 8))
+    env = expansion_env(g, 1)
+    alphabet = list(nonorientable_mcg_presentation(g, 1).generators) + list(env)
+    letters = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    return g, env, tuple(draw(st.lists(letters, max_size=12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_env_words())
+def test_sparse_f2_product_matches_the_dense_fold(case):
+    g, env, w = case
+    assert f2_matrix(w, g, env) == _dense_f2(w, g, env)
+
+
+@pytest.mark.parametrize("g", [12, 16, 20])
+def test_both_routes_match_the_table_route_on_every_relator(g):
+    for n in (0, 1):
+        env = expansion_env(g, n)
+        for r in nonorientable_mcg_presentation(g, n).relators:
+            ref = z_matrix_of_table(evaluate(r.word, g, env), g)
+            assert z_matrix(r.word, g, env) == ref, f"({g},{n}) {r.text()}"
+            assert f2_matrix(r.word, g, env) == z_mod2(ref), f"({g},{n}) {r.text()}"
+
+
+def test_a_mutated_env_rebuilds_its_letter_matrices():
+    g = 5
+    env = expansion_env(g, 1)
+    w = parse("a1 y1 u2")
+    old = (f2_matrix(w, g, env), z_matrix(w, g, env))
+    env[named("y1")] = parse("b1 a3^-1")
+    new = (f2_matrix(w, g, env), z_matrix(w, g, env))
+    plain = parse("a1 b1 a3^-1 u2")
+    assert new == (f2_matrix(plain, g), z_matrix(plain, g))
+    assert new != old
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,7 +19,7 @@ from nmcg.presentations import (
     tietze_eliminate,
     urun,
 )
-from nmcg.words import Factored, concat, free_reduce, gen, named, parse
+from nmcg.words import Factored, concat, free_reduce, gen, inverse, named, parse
 
 
 def test_delta_word_is_the_flat_half_twist_recursion():
@@ -70,6 +70,16 @@ def test_relator_sides_parse_and_reduce():
             assert r.word, f"{r.tag}: empty relator"
             assert ":" in r.text() and "=" in r.text()
         assert "A7" in tags
+
+
+def test_relator_word_is_built_once():
+    for r in nonorientable_mcg_presentation(6, 1).relators:
+        twin = Relator(r.tag, r.params, r.lhs, r.rhs)
+        assert r.word is r.word
+        assert r.word == concat(r.lhs, inverse(r.rhs))
+        # twin has not built its word: equality, hashing and text ignore it
+        assert r == twin and hash(r) == hash(twin) and r.text() == twin.text()
+        assert repr(r) == repr(twin)
 
 
 def test_smallgenus_presentations_exist():

@@ -288,3 +288,19 @@ print(json.dumps(out))
     assert out["boundary2"][0] == "ValueError" and "boundary" in out["boundary2"][1]
     assert out["ragged"][0] == "ValueError" and "ragged" in out["ragged"][1]
     assert out["foreign"][0] == "ValueError" and "a2" in out["foreign"][1]
+
+
+def test_src_holds_no_assert():
+    # python -O strips asserts, so no check in the package may be one
+    import ast
+    from pathlib import Path
+
+    root = Path(verify_mod.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root.parent)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(root.rglob("*.py"))) >= 11
+    assert not found, "assert statements in src/nmcg: " + ", ".join(found)

@@ -126,6 +126,14 @@ def test_concat_keeps_the_input_letter_objects():
     assert substitute(v, {})[1] is v[1]
 
 
+def test_parse_raw_shares_one_pair_per_letter():
+    w, v = parse_raw("a1 u2^-1 a1^2 y1"), parse_raw("y1 u2^-1 a1")
+    assert w[0] is w[2] is w[3] is v[2]
+    assert w[1] is v[1] and w[4] is v[0]
+    assert w == ((gen("a", 1), 1), (gen("u", 2), -1), (gen("a", 1), 1),
+                 (gen("a", 1), 1), (named("y1"), 1))
+
+
 def test_substitute_is_a_homomorphism():
     images = {gen("a", 1): parse("u1*u2"), gen("u", 2): parse("a1^-1")}
     v, w = parse("a1*u2"), parse("u2^-1*a1*x1")
