@@ -9,7 +9,8 @@ Subcommands:
   tables      dump the generator action tables that verify uses
 
 Exit status: 0 on success, 1 if any verification check fails, 2 on
-usage errors. Output is deterministic for fixed inputs.
+usage errors, a verify selection that checks nothing included. Output
+is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ def _pres(args):
     return nonorientable_mcg_presentation(args.genus, args.boundary)
 
 
-def _print_verdicts(verdicts) -> int:
-    bad = 0
+def _print_verdicts(verdicts) -> list:
+    """Print each verdict; return their ok flags."""
     for v in verdicts:
         mark = "ok  " if v.ok else "FAIL"
         print(f"{mark} ({v.genus},{v.boundary}) tier {v.tier} {v.label}: {v.detail}")
-        bad += not v.ok
-    return bad
+    return [v.ok for v in verdicts]
 
 
 def _cmd_present(args) -> int:
@@ -44,13 +44,17 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    g, n = args.genus, args.boundary
     tiers = None if args.tier == "all" else {int(args.tier)}
-    bad = 0
-    if args.boundary == 1 and (tiers is None or tiers == {1}):
-        bad += _print_verdicts(verify_relators(args.genus))
-        bad += _print_verdicts(boundary_fixation(args.genus))
-    bad += _print_verdicts(verify_catalogue(args.genus, args.boundary, tiers=tiers))
-    return 1 if bad else 0
+    oks = []
+    if n == 1 and (tiers is None or tiers == {1}):
+        oks += _print_verdicts(verify_relators(g))
+        oks += _print_verdicts(boundary_fixation(g))
+    oks += _print_verdicts(verify_catalogue(g, n, tiers=tiers))
+    if not oks:  # a selection that checks nothing must not pass silently
+        print(f"no tier-{args.tier} checks at ({g},{n})", file=sys.stderr)
+        return 2
+    return 0 if all(oks) else 1
 
 
 def _cmd_abelianize(args) -> int:

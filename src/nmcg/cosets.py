@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .words import Word
+from .words import Word, gen_of, letter
 from .presentations import Presentation
 
 
@@ -53,8 +53,7 @@ class _Enumerator:
         self.ncols = 2 * len(self.gens)
         self.colof = {}
         for i, gen in enumerate(self.gens):
-            self.colof[(gen, 1)] = 2 * i
-            self.colof[(gen, -1)] = 2 * i + 1
+            self.colof[letter(gen)], self.colof[letter(gen, -1)] = 2 * i, 2 * i + 1
         self.relators = [self._cols(r.word) for r in pres.relators]
         self.subgens = [self._cols(w) for w in subgroup]
         self.cap = max_cosets
@@ -62,10 +61,10 @@ class _Enumerator:
         self.p = [0]
 
     def _cols(self, word: Word):
-        for let in word:
-            if let not in self.colof:
-                raise ValueError(f"letter {let[0].label()} not a generator")
-        return tuple(self.colof[let] for let in word)
+        for c in word:
+            if c not in self.colof:
+                raise ValueError(f"letter {gen_of(c).label()} not a generator")
+        return tuple(self.colof[c] for c in word)
 
     def rep(self, c: int) -> int:
         r = c

@@ -10,8 +10,7 @@ homomorphism), cross-check each other mod 2:
   e_k+...+e_{k+m-1}, which for a_i is the same swap. A named letter is
   the product over its env word.
 * Z matrices abelianize the pi_1 letter tables. z_matrix_of_table
-  abelianizes a whole table: the reference for the letterwise product,
-  and what verify's gate applies to a table it already holds.
+  abelianizes a whole table, the reference for the letterwise product.
 
 Each letter's matrix is built once per (g, env) and kept as the rows
 (F_2) or columns (Z) where it differs from the identity, in the cache of
@@ -21,12 +20,12 @@ Mapping classes preserve the mod-2 intersection form, which is the
 standard dot product in this basis: M^T M = I over F_2. Words of the
 closed group act trivially on H_1(closed) = Z^g / (2,...,2), so a
 closed relator's Z matrix must be the identity modulo the column vector
-(2,...,2); that is the cheap pre-filter before Dehn-algorithm work.
+(2,...,2), which is_identity_mod_boundary_class tests.
 """
 
 from __future__ import annotations
 
-from .words import Word, Gen, inverse
+from .words import Word, Gen, gen_of, inverse
 from . import pi1_action
 
 
@@ -85,10 +84,10 @@ def _route(g: int, env, name: str):
 def _f2_product(ev, cache, word: Word):
     """Row r of acc L is (acc[r] & ~mask) ^ XOR{L[k] : k moved, bit k of acc[r]}."""
     acc = f2_identity(ev.g)
-    for letter in word:
-        hit = cache.get(letter)
+    for c in word:
+        hit = cache.get(c)
         if hit is None:
-            hit = cache[letter] = _f2_letter(ev, cache, *letter)
+            hit = cache[c] = _f2_letter(ev, cache, c)
         mask, moved = hit
         keep = ~mask
         for r, row in enumerate(acc):
@@ -101,16 +100,17 @@ def _f2_product(ev, cache, word: Word):
     return acc
 
 
-def _f2_letter(ev, cache, gen: Gen, sign: int):
-    """(mask, moved) of a letter: moved holds (k, row k) for each row k
+def _f2_letter(ev, cache, c: int):
+    """(mask, moved) of letter c: moved holds (k, row k) for each row k
     that differs from the identity's, and mask has bit k set for each."""
+    gen = gen_of(c)
     try:
         m = f2_generator(gen, ev.g)  # swaps and transvections square to I
     except KeyError:
         w = ev.env.get(gen)
         if w is None:
             raise
-        m = _f2_product(ev, cache, w if sign > 0 else inverse(w))
+        m = _f2_product(ev, cache, w if c > 0 else inverse(w))
     moved = tuple((k, row) for k, row in enumerate(m) if row != 1 << k)
     return sum(1 << k for k, _ in moved), moved
 
@@ -143,10 +143,10 @@ def z_matrix(word: Word, g: int, env=None):
     z_matrix_of_table(pi1_action.evaluate(word, g, env), g)."""
     ev, cache = _route(g, env, "z")
     cols = [[int(r == c) for r in range(g)] for c in range(g)]
-    for letter in word:
-        hit = cache.get(letter)
+    for c in word:
+        hit = cache.get(c)
         if hit is None:
-            hit = cache[letter] = _z_letter(ev, *letter)
+            hit = cache[c] = _z_letter(ev, c)
         new = cols[:]
         for c, ((k, a), *rest) in hit:  # column c of acc L = sum of L[k][c] acc[:, k]
             col = cols[k] if a == 1 else [a * x for x in cols[k]]
@@ -157,11 +157,11 @@ def z_matrix(word: Word, g: int, env=None):
     return [list(row) for row in zip(*cols)]
 
 
-def _z_letter(ev, gen: Gen, sign: int):
+def _z_letter(ev, letter: int):
     """The columns c where a letter's abelianized pi_1 table differs from
     the identity, each as (c, ((row k, coefficient), ...)) over its
     nonzero entries (never empty: the matrix is invertible)."""
-    m = z_matrix_of_table(ev.letter_table(gen, sign), ev.g)
+    m = z_matrix_of_table(ev.letter_table(letter), ev.g)
     cols = ((c, tuple((k, row[c]) for k, row in enumerate(m) if row[c])) for c in range(ev.g))
     return tuple((c, terms) for c, terms in cols if terms != ((c, 1),))
 

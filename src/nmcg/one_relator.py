@@ -38,7 +38,8 @@ section 5, is the reference for the small-cancellation facts):
    is the only possible conjugator: it is checked on every generator.
 
 The result is Verified with u, or Refuted naming the first generator
-whose image rules every conjugator out.
+whose image rules every conjugator out. Words are tuples of signed ints
+(+i for x_i) and use the words kernel, as pi1_action's tables do.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .pi1_action import XWord, boundary_word, xinv, xmul, xpow, xreduce
+from .pi1_action import boundary_word
+from .words import Word, free_reduce, inverse, mul, power
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
@@ -58,18 +60,18 @@ def _tables(g: int):
         raise ValueError(f"Dehn's algorithm needs C'(1/6), i.e. genus >= 4, not {g}")
     w = boundary_word(g)
     by_len = {L: {} for L in range(g + 1, 2 * g + 1)}
-    for base in (w, xinv(w)):
+    for base in (w, inverse(w)):
         for r in range(2 * g):
             rot = base[r:] + base[:r]
             for L in range(g + 1, 2 * g + 1):
-                by_len[L].setdefault(rot[:L], xinv(rot[L:]))
+                by_len[L].setdefault(rot[:L], inverse(rot[L:]))
     return by_len
 
 
-def dehn_reduce(word, g: int) -> XWord:
+def dehn_reduce(word, g: int) -> Word:
     """Shortest Dehn-normal form: empty iff the word is trivial in G_g."""
     tables = _tables(g)
-    w = xreduce(word)
+    w = free_reduce(word)
     changed = True
     while changed:
         changed = False
@@ -78,7 +80,7 @@ def dehn_reduce(word, g: int) -> XWord:
             for pos in range(len(w) - L + 1):
                 repl = tab.get(w[pos : pos + L])
                 if repl is not None:
-                    w = xreduce(w[:pos] + repl + w[pos + L :])
+                    w = free_reduce(w[:pos] + repl + w[pos + L :])
                     changed = True
                     break
             if changed:
@@ -87,7 +89,7 @@ def dehn_reduce(word, g: int) -> XWord:
 
 
 def equal_in_quotient(lhs, rhs, g: int) -> bool:
-    return dehn_reduce(xmul(lhs, xinv(rhs)), g) == ()
+    return dehn_reduce(mul(lhs, inverse(rhs)), g) == ()
 
 
 def cyclic_dehn_reduce(word, g: int) -> tuple:
@@ -104,12 +106,12 @@ def cyclic_dehn_reduce(word, g: int) -> tuple:
                     for p in range(n - L + 1, n) if ww[p : p + L] in tables[L]),
                    None)
         if pos is None:
-            return xreduce(q), w
+            return free_reduce(q), w
         q.extend(w[:pos])
         w = dehn_reduce(w[pos:] + w[:pos], g)
 
 
-def _x1_exponent(q2: XWord, g: int):
+def _x1_exponent(q2: Word, g: int):
     """k with q2 = x_1^k x_2^m in G_g, or None when no such k, m exist."""
     sums = [0] * (g + 1)
     for c in q2:
@@ -118,13 +120,13 @@ def _x1_exponent(q2: XWord, g: int):
     if t2 % 2 or any(s != t2 for s in sums[4:]):
         return None
     k, m = sums[1] - t2, sums[2] - t2
-    return k if equal_in_quotient(q2, xmul(xpow((1,), k), xpow((2,), m)), g) else None
+    return k if equal_in_quotient(q2, mul(power((1,), k), power((2,), m)), g) else None
 
 
 @dataclass
 class ConjugacyResult:
     status: str
-    conjugator: XWord | None = None
+    conjugator: Word | None = None
     generator: int | None = None  # the failing x_i of a refutation
 
 
@@ -136,13 +138,13 @@ def find_inner_conjugator(table, g: int) -> ConjugacyResult:
     q, c = cyclic_dehn_reduce(table[0], g)
     if c != (1,):
         return ConjugacyResult(REFUTED, generator=1)
-    q2, c2 = cyclic_dehn_reduce(xmul(xinv(q), table[1], q), g)
+    q2, c2 = cyclic_dehn_reduce(mul(inverse(q), table[1], q), g)
     k = _x1_exponent(q2, g) if c2 == (2,) else None
     if k is None:
         return ConjugacyResult(REFUTED, generator=2)
-    u = dehn_reduce(xmul(q, xpow((1,), k)), g)
-    ui = xinv(u)
+    u = dehn_reduce(mul(q, power((1,), k)), g)
+    ui = inverse(u)
     for i in range(1, g + 1):
-        if not equal_in_quotient(xmul(u, (i,), ui), table[i - 1], g):
+        if not equal_in_quotient(mul(u, (i,), ui), table[i - 1], g):
             return ConjugacyResult(REFUTED, generator=i)
     return ConjugacyResult(VERIFIED, u)

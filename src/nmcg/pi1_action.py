@@ -21,60 +21,21 @@ of the inverse word), and the table of every Factored part is cached on
 the Evaluator next to its letter tables, so a shared factor such as the
 half-twist Delta_k is built once per (g, env).
 
-The word kernel (xmul and the helpers built on it) takes freely reduced
-parts, such as table images and their inverses: only the letters where
-two parts meet can cancel. xreduce reduces an arbitrary sequence.
+Words in x_1..x_g and words over the presentation generators share one
+kernel, that of the words module (mul, inverse, power); mul takes freely
+reduced parts, such as table images and their inverses.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from .words import Factored, Gen, Word, inverse as winv
-
-XWord = tuple  # tuple of nonzero ints
+from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, power
 
 
-def xreduce(seq) -> XWord:
-    """Free reduction of any sequence of letters, one letter at a time."""
-    out = []
-    for c in seq:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
-
-
-def xinv(w: XWord) -> XWord:
-    return tuple(-c for c in reversed(w))
-
-
-def xmul(*ws) -> XWord:
-    """Free reduction of the concatenation of ws, the word kernel that
-    xsub, xpow and compose share. Every part must be freely reduced: then
-    only letters where the result so far meets the next part can cancel,
-    and the rest of that part is appended whole."""
-    out = []
-    for w in ws:
-        i, n = 0, len(w)
-        while i < n and out and out[-1] == -w[i]:
-            out.pop()
-            i += 1
-        out.extend(w[i:])
-    return tuple(out)
-
-
-def xpow(w: XWord, k: int) -> XWord:
-    """w^k for a freely reduced w."""
-    if k < 0:
-        w, k = xinv(w), -k
-    return xmul(*([w] * k)) if k else ()
-
-
-def xsub(w: XWord, table) -> XWord:
+def xsub(w: Word, table) -> Word:
     """Image of w under the automorphism given by table."""
-    return xmul(*(table[c - 1] if c > 0 else xinv(table[-c - 1]) for c in w))
+    return mul(*(table[c - 1] if c > 0 else inverse(table[-c - 1]) for c in w))
 
 
 def identity_table(g: int):
@@ -91,22 +52,22 @@ def compose(t1, t2):
         if c > 0:
             return t1[c - 1]
         if c not in inv:
-            inv[c] = xinv(t1[-c - 1])
+            inv[c] = inverse(t1[-c - 1])
         return inv[c]
 
     return tuple([
-        t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else xmul(*map(image, im))
+        t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else mul(*map(image, im))
         for im in t2
     ])
 
 
-def boundary_word(g: int) -> XWord:
+def boundary_word(g: int) -> Word:
     return tuple(i for i in range(1, g + 1) for _ in (0, 1))
 
 
-def conjugation_table(w: XWord, g: int):
+def conjugation_table(w: Word, g: int):
     """Conjugation by the freely reduced w."""
-    return tuple(xmul(w, (i,), xinv(w)) for i in range(1, g + 1))
+    return tuple(mul(w, (i,), inverse(w)) for i in range(1, g + 1))
 
 
 def boundary_conjugate(table, g: int, k: int):
@@ -116,7 +77,7 @@ def boundary_conjugate(table, g: int, k: int):
     T(lhs) == boundary_conjugate(T(rhs), g, k); k = 0 gives table."""
     if not k:
         return table
-    return compose(conjugation_table(xpow(boundary_word(g), k), g), table)
+    return compose(conjugation_table(power(boundary_word(g), k), g), table)
 
 
 def _one(g, images: dict):
@@ -144,7 +105,7 @@ def curve_twist(k: int, m: int, g: int, sign: int = 1):
     if m < 2 or m % 2 or k < 1 or last > g:
         raise ValueError(f"no two-sided curve through crosscaps {k}..{last} at genus {g}")
     c = tuple(range(k, last + 1))
-    ci = xinv(c)
+    ci = inverse(c)
     if sign == -1:
         c, ci = ci, c
     images = {k: (k,) + ci, last: c + (last,)}
@@ -153,8 +114,8 @@ def curve_twist(k: int, m: int, g: int, sign: int = 1):
         if even == (sign == 1):
             mid = tuple(range(i, last + 1)) + tuple(range(k, i + 1))
         else:
-            mid = xinv(tuple(range(i + 1, last + 1)) + tuple(range(k, i)))
-        images[i] = xmul(c, mid, ci)
+            mid = inverse(tuple(range(i + 1, last + 1)) + tuple(range(k, i)))
+        images[i] = mul(c, mid, ci)
     return _one(g, images)
 
 
@@ -164,7 +125,7 @@ class Evaluator:
     a_i and b_j are built by curve_twist and u_i by
     crosscap_transposition; env maps the named elements (y1, y2, v, r_g,
     c, d) to their defining words over a_i, u_i and b_j. Tables are
-    cached per (generator, sign), and per (Factored part, sign): a
+    cached per letter, and per (Factored part, sign): a
     Factored part is meant to be a shared factor, and its cached table
     lives as long as the Evaluator. homology holds homology_action's
     per-letter matrices, derived from these tables and env, so a mutated
@@ -176,14 +137,13 @@ class Evaluator:
         self.env = dict(env or {})
         self._cache = {}
         self._parts = {}  # (id(part), sign) -> (part, table); part keeps its id
-        self.homology = {}  # route -> {(gen, sign): letter matrix}
+        self.homology = {}  # route -> {letter: letter matrix}
 
-    def letter_table(self, gen: Gen, sign: int):
-        key = (gen, sign)
-        hit = self._cache.get(key)
+    def letter_table(self, c: int):
+        hit = self._cache.get(c)
         if hit is not None:
             return hit
-        g = self.g
+        g, gen, sign = self.g, gen_of(c), 1 if c > 0 else -1
         if gen.fam == "a":
             t = curve_twist(gen.idx, 2, g, sign)
         elif gen.fam == "b":
@@ -194,15 +154,15 @@ class Evaluator:
             word = self.env.get(gen)
             if word is None:
                 raise KeyError(f"no expansion for generator {gen.label()} at genus {g}")
-            t = self.evaluate(word if sign == 1 else winv(word))
-        self._cache[key] = t
+            t = self.evaluate(word if sign == 1 else inverse(word))
+        self._cache[c] = t
         return t
 
     def evaluate(self, word: Word):
         if isinstance(word, Factored):
             hit = self._parts.get((id(word), 1))
             return hit[1] if hit is not None else self._product(word.parts)
-        return self._fold(self.letter_table(gen, sign) for gen, sign in word)
+        return self._fold(map(self.letter_table, word))
 
     def _fold(self, tables):
         acc = None
@@ -224,7 +184,7 @@ class Evaluator:
                 hit = self._parts[key] = (part, self._product(inv))
             t = hit[1]
         else:
-            t = self.evaluate(part if sign == 1 else winv(part))
+            t = self.evaluate(part if sign == 1 else inverse(part))
         k, acc = abs(k), None
         while True:
             if k & 1:
@@ -284,4 +244,4 @@ def format_tables(g: int) -> str:
     gens = [Gen(f, i) for f in "au" for i in range(1, g)]
     gens += [Gen("b", j) for j in range((g - 2) // 2 + 1)]
     ev = Evaluator(g)
-    return "".join(show(x.label(), ev.letter_table(x, 1)) + "\n" for x in gens)
+    return "".join(show(x.label(), ev.letter_table(letter(x))) + "\n" for x in gens)

@@ -25,6 +25,7 @@ from .words import (
     gen,
     gen_sort_key,
     inverse,
+    letter,
     lit,
     named,
     parse,
@@ -45,26 +46,22 @@ def b(j: int) -> Word:
     return lit(gen("b", j))
 
 
-def x(i: int) -> Word:
-    return lit(gen("x", i))
-
-
 def arun(i: int, j: int) -> Word:
     """a_i a_{i+1} ... a_j; empty when j < i."""
-    return tuple((gen("a", k), 1) for k in range(i, j + 1))
+    return tuple(letter(gen("a", k)) for k in range(i, j + 1))
 
 
 def urun(i: int, j: int) -> Word:
-    return tuple((gen("u", k), 1) for k in range(i, j + 1))
+    return tuple(letter(gen("u", k)) for k in range(i, j + 1))
 
 
 def arun_down(i: int, j: int) -> Word:
     """a_i a_{i-1} ... a_j; empty when j > i."""
-    return tuple((gen("a", k), 1) for k in range(i, j - 1, -1))
+    return tuple(letter(gen("a", k)) for k in range(i, j - 1, -1))
 
 
 def urun_down(i: int, j: int) -> Word:
-    return tuple((gen("u", k), 1) for k in range(i, j - 1, -1))
+    return tuple(letter(gen("u", k)) for k in range(i, j - 1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -435,22 +432,23 @@ def slide_presentation(g: int, n: int) -> Presentation:
 
 def tietze_eliminate(pres: Presentation, victim: Gen, relator_index=None) -> Presentation:
     """Remove a generator using a relator in which it occurs exactly once."""
+    v = letter(victim)
     if relator_index is None:
         for i, r in enumerate(pres.relators):
-            if sum(1 for gn, _ in r.word if gn == victim) == 1:
+            if sum(1 for c in r.word if abs(c) == v) == 1:
                 relator_index = i
                 break
         else:
             raise ValueError(f"no defining relator for {victim.label()}")
     rel = pres.relators[relator_index]
     w = rel.word
-    pos = next(i for i, (gn, _) in enumerate(w) if gn == victim)
+    pos = next(i for i, c in enumerate(w) if abs(c) == v)
     # w = p * victim^s * q = 1  =>  victim^s = p^-1 q^-1
-    p, (_, s), q = w[:pos], w[pos], w[pos + 1 :]
+    p, q = w[:pos], w[pos + 1 :]
     img = concat(inverse(p), inverse(q))
-    if s == -1:
+    if w[pos] < 0:
         img = inverse(img)
-    sub = {victim: img}
+    sub = {v: img}
     gens = tuple(gn for gn in pres.generators if gn != victim)
     rels = tuple(
         Relator(r.tag, r.params, substitute(r.lhs, sub), substitute(r.rhs, sub))

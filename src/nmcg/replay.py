@@ -51,10 +51,6 @@ class ReplayReport:
     w_power: int  # the stated boundary-twist exponent at tier 2, else 0
 
 
-def _raw_inverse(seq):
-    return [(gen, -sign) for gen, sign in reversed(seq)]
-
-
 def _rotations(w: Word):
     return {w[i:] + w[:i] for i in range(max(len(w), 1))}
 
@@ -87,7 +83,7 @@ def _apply_step(name, i, word, step, index):
         aux = list(parse_raw(step["aux"]))
         if not 0 <= at <= len(word):
             raise StepMismatch(name, i, f"insert position {at} out of range")
-        return word[:at] + aux + _raw_inverse(aux) + word[at:]
+        return word[:at] + aux + list(inverse(aux)) + word[at:]
     if op == "apply":
         key = (step["rel"], tuple(step.get("params", ())))
         if key not in index:

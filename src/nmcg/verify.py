@@ -6,9 +6,10 @@ conjugation by w^k, w the boundary word and k the exponent the entry
 states (Entry.twist; tier 1 is k = 0). Each side keeps its
 words.Factored structure, so a shared factor's table is built once per
 surface. Presentation relators are checked as tier-1 entries on the same
-path. Tier 3 first applies the integral-homology gate and then decides
-innerness in the one-relator quotient exactly (one_relator): Verified
-with the conjugator, or Refuted naming the generator whose image fails.
+path. Tier 3 is one exact route: it decides innerness of the relator's
+table in the one-relator quotient (one_relator.find_inner_conjugator),
+Verified with the conjugator, or Refuted naming the generator whose
+image fails.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 from . import pi1_action
 from .catalogue import Entry, catalogue
-from .homology_action import is_identity_mod_boundary_class, z_matrix_of_table
 from .one_relator import VERIFIED, find_inner_conjugator
 from .presentations import expansion_env, nonorientable_mcg_presentation
 from .words import lit
@@ -56,13 +56,7 @@ def verify_entry(e: Entry) -> Verdict:
 
     if e.tier != 3:
         raise ValueError(f"entry {e.label()} has unverifiable tier {e.tier}")
-    table = ev.evaluate(e.word)
-    if not is_identity_mod_boundary_class(z_matrix_of_table(table, g)):
-        return Verdict(
-            g, e.boundary, e.label(), 3, False,
-            "homology gate: action on H_1 is not of boundary-class type",
-        )
-    res = find_inner_conjugator(table, g)
+    res = find_inner_conjugator(ev.evaluate(e.word), g)
     if res.status == VERIFIED:
         return Verdict(
             g, e.boundary, e.label(), 3, True,

@@ -1,11 +1,17 @@
-"""Free-group words over a mixed generator alphabet.
+"""Free-group words over a mixed generator alphabet, and the package's
+one word kernel.
 
-A generator is a ``Gen`` (family tag + index, or a bare name). A word is
-a tuple of letters, each letter a pair ``(Gen, sign)`` with sign +-1.
-Words are tuples so they hash and compare cheaply; nothing here mutates
-its input, and the word functions keep the letter objects of their inputs
-rather than building a fresh pair per letter; parse_raw shares one pair
-per distinct letter across calls.
+A generator is a ``Gen`` (family tag + index, or a bare name). A letter
+is a signed int: letter(gen, sign) interns each Gen once per process as
++k (its inverse is -k), and gen_of maps a letter back. Ids follow
+first-sight order, so no output may depend on their values; labels
+appear only where words are parsed or printed. A word is a tuple of
+letters; nothing here mutates its input.
+
+The kernel is free_reduce (any sequence), inverse, mul (freely reduced
+parts: only letters where two parts meet can cancel) and power.
+pi1_action and one_relator use it for their words in x_1..x_g, signed
+ints with +i for x_i.
 
 A ``Factored`` word is a tuple of the same flat, freely reduced letters
 that also keeps how it was built: ``parts = ((part, k), ...)``, the
@@ -25,7 +31,7 @@ denotes the empty word. A bare ``b`` normalizes to ``b1``.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 _FAMS = ("a", "u", "b", "x")
@@ -41,7 +47,7 @@ class Gen(NamedTuple):
         return self.name if self.fam == "n" else f"{self.fam}{self.idx}"
 
 
-Letter = tuple  # (Gen, int)
+Letter = int  # +k for the k-th interned Gen, -k for its inverse
 Word = tuple  # tuple of Letter
 
 
@@ -61,10 +67,27 @@ def gen_sort_key(g: Gen):
     return (_FAM_RANK[g.fam], g.idx, g.name)
 
 
+_ids = {}  # Gen -> its positive letter
+_gens = [None]  # positive letter -> Gen
+
+
+def letter(g: Gen, sign: int = 1) -> Letter:
+    """The letter g^sign; g is interned on first sight."""
+    k = _ids.get(g)
+    if k is None:
+        k = _ids[g] = len(_gens)
+        _gens.append(g)
+    return k if sign > 0 else -k
+
+
+def gen_of(c: Letter) -> Gen:
+    return _gens[abs(c)]
+
+
 def lit(g: Gen, sign: int = 1) -> Word:
     if sign not in (1, -1):
         raise ValueError(f"letter sign must be 1 or -1, not {sign!r}")
-    return ((g, sign),)
+    return (letter(g, sign),)
 
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z_]*?)(\d*)(?:\^(-?\d+))?$")
@@ -91,14 +114,8 @@ def parse_raw(text: str) -> Word:
         else:
             g = Gen("n", 0, base + digits)
         k = int(exp) if exp else 1
-        out.extend([_letter(g, 1 if k > 0 else -1)] * abs(k))
+        out.extend([letter(g, 1 if k > 0 else -1)] * abs(k))
     return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _letter(g: Gen, sign: int) -> Letter:
-    """One shared pair per letter, so parsed words do not hold a pair per letter."""
-    return (g, sign)
 
 
 def parse(text: str) -> Word:
@@ -108,32 +125,54 @@ def parse(text: str) -> Word:
 
 def fmt(word: Word) -> str:
     """Deterministic inverse of parse (up to free reduction)."""
-    if not word:
-        return "1"
-    parts = []
-    for g, s in word:
-        parts.append(g.label() if s == 1 else g.label() + "^-1")
-    return "*".join(parts)
+    return "*".join(gen_of(c).label() + ("" if c > 0 else "^-1") for c in word) or "1"
 
 
-def free_reduce(word: Iterable) -> Word:
-    return concat(word)
+# ---- the word kernel ------------------------------------------------------
+
+
+def free_reduce(seq: Iterable) -> Word:
+    """Free reduction of any sequence of letters, one letter at a time."""
+    out = []
+    for c in seq:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
 
 
 def inverse(word: Word) -> Word:
-    return tuple((g, -s) for g, s in reversed(word))
+    return tuple(-c for c in reversed(word))
+
+
+def mul(*words: Word) -> Word:
+    """Free reduction of the concatenation of words, each of which must be
+    freely reduced: then only letters where the result so far meets the
+    next word can cancel, and the rest of that word is appended whole."""
+    out = []
+    for w in words:
+        i, n = 0, len(w)
+        while i < n and out and out[-1] == -w[i]:
+            out.pop()
+            i += 1
+        out.extend(w[i:])
+    return tuple(out)
+
+
+def power(word: Word, k: int) -> Word:
+    w = free_reduce(word)
+    if k < 0:
+        w, k = inverse(w), -k
+    return mul(*([w] * k)) if k else ()
+
+
+# ---- built on the kernel --------------------------------------------------
 
 
 def concat(*words: Word) -> Word:
-    """Freely reduced product; the kept letters are the input's objects."""
-    out = []
-    for w in words:
-        for letter in w:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
+    """Freely reduced product of any words."""
+    return free_reduce(chain.from_iterable(words))
 
 
 class Factored(tuple):
@@ -144,15 +183,9 @@ class Factored(tuple):
 
     def __new__(cls, parts):
         parts = tuple(parts)
-        self = super().__new__(cls, concat(*(power(p, k) for p, k in parts)))
+        self = super().__new__(cls, mul(*(power(p, k) for p, k in parts)))
         self.parts = parts
         return self
-
-
-def power(word: Word, k: int) -> Word:
-    if k < 0:
-        word, k = inverse(word), -k
-    return concat(*([word] * k)) if k else ()
 
 
 def conjugate(word: Word, by: Word) -> Word:
@@ -168,26 +201,27 @@ def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     """
     w = free_reduce(word)
     i, j = 0, len(w)
-    while j - i >= 2 and w[i][0] == w[j - 1][0] and w[i][1] == -w[j - 1][1]:
+    while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
         j -= 1
     return w[i:j], w[:i]
 
 
-def substitute(word: Word, images: Mapping[Gen, Word]) -> Word:
-    """Apply the homomorphism sending g to images[g] (default: itself)."""
+def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
+    """Apply the homomorphism sending each positive letter c to images[c]
+    (default: itself)."""
 
-    def piece(letter):
-        img = images.get(letter[0])
+    def piece(c):
+        img = images.get(abs(c))
         if img is None:
-            return (letter,)
-        return img if letter[1] == 1 else inverse(img)
+            return (c,)
+        return img if c > 0 else inverse(img)
 
     return concat(*map(piece, word))
 
 
 def gens_of(word: Word) -> set:
-    return {g for g, _ in word}
+    return {gen_of(c) for c in word}
 
 
 def exponent_sums(word: Word, order: list) -> list:
@@ -197,15 +231,19 @@ def exponent_sums(word: Word, order: list) -> list:
 
 def exponent_matrix(equations, order: list) -> list:
     """One exponent-sum row of lhs rhs^-1 per equation (lhs, rhs); the
-    generator-to-column map is built once. Free reduction does not change
-    exponent sums, so lhs rhs^-1 itself is never built."""
-    pos = {g: i for i, g in enumerate(order)}
+    letter-to-(column, sign) map is built once. Free reduction does not
+    change exponent sums, so lhs rhs^-1 itself is never built."""
+    pos = {}
+    for i, g in enumerate(order):
+        pos[letter(g)], pos[letter(g, -1)] = (i, 1), (i, -1)
     rows = []
     for lhs, rhs in equations:
         row = [0] * len(order)
-        for g, s in lhs:
-            row[pos[g]] += s
-        for g, s in rhs:
-            row[pos[g]] -= s
+        for c in lhs:
+            i, s = pos[c]
+            row[i] += s
+        for c in rhs:
+            i, s = pos[c]
+            row[i] -= s
         rows.append(row)
     return rows

@@ -26,7 +26,7 @@ from nmcg.homology_action import (
     z_matrix_of_table,
     z_mod2,
 )
-from nmcg.pi1_action import evaluate, identity_table, xinv, xmul
+from nmcg.pi1_action import evaluate, identity_table
 from nmcg.presentations import (
     braid_presentation,
     expansion_env,
@@ -41,7 +41,7 @@ from nmcg.verify import (
     verify_entry,
     verify_relators,
 )
-from nmcg.words import gen, lit, named, parse, power
+from nmcg.words import gen, inverse, letter, lit, mul, named, parse, power
 
 GENUS_RANGE = range(3, 9)
 
@@ -110,7 +110,7 @@ def test_criterion_3_boundary_twist_exponents():
     for g in GENUS_RANGE:
         table = evaluate(power(urun(1, g - 2), g - 1), g, expansion_env(g, 1))
         vw = tuple(i for i in range(1, g) for _ in (0, 1))
-        partial = tuple(xmul(vw, (i,), xinv(vw)) for i in range(1, g)) + ((g,),)
+        partial = tuple(mul(vw, (i,), inverse(vw)) for i in range(1, g)) + ((g,),)
         if table != partial:
             subsurface.append(f"({g},1) B4: not the partial conjugation by x_1^2..x_{g-1}^2")
         if table[g - 1] != (g,) or table == identity_table(g):
@@ -194,7 +194,7 @@ def test_criterion_5_homology_gate():
         alphabet = list(pres.generators)
         for _ in range(words_per_genus):
             w = tuple(
-                (rng.choice(alphabet), rng.choice((1, -1)))
+                letter(rng.choice(alphabet), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 12))
             )
             (direct, *others), _ = _three_routes(w, g, env)

@@ -70,6 +70,62 @@ def test_verify_no_hints(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("g,n,tier", [(5, 0, "2"), (8, 1, "3")])
+def test_verify_selection_that_checks_nothing_is_a_usage_error(capsys, g, n, tier):
+    assert main(["verify", "-g", str(g), "-n", str(n), "--tier", tier]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no tier-{tier} checks at ({g},{n})\n"
+
+
+def test_verify_all_tiers_closed_still_passes(capsys):
+    assert main(["verify", "-g", "4", "-n", "0", "--tier", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "tier 1" in out and "tier 3" in out and "FAIL" not in out
+
+
+def test_output_does_not_depend_on_letter_ids():
+    # letters are interned in first-sight order, so a process that has
+    # seen other generators first, and the genus-6 ones in reverse, numbers
+    # every letter differently; what it prints must not change
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    commands = [["present", "-g", "6", "-n", "0", "--format", "json"],
+                ["verify", "-g", "6", "-n", "1"], ["replay"]]
+    code = f"""
+import contextlib, io, json
+from nmcg.cli import main
+from nmcg.words import gen, letter, named
+six = [gen(f, i) for f in "au" for i in range(1, 6)] + [gen("b", j) for j in range(3)]
+six += [named(s) for s in ("y1", "y2", "v", "r6", "c")]
+for g in [gen("u", 11), gen("b", 7), gen("x", 9), named("zz")] + six[::-1]:
+    letter(g)
+outs = []
+for argv in {commands!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    outs.append([rc, buf.getvalue()])
+print(json.dumps({{"u11": letter(gen("u", 11)), "outs": outs}}))
+"""
+    src = str(Path(verify_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = lambda args: subprocess.run([sys.executable, *args], capture_output=True,
+                                      text=True, env=env, timeout=120)
+    shifted = run(["-c", code])
+    assert shifted.returncode == 0, shifted.stderr
+    doc = json.loads(shifted.stdout)
+    assert doc["u11"] == 1, "u11 should take the first id"
+    for argv, (rc, out) in zip(commands, doc["outs"]):
+        fresh = run(["-m", "nmcg.cli", *argv])
+        assert (rc, out) == (fresh.returncode, fresh.stdout), argv
+        assert rc == 0 and out, argv
+
+
 def test_verify_rejects_closed_small_genus(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "-g", "3", "-n", "0"])

@@ -10,7 +10,7 @@ from nmcg.presentations import (
     braid_presentation,
     nonorientable_mcg_presentation,
 )
-from nmcg.words import gen, lit, parse
+from nmcg.words import gen, gen_of, letter, lit, parse
 
 
 def _pres(relator_texts, gens):
@@ -44,19 +44,19 @@ def test_subgroup_index():
 
 def test_permutation_action_is_consistent():
     table = coset_enumeration(_S3, subgroup=(parse("a1"),))
-    pos = {x: i for i, x in enumerate(_S3.generators)}
+    pos = {letter(x): i for i, x in enumerate(_S3.generators)}
     for g_, i in pos.items():
         perm = table.permutation(i)
         assert sorted(perm) == list(range(table.index())), (
-            f"{g_.label()} is not a permutation of the cosets"
+            f"{gen_of(g_).label()} is not a permutation of the cosets"
         )
     # relators act trivially on the coset space
     for r in _S3.relators:
         for c in range(table.index()):
             image = c
-            for x, s in reversed(r.word):
-                perm = table.permutation(pos[x])
-                image = perm[image] if s > 0 else perm.index(image)
+            for x in reversed(r.word):
+                perm = table.permutation(pos[abs(x)])
+                image = perm[image] if x > 0 else perm.index(image)
             assert image == c, f"{r.tag} moves coset {c}"
 
 

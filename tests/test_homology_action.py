@@ -18,11 +18,12 @@ from nmcg.homology_action import (
 )
 from nmcg.pi1_action import evaluate, identity_table
 from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
-from nmcg.words import gen, inverse, lit, named, parse
+from nmcg.words import gen, gen_of, inverse, letter, lit, named, parse
 
 _G = 4
 _ENV = expansion_env(_G, 1)
-_letters = st.tuples(
+_letters = st.builds(
+    letter,
     st.builds(gen, st.sampled_from("au"), st.integers(1, _G - 1)),
     st.sampled_from((1, -1)),
 )
@@ -40,9 +41,10 @@ def _dense_f2(word, g, env):
     """Reference: the dense f2_mul fold over each letter's full matrix,
     a named letter's matrix being the fold over its env word."""
     acc = f2_identity(g)
-    for x, sign in word:
+    for c in word:
+        x = gen_of(c)
         if x.fam == "n":
-            m = _dense_f2(env[x] if sign > 0 else inverse(env[x]), g, env)
+            m = _dense_f2(env[x] if c > 0 else inverse(env[x]), g, env)
         else:
             m = f2_generator(x, g)
         acc = f2_mul(acc, m)
@@ -54,7 +56,7 @@ def _env_words(draw):
     g = draw(st.integers(4, 8))
     env = expansion_env(g, 1)
     alphabet = list(nonorientable_mcg_presentation(g, 1).generators) + list(env)
-    letters = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    letters = st.builds(letter, st.sampled_from(alphabet), st.sampled_from((1, -1)))
     return g, env, tuple(draw(st.lists(letters, max_size=12)))
 
 

@@ -15,10 +15,8 @@ from nmcg.pi1_action import (
     conjugation_table,
     evaluate,
     identity_table,
-    xinv,
-    xmul,
 )
-from nmcg.words import parse
+from nmcg.words import inverse, mul, parse
 
 _G = 5
 _REL = tuple(c for i in range(1, _G + 1) for c in (i, i))  # x1^2 ... xg^2
@@ -26,20 +24,20 @@ _REL = tuple(c for i in range(1, _G + 1) for c in (i, i))  # x1^2 ... xg^2
 
 def test_relator_word_reduces_to_nothing():
     assert dehn_reduce(_REL, _G) == ()
-    assert dehn_reduce(xinv(_REL), _G) == ()
+    assert dehn_reduce(inverse(_REL), _G) == ()
     assert dehn_reduce((), _G) == ()
 
 
 def test_conjugates_of_relator_die():
     for conj in ((1,), (2, -3), (5, 4, 3)):
-        w = xmul(conj, _REL, xinv(conj))
+        w = mul(conj, _REL, inverse(conj))
         assert equal_in_quotient(w, (), _G), f"conjugate by {conj} survived"
 
 
 def test_right_multiplication_by_relator_is_invisible():
     w = (1, 2, -4)
-    assert equal_in_quotient(xmul(w, _REL), w, _G)
-    assert equal_in_quotient(xmul(_REL, w), w, _G)
+    assert equal_in_quotient(mul(w, _REL), w, _G)
+    assert equal_in_quotient(mul(_REL, w), w, _G)
 
 
 def test_quotient_equality_negative():

@@ -14,10 +14,6 @@ from nmcg.pi1_action import (
     evaluate,
     fixes_boundary,
     identity_table,
-    xinv,
-    xmul,
-    xpow,
-    xreduce,
     xsub,
 )
 from nmcg.presentations import (
@@ -28,10 +24,11 @@ from nmcg.presentations import (
     r_word,
     u,
 )
-from nmcg.words import Factored, gen, lit, parse
+from nmcg.words import Factored, free_reduce, gen, inverse, letter, lit, mul, parse, power
 
 _G = 4
-_letters = st.tuples(
+_letters = st.builds(
+    letter,
     st.builds(
         gen,
         st.sampled_from("au"),
@@ -48,14 +45,15 @@ _images = st.one_of(
     st.just(()),
     st.integers(1, _G).map(lambda i: (i,)),
     st.integers(1, _G).map(lambda i: (-i,)),
-    st.lists(_xletters, max_size=30).map(xreduce),
+    st.lists(_xletters, max_size=30).map(free_reduce),
 )
 _tables = st.lists(_images, min_size=_G, max_size=_G).map(tuple)
 
 
-@given(st.lists(st.lists(_xletters, max_size=12).map(xreduce), max_size=6))
+@given(st.lists(st.lists(_xletters, max_size=12).map(free_reduce), max_size=6))
 def test_xmul_of_reduced_parts_is_the_reduced_concatenation(parts):
-    assert xmul(*parts) == xreduce(sum(parts, ()))
+    # the kernel product, on the crosscap alphabet the tables use
+    assert mul(*parts) == free_reduce(sum(parts, ()))
 
 
 def test_factored_sides_evaluate_to_their_flat_words():
@@ -107,8 +105,6 @@ def test_evaluate_is_a_homomorphism(v, w):
 @settings(max_examples=40, deadline=None)
 @given(_words)
 def test_evaluate_inverse_word_inverts_table(w):
-    from nmcg.words import inverse
-
     assert compose(evaluate(w, _G), evaluate(inverse(w), _G)) == identity_table(_G)
 
 
@@ -172,10 +168,10 @@ def test_boundary_conjugate_follows_a_table_by_conjugation_by_w_k():
     assert boundary_conjugate(a1, g, 0) is a1
     seen = set()
     for k in range(-3, 6):
-        wk = xpow(w, k)
+        wk = power(w, k)
         assert boundary_conjugate(identity_table(g), g, k) == conjugation_table(wk, g)
         t = boundary_conjugate(a1, g, k)
-        assert t == tuple(xmul(wk, im, xinv(wk)) for im in a1), f"wrong table at k = {k}"
+        assert t == tuple(mul(wk, im, inverse(wk)) for im in a1), f"wrong table at k = {k}"
         assert fixes_boundary(t, g)
         seen.add(t)
     # conjugation by w^k determines k, 5 included: there is no search bound

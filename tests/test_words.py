@@ -11,10 +11,13 @@ from nmcg.words import (
     fmt,
     free_reduce,
     gen,
+    gen_of,
     gen_sort_key,
     gens_of,
     inverse,
+    letter,
     lit,
+    mul,
     named,
     parse,
     parse_raw,
@@ -22,7 +25,8 @@ from nmcg.words import (
     substitute,
 )
 
-_letters = st.tuples(
+_letters = st.builds(
+    letter,
     st.builds(gen, st.sampled_from("aubx"), st.integers(1, 5)),
     st.sampled_from((1, -1)),
 )
@@ -35,7 +39,7 @@ def _naive_reduce(word):
     while changed:
         changed = False
         for i in range(len(out) - 1):
-            if out[i][0] == out[i + 1][0] and out[i][1] == -out[i + 1][1]:
+            if out[i] == -out[i + 1]:
                 del out[i : i + 2]
                 changed = True
                 break
@@ -84,7 +88,7 @@ def test_cyclic_reduce_reassembles(w):
     core, prefix = cyclic_reduce(r)
     assert free_reduce(concat(prefix, concat(core, inverse(prefix)))) == r
     if len(core) >= 2:
-        assert not (core[0][0] == core[-1][0] and core[0][1] == -core[-1][1]), (
+        assert not (core[0] == -core[-1]), (
             "core still has cancelling ends"
         )
 
@@ -103,39 +107,35 @@ def test_parse_raw_keeps_cancelling_pairs():
 
 def test_parse_exponent_expansion():
     assert parse_raw("a2^3") == (
-        (gen("a", 2), 1),
-        (gen("a", 2), 1),
-        (gen("a", 2), 1),
+        letter(gen("a", 2), 1),
+        letter(gen("a", 2), 1),
+        letter(gen("a", 2), 1),
     )
-    assert parse_raw("a2^-2") == ((gen("a", 2), -1), (gen("a", 2), -1))
+    assert parse_raw("a2^-2") == (letter(gen("a", 2), -1), letter(gen("a", 2), -1))
     assert parse("") == ()
 
 
 def test_parse_named_letters():
     assert parse("b") == lit(gen("b", 1)), "bare b aliases the first off-chain twist"
     w = parse("q3")
-    assert len(w) == 1 and w[0][0].name == "q3"
+    assert len(w) == 1 and gen_of(w[0]).name == "q3"
 
 
-def test_concat_keeps_the_input_letter_objects():
-    v, w = parse("a1*u2*b1"), parse("b1^-1*x3*a2")
-    out = concat(v, w)
-    assert out == parse("a1*u2*x3*a2")
-    assert all(x is y for x, y in zip(out, v[:2] + w[1:]))
-    assert all(x is y for x, y in zip(free_reduce(v), v))
-    assert substitute(v, {})[1] is v[1]
+def test_letter_interns_each_generator_once():
+    for g in (gen("a", 1), gen("x", 7), named("y1"), gen("b", 1)):
+        c = letter(g)
+        assert c > 0 and letter(g, -1) == -c and letter(g) == c
+        assert gen_of(c) == g == gen_of(-c)
+    assert parse("b") == lit(gen("b", 1)) and letter(gen("a", 1)) != letter(gen("u", 1))
 
 
-def test_parse_raw_shares_one_pair_per_letter():
-    w, v = parse_raw("a1 u2^-1 a1^2 y1"), parse_raw("y1 u2^-1 a1")
-    assert w[0] is w[2] is w[3] is v[2]
-    assert w[1] is v[1] and w[4] is v[0]
-    assert w == ((gen("a", 1), 1), (gen("u", 2), -1), (gen("a", 1), 1),
-                 (gen("a", 1), 1), (named("y1"), 1))
+@given(st.lists(_words.map(free_reduce), max_size=6))
+def test_mul_of_reduced_parts_is_the_reduced_concatenation(parts):
+    assert mul(*parts) == free_reduce(sum(parts, ()))
 
 
 def test_substitute_is_a_homomorphism():
-    images = {gen("a", 1): parse("u1*u2"), gen("u", 2): parse("a1^-1")}
+    images = {letter(gen("a", 1)): parse("u1*u2"), letter(gen("u", 2)): parse("a1^-1")}
     v, w = parse("a1*u2"), parse("u2^-1*a1*x1")
     left = substitute(concat(v, w), images)
     right = free_reduce(concat(substitute(v, images), substitute(w, images)))
@@ -158,7 +158,7 @@ def test_gen_sort_key_orders_families_then_indices():
 
 
 def test_lit_sign():
-    assert lit(gen("a", 3), -1) == ((gen("a", 3), -1),)
+    assert lit(gen("a", 3), -1) == (letter(gen("a", 3), -1),)
     assert inverse(lit(gen("a", 3))) == lit(gen("a", 3), -1)
 
 
