@@ -8,14 +8,15 @@ Subcommands:
   replay      replay recorded derivation scripts
   tables      dump the generator action tables that verify uses
 
-Exit status: 0 on success, 1 if any verification check fails, 2 on
-usage errors, a verify selection that checks nothing included. Output
-is deterministic for fixed inputs.
+Exit status: 0 on success, 1 if any verification check fails or the
+reader of stdout closes it early, 2 on usage errors, a verify selection
+that checks nothing included. Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import pi1_action, replay
@@ -146,7 +147,17 @@ def main(argv=None) -> int:
         parser.error("closed-surface verification needs genus >= 4")
     if getattr(args, "max_cosets", 1) < 1:
         parser.error("--max-cosets must be >= 1")
-    return args.fn(args)
+    try:
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (nmcg verify ... | head): send the rest of
+        # stdout to devnull so the exit-time flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return rc
 
 
 if __name__ == "__main__":

@@ -167,7 +167,15 @@ def _z_letter(ev, letter: int):
 
 
 def z_mod2(M):
-    return [sum((M[r][c] & 1) << c for c in range(len(M))) for r in range(len(M))]
+    """M mod 2 as F_2 bitmask rows."""
+    out = []
+    for row in M:
+        v = 0
+        for c, x in enumerate(row):
+            if x & 1:
+                v |= 1 << c
+        out.append(v)
+    return out
 
 
 def is_identity_mod_boundary_class(M) -> bool:

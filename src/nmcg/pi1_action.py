@@ -24,6 +24,19 @@ half-twist Delta_k is built once per (g, env).
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
 reduced parts, such as table images and their inverses.
+
+A table can also be written in the one-sided prefix basis q, with
+q_k = x_1..x_k for odd k and q_k = x_k for even k: the Nielsen change of
+basis sigma: x_k -> q_k (Lyndon-Schupp, Combinatorial Group Theory,
+Ch. I.2) turns T into sigma^-1 o T o sigma. Conjugation keeps
+composition and table equality, so an identity of tables holds in one
+basis iff it holds in the other. Each Evaluator has a sibling in basis q
+(Evaluator.q); evaluate(), fixes_boundary and format_tables stay in
+basis x. Every q_k is one-sided, so in basis q, as in basis x, every
+image has odd length. The prefixes x_1..x_k for every k make a basis
+too, but those of even length are two-sided, so images would take both
+length parities; that basis measured about 10% more peak memory, held
+in CPython's free lists of even-length tuples.
 """
 
 from __future__ import annotations
@@ -70,14 +83,30 @@ def conjugation_table(w: Word, g: int):
     return tuple(mul(w, (i,), inverse(w)) for i in range(1, g + 1))
 
 
-def boundary_conjugate(table, g: int, k: int):
-    """table followed by conjugation by W^k, W the boundary word.
-    Conjugation by W is the action of the boundary twist, which is
-    central, so lhs = rhs times its k-th power reads
-    T(lhs) == boundary_conjugate(T(rhs), g, k); k = 0 gives table."""
-    if not k:
-        return table
-    return compose(conjugation_table(power(boundary_word(g), k), g), table)
+def prefix_basis(g: int):
+    """Table of sigma: x_k -> q_k, the one-sided prefix basis, with
+    q_k = x_1..x_k for odd k and q_k = x_k for even k."""
+    return tuple(tuple(range(1, k + 1)) if k % 2 else (k,) for k in range(1, g + 1))
+
+
+def prefix_basis_inverse(g: int):
+    """Table of sigma^-1: x_k -> q_{k-1}^-1 q_{k-2}^-1 q_k for odd k >= 3,
+    every other x_k fixed. xsub(w, prefix_basis_inverse(g)) rewrites a
+    word in the x_k as a word in the q_k."""
+    return tuple((1 - k, 2 - k, k) if k % 2 and k > 1 else (k,) for k in range(1, g + 1))
+
+
+def to_prefix_basis(table):
+    """sigma^-1 o table o sigma: the same automorphism, written in basis q.
+    Its image of q_k = q_{k-2} x_{k-1} x_k (odd k) is built from that of
+    q_{k-2}, so each image is one product of three reduced parts."""
+    inv = prefix_basis_inverse(len(table))
+    out, qk = [], ()
+    for k, im in enumerate(table, 1):
+        if k % 2:
+            im = qk = mul(qk, table[k - 2], im) if k > 1 else im
+        out.append(xsub(im, inv))
+    return tuple(out)
 
 
 def _one(g, images: dict):
@@ -130,19 +159,42 @@ class Evaluator:
     lives as long as the Evaluator. homology holds homology_action's
     per-letter matrices, derived from these tables and env, so a mutated
     env, which gets a fresh Evaluator from evaluator(), rebuilds them too.
+
+    The Evaluator works in basis x. Its sibling q, built on first use,
+    runs the same code in basis q with its own caches: its letter table
+    of c is to_prefix_basis(letter_table(c)), built once per letter. In
+    basis q the b_j curve is the two-letter word q_{2j+1} q_{2j+2}, so a
+    b_j table has short images, where in basis x every interior image is
+    conjugated by the curve. boundary is the boundary word in the
+    Evaluator's basis.
     """
 
-    def __init__(self, g: int, env=None):
+    def __init__(self, g: int, env=None, x=None):
         self.g = g
-        self.env = dict(env or {})
+        self.env = dict(env or {}) if x is None else x.env
+        self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
+        self._q = None if x is None else self
         self._cache = {}
         self._parts = {}  # (id(part), sign) -> (part, table); part keeps its id
         self.homology = {}  # route -> {letter: letter matrix}
+        w = boundary_word(g)
+        self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
+
+    @property
+    def q(self) -> "Evaluator":
+        """The Evaluator of the same (g, env) in basis q: the sibling, or
+        self if this one is in basis q already."""
+        if self._q is None:
+            self._q = Evaluator(self.g, x=self)
+        return self._q
 
     def letter_table(self, c: int):
         hit = self._cache.get(c)
         if hit is not None:
             return hit
+        if self._x is not None:
+            t = self._cache[c] = to_prefix_basis(self._x.letter_table(c))
+            return t
         g, gen, sign = self.g, gen_of(c), 1 if c > 0 else -1
         if gen.fam == "a":
             t = curve_twist(gen.idx, 2, g, sign)
@@ -157,6 +209,15 @@ class Evaluator:
             t = self.evaluate(word if sign == 1 else inverse(word))
         self._cache[c] = t
         return t
+
+    def boundary_conjugate(self, table, k: int):
+        """table followed by conjugation by W^k, W the boundary word.
+        Conjugation by W is the action of the boundary twist, which is
+        central, so lhs = rhs times its k-th power reads
+        T(lhs) == boundary_conjugate(T(rhs), k); k = 0 gives table."""
+        if not k:
+            return table
+        return compose(conjugation_table(power(self.boundary, k), self.g), table)
 
     def evaluate(self, word: Word):
         if isinstance(word, Factored):
@@ -201,7 +262,8 @@ _shared = OrderedDict()  # (g, id(env)) -> (env, Evaluator), least recent first
 
 def evaluator(g: int, env=None) -> Evaluator:
     """The shared Evaluator of (g, env object), so letter tables (b_j, y,
-    v, r_g) and Factored part tables are built once across calls. A hit
+    v, r_g) and Factored part tables, in basis x and in its sibling's
+    basis q, are built once across calls. A hit
     costs one dict comparison with shared values, independent of the
     length of the env words; an env mutated since it was cached misses.
     At most _SHARED_MAX are kept, so callers that pass a fresh env each

@@ -146,7 +146,7 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         k = data["w_power"]
     ev = pi1_action.evaluator(g, _env(g, n))
     start = ev.evaluate(parse_raw(data["start"]))
-    if start != pi1_action.boundary_conjugate(ev.evaluate(tuple(end)), g, k):
+    if start != ev.boundary_conjugate(ev.evaluate(tuple(end)), k):
         up_to = f" up to w^{k}" if tier == 2 else ""
         raise StepMismatch(name, last, f"endpoint fails tier-{tier} table equality{up_to}")
     report = ReplayReport(name, g, n, last, tier, k)

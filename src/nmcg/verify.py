@@ -5,8 +5,11 @@ Tiers 1 and 2 are one decision, T(lhs) == C o T(rhs), with C the
 conjugation by w^k, w the boundary word and k the exponent the entry
 states (Entry.twist; tier 1 is k = 0). Each side keeps its
 words.Factored structure, so a shared factor's table is built once per
-surface. Presentation relators are checked as tier-1 entries on the same
-path. Tier 3 is one exact route: it decides innerness of the relator's
+surface. An entry whose letters include a b_j and no u_i is decided in
+the prefix basis q (pi1_action.Evaluator.q), where b_j tables are short,
+and w is written in that basis; every other entry in basis x.
+Presentation relators are checked as tier-1 entries on the same path.
+Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
 Verified with the conjugator, or Refuted naming the generator whose
 image fails.
@@ -21,7 +24,7 @@ from . import pi1_action
 from .catalogue import Entry, catalogue
 from .one_relator import VERIFIED, find_inner_conjugator
 from .presentations import expansion_env, nonorientable_mcg_presentation
-from .words import lit
+from .words import gen_of, lit
 
 
 @lru_cache(maxsize=16)
@@ -41,13 +44,25 @@ class Verdict:
     detail: str
 
 
+def _basis(ev, e: Entry):
+    """The Evaluator that decides a tier-1 or tier-2 entry: ev's basis-q
+    sibling when the entry's letters include a b_j and no u_i, else ev.
+    A b_j table is short in basis q and long in basis x, while u_i moves
+    q_k for every odd k > i, so entries with u letters are faster in x.
+    Conjugation by sigma keeps table equality, so the verdict is the
+    same in either basis."""
+    fams = {gen_of(c).fam for c in {*map(abs, e.lhs), *map(abs, e.rhs)}}
+    return ev.q if "b" in fams and "u" not in fams else ev
+
+
 def verify_entry(e: Entry) -> Verdict:
     g = e.genus
     ev = pi1_action.evaluator(g, _env(g, e.boundary))
 
     if e.tier in (1, 2):
         k = e.twist
-        ok = ev.evaluate(e.lhs) == pi1_action.boundary_conjugate(ev.evaluate(e.rhs), g, k)
+        ev = _basis(ev, e)
+        ok = ev.evaluate(e.lhs) == ev.boundary_conjugate(ev.evaluate(e.rhs), k)
         if not k:
             detail = "sides have equal tables" if ok else "sides differ in the punctured representation"
         else:

@@ -126,6 +126,30 @@ print(json.dumps({{"u11": letter(gen("u", 11)), "outs": outs}}))
         assert rc == 0 and out, argv
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_without_a_traceback(unbuffered):
+    # as in `nmcg verify -g 4 -n 1 | head -3`, but with the read end closed
+    # before the first write, so every run meets the closed pipe: buffered,
+    # at the final flush, and unbuffered, at the first print
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(verify_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run([sys.executable, "-m", "nmcg.cli", "verify", "-g", "4", "-n", "1"],
+                             stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert res.stderr == "", res.stderr
+    assert res.returncode == 1
+
+
 def test_verify_rejects_closed_small_genus(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "-g", "3", "-n", "0"])

@@ -16,7 +16,7 @@ from nmcg.homology_action import (
     z_matrix_of_table,
     z_mod2,
 )
-from nmcg.pi1_action import evaluate, identity_table
+from nmcg.pi1_action import Evaluator, evaluate, evaluator, identity_table
 from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
 from nmcg.words import gen, gen_of, inverse, letter, lit, named, parse
 
@@ -82,11 +82,23 @@ def test_a_mutated_env_rebuilds_its_letter_matrices():
     env = expansion_env(g, 1)
     w = parse("a1 y1 u2")
     old = (f2_matrix(w, g, env), z_matrix(w, g, env))
+    old_q = evaluator(g, env).q.evaluate(w)
     env[named("y1")] = parse("b1 a3^-1")
     new = (f2_matrix(w, g, env), z_matrix(w, g, env))
     plain = parse("a1 b1 a3^-1 u2")
     assert new == (f2_matrix(plain, g), z_matrix(plain, g))
     assert new != old
+    # the basis-q tables are rebuilt too
+    new_q = evaluator(g, env).q.evaluate(w)
+    assert new_q == Evaluator(g).q.evaluate(plain) != old_q
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda g: st.lists(st.lists(st.integers(-9, 9), min_size=g, max_size=g),
+                       min_size=g, max_size=g)))
+def test_z_mod2_matches_the_generator_sum_definition(M):
+    g = len(M)
+    assert z_mod2(M) == [sum((M[r][c] & 1) << c for c in range(g)) for r in range(g)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from nmcg.catalogue import catalogue
 from nmcg.pi1_action import (
     Evaluator,
-    boundary_conjugate,
     boundary_word,
     compose,
     conjugation_table,
@@ -14,6 +13,9 @@ from nmcg.pi1_action import (
     evaluate,
     fixes_boundary,
     identity_table,
+    prefix_basis,
+    prefix_basis_inverse,
+    to_prefix_basis,
     xsub,
 )
 from nmcg.presentations import (
@@ -164,18 +166,50 @@ def test_all_generators_fix_boundary_g3_to_g5():
 def test_boundary_conjugate_follows_a_table_by_conjugation_by_w_k():
     g = 4
     w = boundary_word(g)
+    ev = Evaluator(g)
     a1 = evaluate(parse("a1"), g)
-    assert boundary_conjugate(a1, g, 0) is a1
+    assert ev.boundary_conjugate(a1, 0) is a1
     seen = set()
     for k in range(-3, 6):
         wk = power(w, k)
-        assert boundary_conjugate(identity_table(g), g, k) == conjugation_table(wk, g)
-        t = boundary_conjugate(a1, g, k)
+        assert ev.boundary_conjugate(identity_table(g), k) == conjugation_table(wk, g)
+        t = ev.boundary_conjugate(a1, k)
         assert t == tuple(mul(wk, im, inverse(wk)) for im in a1), f"wrong table at k = {k}"
         assert fixes_boundary(t, g)
         seen.add(t)
+        # in basis q it is the same map, conjugation by sigma^-1(w^k)
+        a1q = ev.q.letter_table(letter(gen("a", 1)))
+        assert ev.q.boundary_conjugate(a1q, k) == to_prefix_basis(t), f"basis q, k = {k}"
     # conjugation by w^k determines k, 5 included: there is no search bound
     assert len(seen) == 9
+
+
+def test_prefix_basis_inverse_inverts_prefix_basis():
+    for g in range(1, 49):
+        sigma, sigma_inv = prefix_basis(g), prefix_basis_inverse(g)
+        assert compose(sigma_inv, sigma) == identity_table(g) == compose(sigma, sigma_inv), g
+        # q_k = x_1..x_k for odd k, x_k for even k
+        assert sigma[-1] == (tuple(range(1, g + 1)) if g % 2 else (g,))
+
+
+def test_prefix_basis_tables_are_conjugates_with_odd_images():
+    # every q_k is one-sided, so, as in basis x, each image has odd length
+    for g in range(3, 13):
+        env = expansion_env(g, 1)
+        ev = Evaluator(g, env)
+        sigma, sigma_inv = prefix_basis(g), prefix_basis_inverse(g)
+        assert ev.q.q is ev.q  # the sibling is already in basis q
+        # the basis-q boundary word is sigma^-1(w), fixed by every table
+        wq = ev.q.boundary
+        assert wq == xsub(boundary_word(g), sigma_inv)
+        gens = list(nonorientable_mcg_presentation(g, 1).generators) + list(env)
+        for gen_ in gens:
+            for sign in (1, -1):
+                c = letter(gen_, sign)
+                tq = ev.q.letter_table(c)
+                assert tq == compose(sigma_inv, compose(ev.letter_table(c), sigma)), (g, c)
+                assert all(len(im) % 2 for im in tq), (g, gen_.label(), sign)
+                assert xsub(wq, tq) == wq, (g, gen_.label(), sign)
 
 
 def test_boundary_word_is_crosscap_norm():

@@ -79,6 +79,31 @@ def test_tier3_refutes_a_corrupted_word():
     assert v.detail.startswith("Refuted: "), v.detail
 
 
+def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
+    # conjugation by sigma keeps table equality, so deciding every entry
+    # in basis x, and every entry in basis q, gives the verdicts of the rule
+    from nmcg.pi1_action import evaluator
+    from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
+
+    entries, routed = [], 0
+    for g in range(4, 13):
+        entries += [e for e in catalogue(g, 1) if e.tier in (1, 2)]
+        entries += [Entry(r.tag, r.params, g, 1, r.lhs, r.rhs, 1)
+                    for r in nonorientable_mcg_presentation(g, 1).relators]
+    rule = [verify_entry(e) for e in entries]
+    for e in entries:
+        ev = evaluator(e.genus, expansion_env(e.genus, 1))
+        fams = {gen_of(c).fam for c in e.lhs + e.rhs}
+        chosen = verify_mod._basis(ev, e)
+        assert chosen is (ev.q if "b" in fams and "u" not in fams else ev), e.label()
+        routed += chosen is not ev
+    assert routed > 250, routed
+    for pick in (lambda ev, e: ev, lambda ev, e: ev.q):
+        monkeypatch.setattr(verify_mod, "_basis", pick)
+        assert [verify_entry(e) for e in entries] == rule
+    assert all(v.ok for v in rule)
+
+
 def test_verify_catalogue_tier_filter():
     out = verify_catalogue(5, 1, tiers=(1,))
     assert out and all(v.tier == 1 for v in out)
