@@ -65,7 +65,9 @@ def smith_diagonal(rows, ncols) -> tuple:
             for r in col:
                 _add(r, k, -q * r[j])
         if len(col) == 1 and len(piv) == 1:
-            bad = next((r for r in m if any(v % d for v in r.values())), None)
+            # a unit divides every entry, so only |d| > 1 needs the scan
+            bad = None if abs(d) == 1 else next(
+                (r for r in m if any(v % d for v in r.values())), None)
             if bad is None:
                 diag.append(abs(d))
                 piv.clear()

@@ -35,6 +35,7 @@ from .presentations import (
     u,
     urun,
     urun_down,
+    urun_part,
     v_word,
 )
 
@@ -103,9 +104,9 @@ def punctured_entries(g: int) -> list:
             add("E1", (k, i), Factored(((dk, 1), (a(i), 1))),
                 Factored(((inverse(a(k - i)), 1), (dk, 1))))
         add("B6", (k,), dk, Factored(((dk1, 1), (urun_down(k - 1, 1), 1))))
-        add("B7", (k,), dk2, Factored(((urun(1, k - 1), k),)))
+        add("B7", (k,), dk2, Factored(((urun_part(k - 1), k),)))
         add("B8", (k,), dk2,
-            Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun(1, k - 1), 1))))
+            Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun_part(k - 1), 1))))
     stab = ()
     for m in range(g - 1, 0, -1):
         stab = concat(stab, urun(m, g - 2), power(u(g - 1), 2), urun_down(g - 2, m))
@@ -114,8 +115,8 @@ def punctured_entries(g: int) -> list:
     rg = r_word(g)
     add("E2", (), Factored(((rg, 2),)), dg2)
     for i in range(2, g):
-        add("E3", (i,), concat(rg, a(i)), concat(a(i), rg))
-        add("E4", (i,), concat(u(i), rg, u(i)), rg)
+        add("E3", (i,), Factored(((rg, 1), (a(i), 1))), Factored(((a(i), 1), (rg, 1))))
+        add("E4", (i,), Factored(((u(i), 1), (rg, 1), (u(i), 1))), rg)
     for rho in (2, 3):
         if g >= 2 * rho + 2:
             c1 = chain_word(rho - 1, 1)
@@ -169,7 +170,7 @@ def punctured_entries(g: int) -> list:
     # band only once the boundary is capped. It is tier 3 in
     # closed_entries; at (g,1) its word is Delta_{g-1}^2 (tier-1 B7(g-1))
     add("B7", (g, "closed"), dg2, (), twist=1)
-    add("B3", (), Factored(((urun(1, g - 1), g),)), (), twist=1)
+    add("B3", (), Factored(((urun_part(g - 1), g),)), (), twist=1)
     if g == 4:  # G1 holds exactly; G2 and G3 up to one boundary twist
         x3 = power(arun(1, 3), 3)
         add(

@@ -11,15 +11,18 @@ whose entry i-1 is the image of x_i.
 Every twist generator, a_i and each b_j (b_0 included), is built by one
 rule, curve_twist, from the two-sided curve through its crosscaps: i, i+1
 for a_i and 1..2j+2 for b_j. The crosscap transposition u_i is written
-out directly. Tests pin the tables of a_1, a_2, u_1 and b_1.
+out directly. Both builders are cached, so each a_i, u_i and b_j table is
+built once per genus and shared by every Evaluator of that genus,
+whatever its env. Tests pin the tables of a_1, a_2, u_1 and b_1.
 
 evaluate() composes generator tables in word order: the rightmost
 letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
 words.Factored word is evaluated from its parts: each part's table is
 raised to its power by repeated squaring (a negative power is the table
-of the inverse word), and the table of every Factored part is cached on
-the Evaluator next to its letter tables, so a shared factor such as the
-half-twist Delta_k is built once per (g, env).
+of the inverse word). The table of every Factored part is cached on the
+Evaluator per (part, exponent), next to its letter tables, so a shared
+factor such as the half-twist Delta_k, and its square, is built once per
+(g, env).
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -42,6 +45,7 @@ in CPython's free lists of even-length tuples.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 
 from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, power
 
@@ -51,6 +55,7 @@ def xsub(w: Word, table) -> Word:
     return mul(*(table[c - 1] if c > 0 else inverse(table[-c - 1]) for c in w))
 
 
+@lru_cache(maxsize=None)
 def identity_table(g: int):
     return tuple((i,) for i in range(1, g + 1))
 
@@ -110,9 +115,12 @@ def to_prefix_basis(table):
 
 
 def _one(g, images: dict):
-    return tuple(tuple(images.get(i, (i,))) for i in range(1, g + 1))
+    """Table with the given images; every other x_i keeps the identity's
+    image, one shared tuple per genus."""
+    return tuple(images.get(i, im) for i, im in enumerate(identity_table(g), 1))
 
 
+@lru_cache(maxsize=None)
 def crosscap_transposition(i: int, g: int, sign: int = 1):
     """u_i: slides crosscap i+1 through crosscap i."""
     if not 1 <= i <= g - 1:
@@ -122,6 +130,7 @@ def crosscap_transposition(i: int, g: int, sign: int = 1):
     return _one(g, {i: (i + 1,), i + 1: (-(i + 1), -(i + 1), i, i + 1, i + 1)})
 
 
+@lru_cache(maxsize=None)
 def curve_twist(k: int, m: int, g: int, sign: int = 1):
     """Dehn twist T^sign about the two-sided curve through crosscaps
     k..k+m-1 (m even): a_i is (i, 2) and b_j is (1, 2j+2). With
@@ -152,13 +161,16 @@ class Evaluator:
     """Evaluates words over presentation generators to tables.
 
     a_i and b_j are built by curve_twist and u_i by
-    crosscap_transposition; env maps the named elements (y1, y2, v, r_g,
-    c, d) to their defining words over a_i, u_i and b_j. Tables are
-    cached per letter, and per (Factored part, sign): a
-    Factored part is meant to be a shared factor, and its cached table
-    lives as long as the Evaluator. homology holds homology_action's
-    per-letter matrices, derived from these tables and env, so a mutated
-    env, which gets a fresh Evaluator from evaluator(), rebuilds them too.
+    crosscap_transposition, whose caches every Evaluator of genus g
+    shares; env maps the named elements (y1, y2, v, r_g, c, d) to their
+    defining words over a_i, u_i and b_j. Tables are cached per letter,
+    and per (Factored part, exponent k): a Factored part is meant to be a
+    shared factor, such as Delta_k or r_g, so part^k is built once, by
+    squaring the cached part^(+-1), and lives as long as the Evaluator.
+    A Factored word evaluated whole is not cached unless it is itself a
+    part. homology holds homology_action's per-letter matrices, derived
+    from these tables and env, so a mutated env, which gets a fresh
+    Evaluator from evaluator(), rebuilds them too.
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
@@ -175,7 +187,7 @@ class Evaluator:
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
         self._q = None if x is None else self
         self._cache = {}
-        self._parts = {}  # (id(part), sign) -> (part, table); part keeps its id
+        self._parts = {}  # (id(part), k) -> (part, table of part^k); part keeps its id
         self.homology = {}  # route -> {letter: letter matrix}
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
@@ -235,25 +247,33 @@ class Evaluator:
         return self._fold(self._power(part, k) for part, k in parts if k)
 
     def _power(self, part, k: int):
-        """Table of part^k (k != 0) by repeated squaring."""
-        sign = 1 if k > 0 else -1
-        if isinstance(part, Factored):
-            key = (id(part), sign)
-            hit = self._parts.get(key)
-            if hit is None:
-                inv = part.parts if sign == 1 else [(p, -e) for p, e in reversed(part.parts)]
-                hit = self._parts[key] = (part, self._product(inv))
-            t = hit[1]
-        else:
-            t = self.evaluate(part if sign == 1 else inverse(part))
-        k, acc = abs(k), None
-        while True:
-            if k & 1:
-                acc = t if acc is None else compose(acc, t)
-            k >>= 1
-            if not k:
-                return acc
-            t = compose(t, t)
+        """Table of part^k (k != 0). A Factored part's is cached per k,
+        built by repeated squaring of its cached part^(+-1)."""
+        if not isinstance(part, Factored):
+            return _table_power(self.evaluate(part if k > 0 else inverse(part)), abs(k))
+        key = (id(part), k)
+        hit = self._parts.get(key)
+        if hit is None:
+            if k == 1:
+                t = self._product(part.parts)
+            elif k == -1:
+                t = self._product([(p, -e) for p, e in reversed(part.parts)])
+            else:
+                t = _table_power(self._power(part, 1 if k > 0 else -1), abs(k))
+            hit = self._parts[key] = (part, t)
+        return hit[1]
+
+
+def _table_power(t, k: int):
+    """t^k (k >= 1) by repeated squaring."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = t if acc is None else compose(acc, t)
+        k >>= 1
+        if not k:
+            return acc
+        t = compose(t, t)
 
 
 _SHARED_MAX = 8
@@ -261,9 +281,10 @@ _shared = OrderedDict()  # (g, id(env)) -> (env, Evaluator), least recent first
 
 
 def evaluator(g: int, env=None) -> Evaluator:
-    """The shared Evaluator of (g, env object), so letter tables (b_j, y,
-    v, r_g) and Factored part tables, in basis x and in its sibling's
-    basis q, are built once across calls. A hit
+    """The shared Evaluator of (g, env object), so the tables of named
+    letters (y, v, r_g) and Factored parts, in basis x and in its
+    sibling's basis q, are built once across calls (those of a_i, u_i and
+    b_j once per genus, whatever the env). A hit
     costs one dict comparison with shared values, independent of the
     length of the env words; an env mutated since it was cached misses.
     At most _SHARED_MAX are kept, so callers that pass a fresh env each

@@ -30,7 +30,8 @@ from .words import gen_of, lit
 @lru_cache(maxsize=16)
 def _env(g: int, n: int) -> dict:
     """expansion_env(g, n), built once per surface so that pi1_action
-    reuses its letter tables across verdicts; nothing here mutates it."""
+    reuses its Evaluator, with its named-letter and part tables, across
+    verdicts; nothing here mutates it."""
     return expansion_env(g, n)
 
 

@@ -142,8 +142,21 @@ def free_reduce(seq: Iterable) -> Word:
     return tuple(out)
 
 
+class _Negations(dict):
+    """c -> -c, each negated letter made once: CPython caches only the
+    ints -5..256, so a fresh -c per inverse would be a new object in every
+    cached table image."""
+
+    def __missing__(self, c):
+        self[c] = n = -c
+        return n
+
+
+_negate = _Negations().__getitem__
+
+
 def inverse(word: Word) -> Word:
-    return tuple(-c for c in reversed(word))
+    return tuple(map(_negate, reversed(word)))
 
 
 def mul(*words: Word) -> Word:

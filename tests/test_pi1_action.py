@@ -11,6 +11,7 @@ from nmcg.pi1_action import (
     conjugation_table,
     curve_twist,
     evaluate,
+    evaluator,
     fixes_boundary,
     identity_table,
     prefix_basis,
@@ -26,7 +27,7 @@ from nmcg.presentations import (
     r_word,
     u,
 )
-from nmcg.words import Factored, free_reduce, gen, inverse, letter, lit, mul, parse, power
+from nmcg.words import Factored, free_reduce, gen, inverse, letter, lit, mul, named, parse, power
 
 _G = 4
 _letters = st.builds(
@@ -59,17 +60,30 @@ def test_xmul_of_reduced_parts_is_the_reduced_concatenation(parts):
 
 
 def test_factored_sides_evaluate_to_their_flat_words():
-    # part tables (cached, powers by squaring) against the flat letters
-    # evaluated one by one by an Evaluator that has cached nothing
+    # part tables (cached per exponent, powers by squaring) against the
+    # flat letters evaluated one by one by an Evaluator that has cached
+    # nothing
     checked = 0
     for g in list(range(4, 13)) + [16]:
         env = expansion_env(g, 1)
+        ev = evaluator(g, env)
         for e in catalogue(g, 1):
             for side in (e.lhs, e.rhs):
                 if isinstance(side, Factored):
                     flat = Evaluator(g, env).evaluate(tuple(side))
                     assert evaluate(side, g, env) == flat, (g, e.label())
+                    assert ev.evaluate(side) == flat, ("second evaluation", g, e.label())
                     checked += 1
+        if g > 8:
+            continue
+        # every cached part, at every exponent k in -3..4, is its flat power
+        parts = {id(part): part for part, _ in list(ev._parts.values())}
+        assert len(parts) >= 2 * g - 3, g  # Delta_k, u_1..u_m, r_g
+        for part in parts.values():
+            for k in (-3, -2, -1, 1, 2, 3, 4):
+                t = ev._power(part, k)
+                assert ev._parts[(id(part), k)][1] is t is ev._power(part, k)
+                assert t == Evaluator(g, env).evaluate(power(part, k)), (g, k)
     assert checked > 1000
 
 
@@ -86,6 +100,19 @@ def test_factored_negative_and_nested_powers():
     ):
         assert evaluate(w, g, env) == Evaluator(g, env).evaluate(tuple(w))
     assert Factored(((d5, 2), (d5, -2))) == ()
+
+
+def test_letter_tables_are_shared_by_every_evaluator_of_a_genus():
+    g = 6
+    env = expansion_env(g, 1)
+    other = dict(env)
+    other[named("y1")] = parse("b1 a3^-1")
+    e1, e2 = Evaluator(g, env), Evaluator(g, other)
+    for text in ("a1", "b1", "u2", "b2^-1"):
+        c = parse(text)[0]
+        assert e1.letter_table(c) is e2.letter_table(c), text
+    y1 = parse("y1")[0]
+    assert e1.letter_table(y1) != e2.letter_table(y1)
 
 
 def test_identity_table_shape():

@@ -14,10 +14,14 @@ from nmcg.presentations import (
     braid_presentation,
     delta_word,
     expansion_env,
+    arun,
     nonorientable_mcg_presentation,
+    r_word,
     slide_presentation,
     tietze_eliminate,
     urun,
+    urun_down,
+    urun_part,
 )
 from nmcg.words import Factored, concat, free_reduce, gen, gen_of, inverse, named, parse
 
@@ -30,6 +34,16 @@ def test_delta_word_is_the_flat_half_twist_recursion():
         dk = delta_word(k)
         assert isinstance(dk, Factored) and dk == flat and len(dk) == k * (k - 1) // 2
         assert delta_word(k) is dk, "one shared object per k"
+
+
+def test_r_word_and_the_u_run_are_shared_factored_parts():
+    for m in range(0, 21):
+        run = urun_part(m)
+        assert isinstance(run, Factored) and run == urun(1, m) and urun_part(m) is run
+    for g in range(2, 21):
+        rg = r_word(g)
+        assert isinstance(rg, Factored) and r_word(g) is rg
+        assert rg == concat(arun(1, g - 1), urun_down(g - 1, 1))
 
 
 def test_generator_inventory_grows_with_genus():

@@ -104,6 +104,42 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     assert all(v.ok for v in rule)
 
 
+def _cold_compose_count(monkeypatch, run):
+    """pi1_action.compose calls made by run() with no table cached: the
+    shared Evaluators and the per-genus letter tables are dropped first."""
+    import nmcg.pi1_action as pa
+
+    pa._shared.clear()
+    pa.curve_twist.cache_clear()
+    pa.crosscap_transposition.cache_clear()
+    calls, compose = [0], pa.compose
+
+    def counting(t1, t2):
+        calls[0] += 1
+        return compose(t1, t2)
+
+    monkeypatch.setattr(pa, "compose", counting)
+    run()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_shared_factors_bound_the_compose_count(monkeypatch):
+    # each shared factor (Delta_k and its square, u_1..u_m and its powers,
+    # r_g) is built once per surface: a cold verify at (20,1) made 7902
+    # composes when each entry rebuilt them
+    def punctured():
+        assert all(v.ok for v in verify_relators(20) + boundary_fixation(20)
+                   + verify_catalogue(20, 1))
+
+    n = _cold_compose_count(monkeypatch, punctured)
+    assert n <= 5100, n
+    # the closed entries fold sparse letter tables on purpose (composing
+    # two dense side tables costs more); their count is pinned
+    n = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
+    assert n == 2921, n
+
+
 def test_verify_catalogue_tier_filter():
     out = verify_catalogue(5, 1, tiers=(1,))
     assert out and all(v.tier == 1 for v in out)

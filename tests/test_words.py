@@ -62,6 +62,14 @@ def test_inverse_is_involution(w):
     assert inverse(inverse(w)) == w
 
 
+def test_inverses_share_each_negated_letter():
+    # ints outside -5..256 are fresh objects unless the kernel shares them
+    big = 10**6 + 7
+    w, v = inverse((3, big)), inverse((big, -big, 12))
+    assert w == (-big, -3) and v == (-12, big, -big)
+    assert w[0] is v[2]
+
+
 @given(_words)
 def test_word_times_inverse_cancels(w):
     assert free_reduce(concat(w, inverse(w))) == ()
