@@ -95,7 +95,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    print(pi1_action.format_tables(args.genus))
+    print(pi1_action.format_tables(args.genus), end="")
     return 0
 
 

@@ -8,13 +8,13 @@ homomorphism), cross-check each other mod 2:
   e_{i+1}, and the twist about the curve through crosscaps k..k+m-1
   (a_i: k = i, m = 2; b_j: k = 1, m = 2j+2) is the transvection by
   e_k+...+e_{k+m-1}, which for a_i is the same swap. A named letter is
-  the product over its env word.
+  the product over its word.
 * Z matrices abelianize the pi_1 letter tables. z_matrix_of_table
   abelianizes a whole table, the reference for the letterwise product.
 
-Each letter's matrix is built once per (g, env) and kept as the rows
+Each letter's matrix is built once per genus and kept as the rows
 (F_2) or columns (Z) where it differs from the identity, in the cache of
-the shared pi1_action.evaluator(g, env); a product rebuilds only those.
+the shared pi1_action.evaluator(g); a product rebuilds only those.
 
 Mapping classes preserve the mod-2 intersection form, which is the
 standard dot product in this basis: M^T M = I over F_2. Words of the
@@ -70,15 +70,11 @@ def f2_mul(A, B):
 
 
 def f2_matrix(word: Word, g: int, env=None):
-    """F2 matrix of a word, the product of its letters' matrices; named
-    letters are expanded via env."""
-    return _f2_product(*_route(g, env, "f2"), word)
-
-
-def _route(g: int, env, name: str):
-    """The shared Evaluator of (g, env) and its letter cache for one route."""
-    ev = pi1_action.evaluator(g, env)
-    return ev, ev.homology.setdefault(name, {})
+    """F2 matrix of a word, the product of its letters' matrices; a named
+    letter's is the product over its word. env, if given, is checked as
+    by pi1_action.evaluate."""
+    ev = pi1_action.checked_evaluator(g, env)
+    return _f2_product(ev, ev.homology.setdefault("f2", {}), word)
 
 
 def _f2_product(ev, cache, word: Word):
@@ -107,7 +103,7 @@ def _f2_letter(ev, cache, c: int):
     try:
         m = f2_generator(gen, ev.g)  # swaps and transvections square to I
     except KeyError:
-        w = ev.env.get(gen)
+        w = ev.words.get(gen)
         if w is None:
             raise
         m = _f2_product(ev, cache, w if c > 0 else inverse(w))
@@ -140,8 +136,10 @@ def z_matrix_of_table(table, g: int):
 
 def z_matrix(word: Word, g: int, env=None):
     """Z matrix of a word, the product of its letters' matrices; it equals
-    z_matrix_of_table(pi1_action.evaluate(word, g, env), g)."""
-    ev, cache = _route(g, env, "z")
+    z_matrix_of_table(pi1_action.evaluate(word, g), g). env, if given, is
+    checked as by pi1_action.evaluate."""
+    ev = pi1_action.checked_evaluator(g, env)
+    cache = ev.homology.setdefault("z", {})
     cols = [[int(r == c) for r in range(g)] for c in range(g)]
     for c in word:
         hit = cache.get(c)

@@ -12,8 +12,10 @@ Every twist generator, a_i and each b_j (b_0 included), is built by one
 rule, curve_twist, from the two-sided curve through its crosscaps: i, i+1
 for a_i and 1..2j+2 for b_j. The crosscap transposition u_i is written
 out directly. Both builders are cached, so each a_i, u_i and b_j table is
-built once per genus and shared by every Evaluator of that genus,
-whatever its env. Tests pin the tables of a_1, a_2, u_1 and b_1.
+built once per genus. Tests pin the tables of a_1, a_2, u_1 and b_1.
+The named letters (y1, y2, v, r_g, c, d) abbreviate words whose value
+depends on the genus alone, so one shared Evaluator per genus,
+evaluator(g), holds them all.
 
 evaluate() composes generator tables in word order: the rightmost
 letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
@@ -22,7 +24,7 @@ raised to its power by repeated squaring (a negative power is the table
 of the inverse word). The table of every Factored part is cached on the
 Evaluator per (part, exponent), next to its letter tables, so a shared
 factor such as the half-twist Delta_k, and its square, is built once per
-(g, env).
+genus.
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -44,9 +46,9 @@ in CPython's free lists of even-length tuples.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 
+from .presentations import expansion_env
 from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, power
 
 
@@ -162,15 +164,16 @@ class Evaluator:
 
     a_i and b_j are built by curve_twist and u_i by
     crosscap_transposition, whose caches every Evaluator of genus g
-    shares; env maps the named elements (y1, y2, v, r_g, c, d) to their
-    defining words over a_i, u_i and b_j. Tables are cached per letter,
-    and per (Factored part, exponent k): a Factored part is meant to be a
-    shared factor, such as Delta_k or r_g, so part^k is built once, by
-    squaring the cached part^(+-1), and lives as long as the Evaluator.
-    A Factored word evaluated whole is not cached unless it is itself a
-    part. homology holds homology_action's per-letter matrices, derived
-    from these tables and env, so a mutated env, which gets a fresh
-    Evaluator from evaluator(), rebuilds them too.
+    shares; words maps each named element of genus g (y1, y2, v, r_g, c,
+    d) to its defining word over a_i, u_i and b_j, the union of
+    expansion_env(g, 0) and expansion_env(g, 1), which agree on every
+    name they share. Tables are cached per letter, and per (Factored
+    part, exponent k): a Factored part is meant to be a shared factor,
+    such as Delta_k or r_g, so part^k is built once, by squaring the
+    cached part^(+-1), and lives as long as the Evaluator. A Factored
+    word evaluated whole is not cached unless it is itself a part.
+    homology holds homology_action's per-letter matrices, derived from
+    these tables and words.
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
@@ -181,9 +184,9 @@ class Evaluator:
     Evaluator's basis.
     """
 
-    def __init__(self, g: int, env=None, x=None):
+    def __init__(self, g: int, x=None):
         self.g = g
-        self.env = dict(env or {}) if x is None else x.env
+        self.words = {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
         self._q = None if x is None else self
         self._cache = {}
@@ -194,7 +197,7 @@ class Evaluator:
 
     @property
     def q(self) -> "Evaluator":
-        """The Evaluator of the same (g, env) in basis q: the sibling, or
+        """The Evaluator of the same genus in basis q: the sibling, or
         self if this one is in basis q already."""
         if self._q is None:
             self._q = Evaluator(self.g, x=self)
@@ -215,7 +218,7 @@ class Evaluator:
         elif gen.fam == "u":
             t = crosscap_transposition(gen.idx, g, sign)
         else:
-            word = self.env.get(gen)
+            word = self.words.get(gen)
             if word is None:
                 raise KeyError(f"no expansion for generator {gen.label()} at genus {g}")
             t = self.evaluate(word if sign == 1 else inverse(word))
@@ -276,35 +279,28 @@ def _table_power(t, k: int):
         t = compose(t, t)
 
 
-_SHARED_MAX = 8
-_shared = OrderedDict()  # (g, id(env)) -> (env, Evaluator), least recent first
+@lru_cache(maxsize=8)
+def evaluator(g: int) -> Evaluator:
+    """The shared Evaluator of genus g, so the tables of named letters
+    and Factored parts, in basis x and in its sibling's basis q, are
+    built once across calls."""
+    return Evaluator(g)
 
 
-def evaluator(g: int, env=None) -> Evaluator:
-    """The shared Evaluator of (g, env object), so the tables of named
-    letters (y, v, r_g) and Factored parts, in basis x and in its
-    sibling's basis q, are built once across calls (those of a_i, u_i and
-    b_j once per genus, whatever the env). A hit
-    costs one dict comparison with shared values, independent of the
-    length of the env words; an env mutated since it was cached misses.
-    At most _SHARED_MAX are kept, so callers that pass a fresh env each
-    time cannot grow memory."""
-    key = (g, id(env))
-    hit = _shared.get(key)
-    if hit is not None and hit[1].env == (env or {}):
-        _shared.move_to_end(key)
-        return hit[1]
-    ev = Evaluator(g, env)
-    _shared[key] = (env, ev)  # holding env keeps its id from being reused
-    _shared.move_to_end(key)
-    if len(_shared) > _SHARED_MAX:
-        _shared.popitem(last=False)
+def checked_evaluator(g: int, env=None) -> Evaluator:
+    """evaluator(g), once env, if given, is found to hold only genus g's
+    own named words: the words it would evaluate anyway."""
+    ev = evaluator(g)
+    for gen, word in (env or {}).items():
+        if ev.words.get(gen) != word:
+            raise ValueError(f"env gives {gen.label()} a word other than its own at genus {g}")
     return ev
 
 
 def evaluate(word: Word, g: int, env=None):
-    """Table of word, by the shared Evaluator of (g, env)."""
-    return evaluator(g, env).evaluate(word)
+    """Table of word, by the shared Evaluator of genus g; env, if given,
+    is only checked (checked_evaluator)."""
+    return checked_evaluator(g, env).evaluate(word)
 
 
 def fixes_boundary(table, g: int) -> bool:
@@ -326,5 +322,5 @@ def format_tables(g: int) -> str:
 
     gens = [Gen(f, i) for f in "au" for i in range(1, g)]
     gens += [Gen("b", j) for j in range((g - 2) // 2 + 1)]
-    ev = Evaluator(g)
+    ev = evaluator(g)
     return "".join(show(x.label(), ev.letter_table(letter(x))) + "\n" for x in gens)

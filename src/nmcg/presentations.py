@@ -439,17 +439,15 @@ def slide_presentation(g: int, n: int) -> Presentation:
     raise ValueError(f"no slide presentation for ({g},{n})")
 
 
-def tietze_eliminate(pres: Presentation, victim: Gen, relator_index=None) -> Presentation:
-    """Remove a generator using a relator in which it occurs exactly once."""
+def tietze_eliminate(pres: Presentation, victim: Gen) -> Presentation:
+    """Remove a generator using the first relator in which it occurs
+    exactly once."""
     v = letter(victim)
-    if relator_index is None:
-        for i, r in enumerate(pres.relators):
-            if sum(1 for c in r.word if abs(c) == v) == 1:
-                relator_index = i
-                break
-        else:
-            raise ValueError(f"no defining relator for {victim.label()}")
-    rel = pres.relators[relator_index]
+    for relator_index, rel in enumerate(pres.relators):
+        if sum(1 for c in rel.word if abs(c) == v) == 1:
+            break
+    else:
+        raise ValueError(f"no defining relator for {victim.label()}")
     w = rel.word
     pos = next(i for i, c in enumerate(w) if abs(c) == v)
     # w = p * victim^s * q = 1  =>  victim^s = p^-1 q^-1

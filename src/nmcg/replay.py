@@ -14,6 +14,7 @@ list of rewrite steps. The replayer executes the steps on a raw
   representation at the script's declared tier: T(start) == T(end) at
   tier 1, and at tier 2 T(start) == C o T(end), C conjugation by the
   power w^k of the boundary word that the script states as w_power.
+  verify.verify_entry decides it, as an entry at that tier.
 
 Scripts may depend on other scripts ("uses"); a dependency is replayed
 first and its conclusion becomes available as the relation
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .words import Word, parse_raw, fmt, free_reduce, inverse, concat, cyclic_reduce
-from .catalogue import relation_index
-from .verify import _env
-from . import pi1_action
+from .catalogue import Entry, relation_index
+from .verify import verify_entry
 
 SCRIPT_DIR = Path(__file__).parent / "fixtures" / "scripts"
 
@@ -144,9 +144,7 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         if "w_power" not in data:
             raise StepMismatch(name, last, "a tier-2 script must state its exponent w_power")
         k = data["w_power"]
-    ev = pi1_action.evaluator(g, _env(g, n))
-    start = ev.evaluate(parse_raw(data["start"]))
-    if start != ev.boundary_conjugate(ev.evaluate(tuple(end)), k):
+    if not verify_entry(Entry(name, (), g, n, parse_raw(data["start"]), tuple(end), tier, k)).ok:
         up_to = f" up to w^{k}" if tier == 2 else ""
         raise StepMismatch(name, last, f"endpoint fails tier-{tier} table equality{up_to}")
     report = ReplayReport(name, g, n, last, tier, k)

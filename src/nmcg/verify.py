@@ -8,7 +8,8 @@ words.Factored structure, so a shared factor's table is built once per
 surface. An entry whose letters include a b_j and no u_i is decided in
 the prefix basis q (pi1_action.Evaluator.q), where b_j tables are short,
 and w is written in that basis; every other entry in basis x.
-Presentation relators are checked as tier-1 entries on the same path.
+Presentation relators are checked as tier-1 entries on the same path,
+and replay endpoints as entries at their script's tier.
 Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
 Verified with the conjugator, or Refuted naming the generator whose
@@ -18,21 +19,12 @@ image fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import pi1_action
 from .catalogue import Entry, catalogue
 from .one_relator import VERIFIED, find_inner_conjugator
-from .presentations import expansion_env, nonorientable_mcg_presentation
+from .presentations import nonorientable_mcg_presentation
 from .words import gen_of, lit
-
-
-@lru_cache(maxsize=16)
-def _env(g: int, n: int) -> dict:
-    """expansion_env(g, n), built once per surface so that pi1_action
-    reuses its Evaluator, with its named-letter and part tables, across
-    verdicts; nothing here mutates it."""
-    return expansion_env(g, n)
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ def _basis(ev, e: Entry):
 
 def verify_entry(e: Entry) -> Verdict:
     g = e.genus
-    ev = pi1_action.evaluator(g, _env(g, e.boundary))
+    ev = pi1_action.evaluator(g)
 
     if e.tier in (1, 2):
         k = e.twist
@@ -103,10 +95,9 @@ def verify_relators(g: int) -> list:
 def boundary_fixation(g: int) -> list:
     """Each generator of the one-boundary group fixes the boundary word."""
     pres = nonorientable_mcg_presentation(g, 1)
-    env = _env(g, 1)
     out = []
     for gen_ in pres.generators:
-        table = pi1_action.evaluate(lit(gen_), g, env)
+        table = pi1_action.evaluate(lit(gen_), g)
         ok = pi1_action.fixes_boundary(table, g)
         detail = "fixes the boundary word" if ok else "moves the boundary word"
         out.append(Verdict(g, 1, gen_.label(), 1, ok, detail))

@@ -224,6 +224,7 @@ def test_tables(capsys):
     out = capsys.readouterr().out
     assert "a1" in out and "x1" in out
     assert any(line.startswith("b3: ") for line in out.splitlines())
+    assert out.endswith("\n") and not out.endswith("\n\n"), "one newline after the last table"
 
 
 def test_unknown_command_exits_2():

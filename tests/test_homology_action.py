@@ -77,20 +77,38 @@ def test_both_routes_match_the_table_route_on_every_relator(g):
             assert f2_matrix(r.word, g, env) == z_mod2(ref), f"({g},{n}) {r.text()}"
 
 
-def test_a_mutated_env_rebuilds_its_letter_matrices():
+def test_one_evaluator_per_genus_and_a_foreign_env_is_rejected(monkeypatch):
+    # a named letter means its genus's own word, so an env is only checked
     g = 5
     env = expansion_env(g, 1)
     w = parse("a1 y1 u2")
-    old = (f2_matrix(w, g, env), z_matrix(w, g, env))
-    old_q = evaluator(g, env).q.evaluate(w)
+    assert f2_matrix(w, g, env) == f2_matrix(w, g)
     env[named("y1")] = parse("b1 a3^-1")
-    new = (f2_matrix(w, g, env), z_matrix(w, g, env))
-    plain = parse("a1 b1 a3^-1 u2")
-    assert new == (f2_matrix(plain, g), z_matrix(plain, g))
-    assert new != old
-    # the basis-q tables are rebuilt too
-    new_q = evaluator(g, env).q.evaluate(w)
-    assert new_q == Evaluator(g).q.evaluate(plain) != old_q
+    for route in (evaluate, f2_matrix, z_matrix):
+        with pytest.raises(ValueError, match="y1"):
+            route(w, g, env)
+    assert evaluator(g) is evaluator(g)
+    # (g,0) and (g,1) share the Evaluator of genus g: a warm pass over
+    # the relators of both builds none
+    surfaces = [(g, n, nonorientable_mcg_presentation(g, n)) for g in range(3, 9) for n in (0, 1)]
+
+    def homology_pass():
+        for g, n, pres in surfaces:
+            env = expansion_env(g, n)
+            for r in pres.relators:
+                assert z_matrix(r.word, g, env) == z_matrix_of_table(evaluate(r.word, g, env), g)
+                assert f2_matrix(r.word, g, env) == z_mod2(z_matrix(r.word, g, env))
+
+    homology_pass()
+    builds, init = [0], Evaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "__init__", counting)
+    homology_pass()
+    assert builds[0] == 0
 
 
 @given(st.integers(1, 9).flatmap(

@@ -66,11 +66,11 @@ def test_factored_sides_evaluate_to_their_flat_words():
     checked = 0
     for g in list(range(4, 13)) + [16]:
         env = expansion_env(g, 1)
-        ev = evaluator(g, env)
+        ev = evaluator(g)
         for e in catalogue(g, 1):
             for side in (e.lhs, e.rhs):
                 if isinstance(side, Factored):
-                    flat = Evaluator(g, env).evaluate(tuple(side))
+                    flat = Evaluator(g).evaluate(tuple(side))
                     assert evaluate(side, g, env) == flat, (g, e.label())
                     assert ev.evaluate(side) == flat, ("second evaluation", g, e.label())
                     checked += 1
@@ -83,7 +83,7 @@ def test_factored_sides_evaluate_to_their_flat_words():
             for k in (-3, -2, -1, 1, 2, 3, 4):
                 t = ev._power(part, k)
                 assert ev._parts[(id(part), k)][1] is t is ev._power(part, k)
-                assert t == Evaluator(g, env).evaluate(power(part, k)), (g, k)
+                assert t == Evaluator(g).evaluate(power(part, k)), (g, k)
     assert checked > 1000
 
 
@@ -98,21 +98,35 @@ def test_factored_negative_and_nested_powers():
         Factored(((inner, -3), (r_word(g), 2), (inner, 1))),
         Factored(((d5, 0),)),
     ):
-        assert evaluate(w, g, env) == Evaluator(g, env).evaluate(tuple(w))
+        assert evaluate(w, g, env) == Evaluator(g).evaluate(tuple(w))
     assert Factored(((d5, 2), (d5, -2))) == ()
 
 
 def test_letter_tables_are_shared_by_every_evaluator_of_a_genus():
     g = 6
-    env = expansion_env(g, 1)
-    other = dict(env)
-    other[named("y1")] = parse("b1 a3^-1")
-    e1, e2 = Evaluator(g, env), Evaluator(g, other)
+    e1, e2 = Evaluator(g), Evaluator(g)
     for text in ("a1", "b1", "u2", "b2^-1"):
         c = parse(text)[0]
         assert e1.letter_table(c) is e2.letter_table(c), text
-    y1 = parse("y1")[0]
-    assert e1.letter_table(y1) != e2.letter_table(y1)
+
+
+def test_named_letters_take_their_genus_words():
+    # each named element abbreviates a word that depends on the genus
+    # alone: the (g,0) and (g,1) expansions agree wherever both name it
+    for g in range(1, 25):
+        closed, punctured = expansion_env(g, 0), expansion_env(g, 1)
+        for x in closed.keys() & punctured.keys():
+            assert closed[x] == punctured[x], (g, x.label())
+    # so, with no env, a named letter evaluates to the table of its word
+    first = {"y1": 2, "y2": 3, "v": 4, "r": 4, "c": 6}  # the least genus of each name
+    for g in range(2, 9):
+        words = {**expansion_env(g, 0), **expansion_env(g, 1)}
+        names = [f"r{g}" if x == "r" else x for x, low in first.items() if g >= low]
+        for label in names + (["d"] if g in (3, 4) else []):
+            x = lit(named(label))
+            w = words[named(label)]
+            assert evaluate(x, g) == evaluate(w, g), (g, label)
+            assert evaluate(inverse(x), g) == evaluate(inverse(w), g), (g, label)
 
 
 def test_identity_table_shape():
@@ -223,7 +237,7 @@ def test_prefix_basis_tables_are_conjugates_with_odd_images():
     # every q_k is one-sided, so, as in basis x, each image has odd length
     for g in range(3, 13):
         env = expansion_env(g, 1)
-        ev = Evaluator(g, env)
+        ev = Evaluator(g)
         sigma, sigma_inv = prefix_basis(g), prefix_basis_inverse(g)
         assert ev.q.q is ev.q  # the sibling is already in basis q
         # the basis-q boundary word is sigma^-1(w), fixed by every table

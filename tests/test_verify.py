@@ -83,7 +83,7 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     # conjugation by sigma keeps table equality, so deciding every entry
     # in basis x, and every entry in basis q, gives the verdicts of the rule
     from nmcg.pi1_action import evaluator
-    from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
+    from nmcg.presentations import nonorientable_mcg_presentation
 
     entries, routed = [], 0
     for g in range(4, 13):
@@ -92,7 +92,7 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
                     for r in nonorientable_mcg_presentation(g, 1).relators]
     rule = [verify_entry(e) for e in entries]
     for e in entries:
-        ev = evaluator(e.genus, expansion_env(e.genus, 1))
+        ev = evaluator(e.genus)
         fams = {gen_of(c).fam for c in e.lhs + e.rhs}
         chosen = verify_mod._basis(ev, e)
         assert chosen is (ev.q if "b" in fams and "u" not in fams else ev), e.label()
@@ -109,7 +109,7 @@ def _cold_compose_count(monkeypatch, run):
     shared Evaluators and the per-genus letter tables are dropped first."""
     import nmcg.pi1_action as pa
 
-    pa._shared.clear()
+    pa.evaluator.cache_clear()
     pa.curve_twist.cache_clear()
     pa.crosscap_transposition.cache_clear()
     calls, compose = [0], pa.compose
@@ -386,3 +386,24 @@ def test_src_imports_only_the_standard_library():
                       for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert len(list(root.rglob("*.py"))) >= 11
     assert not found, "non-stdlib imports in src/nmcg: " + ", ".join(found)
+
+
+def test_src_import_graph_has_no_cycle():
+    # each module's relative imports, at any depth, never lead back to it
+    import ast
+    from graphlib import CycleError, TopologicalSorter
+    from pathlib import Path
+
+    root = Path(verify_mod.__file__).resolve().parent
+    graph = {}
+    for path in sorted(root.glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from . import a, b" names modules; "from .a import x" names one
+                deps.update([node.module] if node.module else [a.name for a in node.names])
+    assert graph["pi1_action"] >= {"presentations", "words"}
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        raise AssertionError(f"import cycle in src/nmcg: {err.args[1]}") from None
