@@ -187,23 +187,3 @@ def is_identity_mod_boundary_class(M) -> bool:
             return False
     return True
 
-
-def det(M) -> int:
-    """Exact integer determinant (fraction-free elimination)."""
-    m = [row[:] for row in M]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

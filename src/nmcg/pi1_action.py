@@ -104,16 +104,9 @@ def prefix_basis_inverse(g: int):
 
 
 def to_prefix_basis(table):
-    """sigma^-1 o table o sigma: the same automorphism, written in basis q.
-    Its image of q_k = q_{k-2} x_{k-1} x_k (odd k) is built from that of
-    q_{k-2}, so each image is one product of three reduced parts."""
-    inv = prefix_basis_inverse(len(table))
-    out, qk = [], ()
-    for k, im in enumerate(table, 1):
-        if k % 2:
-            im = qk = mul(qk, table[k - 2], im) if k > 1 else im
-        out.append(xsub(im, inv))
-    return tuple(out)
+    """sigma^-1 o table o sigma: the same automorphism, written in basis q."""
+    g = len(table)
+    return compose(prefix_basis_inverse(g), compose(table, prefix_basis(g)))
 
 
 def _one(g, images: dict):
@@ -177,9 +170,10 @@ class Evaluator:
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
-    of c is to_prefix_basis(letter_table(c)), built once per letter. In
-    basis q the b_j curve is the two-letter word q_{2j+1} q_{2j+2}, so a
-    b_j table has short images, where in basis x every interior image is
+    of c is to_prefix_basis(T) = sigma^-1 o T o sigma, two compositions
+    with the basis-x letter table T, built once per letter. In basis q
+    the b_j curve is the two-letter word q_{2j+1} q_{2j+2}, so a b_j
+    table has short images, where in basis x every interior image is
     conjugated by the curve. boundary is the boundary word in the
     Evaluator's basis.
     """

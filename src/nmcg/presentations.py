@@ -362,10 +362,8 @@ def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
     gens += [gen("u", i) for i in range(1, g)]
     gens += [gen("b", j) for j in range(0, (g - 2) // 2 + 1)]
     gens.sort(key=gen_sort_key)
-    rels = _twist_relators(g) + _braid_relators(g, False) + _crosscap_relators(g)
+    rels = _twist_relators(g) + _braid_relators(g, n == 0) + _crosscap_relators(g)
     if n == 0:
-        rels.append(_rel("B3", (), power(urun(1, g - 1), g)))
-        rels.append(_rel("B4", (), power(urun(1, g - 2), g - 1)))
         mid = concat(arun(2, g - 1), urun_down(g - 1, 2))
         rels.append(_rel("D", (), concat(a(1), mid, a(1)), mid))
     order = {

@@ -201,11 +201,6 @@ class Factored(tuple):
         return self
 
 
-def conjugate(word: Word, by: Word) -> Word:
-    """by * word * by^-1."""
-    return concat(by, word, inverse(by))
-
-
 def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     """Return (core, prefix) with word = prefix * core * prefix^-1.
 
@@ -231,15 +226,6 @@ def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
         return img if c > 0 else inverse(img)
 
     return concat(*map(piece, word))
-
-
-def gens_of(word: Word) -> set:
-    return {gen_of(c) for c in word}
-
-
-def exponent_sums(word: Word, order: list) -> list:
-    """Exponent sum of each generator in `order` (abelianization row)."""
-    return exponent_matrix([(word, ())], order)[0]
 
 
 def exponent_matrix(equations, order: list) -> list:

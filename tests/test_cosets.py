@@ -66,6 +66,12 @@ def test_cap_exceeded():
         coset_enumeration(free, max_cosets=50)
 
 
+def test_a_lookahead_sweep_rescues_a_capped_enumeration():
+    # both fill a cap of 7 only by freeing dead cosets and retrying
+    assert coset_enumeration(braid_presentation(3, spherical=True), max_cosets=7).index() == 6
+    assert group_order(_S3, max_cosets=7) == 6
+
+
 def test_csv_dump():
     table = coset_enumeration(_S3, subgroup=(parse("a1"),))
     lines = table.to_csv().strip().splitlines()

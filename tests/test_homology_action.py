@@ -4,8 +4,8 @@ form, and the twist-lattice identity test."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nmcg.abelianized import smith_diagonal
 from nmcg.homology_action import (
-    det,
     f2_generator,
     f2_identity,
     f2_matrix,
@@ -142,7 +142,7 @@ def test_generator_matrices_are_unimodular_and_form_preserving():
             # the direct F2 rule (swap or curve transvection) against the
             # curve-built pi_1 table, abelianized
             assert f2_matrix(lit(gen_), g, env) == z_mod2(mz), f"{gen_.label()} at g={g}"
-            assert det(mz) in (1, -1), f"{gen_.label()} not unimodular at g={g}"
+            assert smith_diagonal(mz, g) == (1,) * g, f"{gen_.label()} not unimodular at g={g}"
             assert preserves_mod2_form(z_mod2(mz)), (
                 f"{gen_.label()} breaks the mod-2 form at g={g}"
             )
@@ -182,9 +182,18 @@ def test_identity_mod_twist_lattice():
 def test_twist_matrix_pins():
     # the elementary twist a1 acts on crosscap classes by a transvection
     m = z_matrix(parse("a1"), 3)
-    assert det(m) in (1, -1)
+    assert smith_diagonal(m, 3) == (1,) * 3
     assert m != z_matrix_of_table(identity_table(3), 3)
     assert z_matrix(parse("a1*a1^-1"), 3) == z_matrix_of_table(identity_table(3), 3)
+
+
+def test_every_route_rejects_a_named_letter_its_genus_lacks():
+    # c is named from genus 6 on, and r_g only at genus g
+    for route in (evaluate, f2_matrix, z_matrix):
+        with pytest.raises(KeyError, match=" c"):
+            route(parse("c"), 5)
+    with pytest.raises(KeyError, match=" r5 at genus 4"):
+        evaluate(parse("r5"), 4)
 
 
 @pytest.mark.parametrize("label", ["u0", "u4", "a0", "a4", "b2"])

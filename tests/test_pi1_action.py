@@ -53,12 +53,6 @@ _images = st.one_of(
 _tables = st.lists(_images, min_size=_G, max_size=_G).map(tuple)
 
 
-@given(st.lists(st.lists(_xletters, max_size=12).map(free_reduce), max_size=6))
-def test_xmul_of_reduced_parts_is_the_reduced_concatenation(parts):
-    # the kernel product, on the crosscap alphabet the tables use
-    assert mul(*parts) == free_reduce(sum(parts, ()))
-
-
 def test_factored_sides_evaluate_to_their_flat_words():
     # part tables (cached per exponent, powers by squaring) against the
     # flat letters evaluated one by one by an Evaluator that has cached
@@ -248,7 +242,8 @@ def test_prefix_basis_tables_are_conjugates_with_odd_images():
             for sign in (1, -1):
                 c = letter(gen_, sign)
                 tq = ev.q.letter_table(c)
-                assert tq == compose(sigma_inv, compose(ev.letter_table(c), sigma)), (g, c)
+                # tq intertwines: sigma o tq = T o sigma
+                assert compose(sigma, tq) == compose(ev.letter_table(c), sigma), (g, c)
                 assert all(len(im) % 2 for im in tq), (g, gen_.label(), sign)
                 assert xsub(wq, tq) == wq, (g, gen_.label(), sign)
 

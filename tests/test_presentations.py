@@ -164,6 +164,24 @@ def test_tietze_eliminate_toy():
     assert h1(out).torsion == (6,) == h1(pres).torsion
 
 
+def test_tietze_eliminate_inverted_victim():
+    # a2 a1^-1 a2 = 1 defines a1 through its inverse: a1 = a2^2
+    p, q = gen("a", 1), gen("a", 2)
+    pres = Presentation(
+        genus=0,
+        boundary=0,
+        generators=(p, q),
+        relators=(
+            Relator("def", (), parse("a2*a1^-1*a2"), ()),
+            Relator("ord", (), parse("a1*a1*a1"), ()),
+        ),
+    )
+    out = tietze_eliminate(pres, p)
+    assert [x.label() for x in out.generators] == ["a2"]
+    assert [r.word for r in out.relators] == [parse("a2^6")]
+    assert h1(out).torsion == (6,) == h1(pres).torsion
+
+
 def test_tietze_eliminate_removes_generator_everywhere():
     pres = nonorientable_mcg_presentation(6, 1)
     out = tietze_eliminate(pres, gen("b", 2))

@@ -407,3 +407,31 @@ def test_src_import_graph_has_no_cycle():
         list(TopologicalSorter(graph).static_order())
     except CycleError as err:
         raise AssertionError(f"import cycle in src/nmcg: {err.args[1]}") from None
+
+
+def test_every_src_definition_is_named_outside_the_tests():
+    # a top-level def or class in src/nmcg that no module of src/nmcg or
+    # bench names (as a name, an attribute or an import) is reached only
+    # by tests: delete it, and move its tests onto the code that remains
+    import ast
+    from pathlib import Path
+
+    src = Path(verify_mod.__file__).resolve().parent
+    bench = sorted((src.parents[1] / "bench").glob("*.py"))
+    assert bench, "bench/*.py not found next to src/"
+    defined, named = [], set()
+    for path in sorted(src.glob("*.py")) + bench:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent == src:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.stem, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = sorted(f"{mod}.{name}" for mod, name in defined if name not in named)
+    assert unused == [], f"defined in src/nmcg but named only by tests: {unused}"
