@@ -11,8 +11,6 @@ tier 3: the relator becomes an inner automorphism of the one-relator
         reduction, which finds the conjugator or names the generator
         whose image rules it out (needs g >= 4 for the small-cancellation
         condition).
-tier 0: not representation-verifiable here (small-genus closed cases);
-        covered by coset enumeration and homology instead.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .presentations import (
     u,
     urun,
     urun_down,
-    urun_part,
     v_word,
 )
 
@@ -104,9 +101,9 @@ def punctured_entries(g: int) -> list:
             add("E1", (k, i), Factored(((dk, 1), (a(i), 1))),
                 Factored(((inverse(a(k - i)), 1), (dk, 1))))
         add("B6", (k,), dk, Factored(((dk1, 1), (urun_down(k - 1, 1), 1))))
-        add("B7", (k,), dk2, Factored(((urun_part(k - 1), k),)))
+        add("B7", (k,), dk2, Factored(((urun(1, k - 1), k),)))
         add("B8", (k,), dk2,
-            Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun_part(k - 1), 1))))
+            Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun(1, k - 1), 1))))
     stab = ()
     for m in range(g - 1, 0, -1):
         stab = concat(stab, urun(m, g - 2), power(u(g - 1), 2), urun_down(g - 2, m))
@@ -170,7 +167,7 @@ def punctured_entries(g: int) -> list:
     # band only once the boundary is capped. It is tier 3 in
     # closed_entries; at (g,1) its word is Delta_{g-1}^2 (tier-1 B7(g-1))
     add("B7", (g, "closed"), dg2, (), twist=1)
-    add("B3", (), Factored(((urun_part(g - 1), g),)), (), twist=1)
+    add("B3", (), Factored(((urun(1, g - 1), g),)), (), twist=1)
     if g == 4:  # G1 holds exactly; G2 and G3 up to one boundary twist
         x3 = power(arun(1, 3), 3)
         add(

@@ -147,6 +147,9 @@ def main(argv=None) -> int:
         parser.error("closed-surface verification needs genus >= 4")
     if getattr(args, "max_cosets", 1) < 1:
         parser.error("--max-cosets must be >= 1")
+    unknown = [x for x in getattr(args, "names", ()) if x not in replay.available_scripts()]
+    if unknown:
+        parser.error(f"no replay script named {', '.join(map(repr, unknown))}")
     try:
         rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -32,10 +32,6 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    def permutation(self, i: int) -> tuple:
-        """Action of generator i on cosets, as an image tuple."""
-        return tuple(row[2 * i] for row in self.rows)
-
     def to_csv(self) -> str:
         head = ["coset"]
         for gen in self.generators:

@@ -21,10 +21,11 @@ evaluate() composes generator tables in word order: the rightmost
 letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
 words.Factored word is evaluated from its parts: each part's table is
 raised to its power by repeated squaring (a negative power is the table
-of the inverse word). The table of every Factored part is cached on the
-Evaluator per (part, exponent), next to its letter tables, so a shared
-factor such as the half-twist Delta_k, and its square, is built once per
-genus.
+of the inverse word). The table of every part is cached on the Evaluator
+per (part, exponent), keyed on the part's letters: evaluation is a
+homomorphism, so equal words have equal tables, and a shared factor such
+as the half-twist Delta_k, and its square, is built once per genus
+whichever object holds it.
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -160,11 +161,12 @@ class Evaluator:
     shares; words maps each named element of genus g (y1, y2, v, r_g, c,
     d) to its defining word over a_i, u_i and b_j, the union of
     expansion_env(g, 0) and expansion_env(g, 1), which agree on every
-    name they share. Tables are cached per letter, and per (Factored
-    part, exponent k): a Factored part is meant to be a shared factor,
-    such as Delta_k or r_g, so part^k is built once, by squaring the
-    cached part^(+-1), and lives as long as the Evaluator. A Factored
-    word evaluated whole is not cached unless it is itself a part.
+    name they share. Tables are cached per letter, and per (part,
+    exponent k) of a Factored word, keyed on the part's letters: a part
+    is meant to be a shared factor, such as Delta_k, u_1..u_m or r_g, so
+    part^k is built once, by squaring the cached part^(+-1), and lives as
+    long as the Evaluator. A Factored word evaluated whole is not cached
+    itself; it reuses the table of a cached part with its letters.
     homology holds homology_action's per-letter matrices, derived from
     these tables and words.
 
@@ -184,7 +186,7 @@ class Evaluator:
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
         self._q = None if x is None else self
         self._cache = {}
-        self._parts = {}  # (id(part), k) -> (part, table of part^k); part keeps its id
+        self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
         self.homology = {}  # route -> {letter: letter matrix}
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
@@ -230,8 +232,8 @@ class Evaluator:
 
     def evaluate(self, word: Word):
         if isinstance(word, Factored):
-            hit = self._parts.get((id(word), 1))
-            return hit[1] if hit is not None else self._product(word.parts)
+            hit = self._parts.get((word, 1))
+            return hit if hit is not None else self._product(word.parts)
         return self._fold(map(self.letter_table, word))
 
     def _fold(self, tables):
@@ -244,21 +246,20 @@ class Evaluator:
         return self._fold(self._power(part, k) for part, k in parts if k)
 
     def _power(self, part, k: int):
-        """Table of part^k (k != 0). A Factored part's is cached per k,
-        built by repeated squaring of its cached part^(+-1)."""
-        if not isinstance(part, Factored):
-            return _table_power(self.evaluate(part if k > 0 else inverse(part)), abs(k))
-        key = (id(part), k)
-        hit = self._parts.get(key)
-        if hit is None:
-            if k == 1:
-                t = self._product(part.parts)
-            elif k == -1:
-                t = self._product([(p, -e) for p, e in reversed(part.parts)])
-            else:
+        """Table of part^k (k != 0), cached per (letters of part, k):
+        |k| > 1 squares the cached part^(+-1); part^(+-1) is the product
+        of a Factored part's parts, or the fold of a plain part's letters."""
+        key = (part, k)
+        t = self._parts.get(key)
+        if t is None:
+            if abs(k) > 1:
                 t = _table_power(self._power(part, 1 if k > 0 else -1), abs(k))
-            hit = self._parts[key] = (part, t)
-        return hit[1]
+            elif isinstance(part, Factored):
+                t = self._product(part.parts if k > 0 else [(p, -e) for p, e in part.parts[::-1]])
+            else:
+                t = self._fold(map(self.letter_table, part if k > 0 else inverse(part)))
+            self._parts[key] = t
+        return t
 
 
 def _table_power(t, k: int):

@@ -65,24 +65,17 @@ def urun_down(i: int, j: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def urun_part(m: int) -> Factored:
-    """u_1..u_m as one shared Factored part, so an Evaluator builds its
-    table, and each power of it, once per surface."""
-    return Factored(((urun(1, m), 1),))
-
-
-@lru_cache(maxsize=None)
 def delta_word(k: int) -> Factored:
-    """Half-twist Delta_k = (u_1..u_{k-1}) * Delta_{k-1}, empty for k <= 1;
-    one shared Factored per k, so an Evaluator builds its table once."""
+    """Half-twist Delta_k = (u_1..u_{k-1}) * Delta_{k-1}, empty for k <= 1.
+    Cached so that the recursion builds each Delta_k once."""
     if k <= 1:
         return Factored(())
-    return Factored(((urun_part(k - 1), 1), (delta_word(k - 1), 1)))
+    return Factored(((urun(1, k - 1), 1), (delta_word(k - 1), 1)))
 
 
 @lru_cache(maxsize=None)
 def r_word(g: int) -> Factored:
-    """r_g = a_1..a_{g-1} u_{g-1}..u_1, one shared Factored per g."""
+    """r_g = a_1..a_{g-1} u_{g-1}..u_1, built once per g."""
     return Factored(((arun(1, g - 1), 1), (urun_down(g - 1, 1), 1)))
 
 

@@ -219,6 +219,18 @@ def test_replay_named(capsys):
     assert "transport_u2" in out and "steps=2" in out
 
 
+@pytest.mark.parametrize("name", ["nosuch", "../x"])
+def test_replay_rejects_a_name_that_is_no_script(name, capsys):
+    # a name outside replay.available_scripts() is a usage error; it is
+    # never joined onto the script directory
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "transport_u2", name])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"no replay script named {name!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_tables(capsys):
     assert main(["tables", "-g", "8"]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,7 @@ from nmcg.presentations import (
     braid_presentation,
     nonorientable_mcg_presentation,
 )
-from nmcg.words import gen, gen_of, letter, lit, parse
+from nmcg.words import gen, gen_of, letter, parse
 
 
 def _pres(relator_texts, gens):
@@ -46,17 +46,18 @@ def test_permutation_action_is_consistent():
     table = coset_enumeration(_S3, subgroup=(parse("a1"),))
     pos = {letter(x): i for i, x in enumerate(_S3.generators)}
     for g_, i in pos.items():
-        perm = table.permutation(i)
+        # columns 2i and 2i+1 of the rows are the actions of gen_i and gen_i^-1
+        perm = [row[2 * i] for row in table.rows]
         assert sorted(perm) == list(range(table.index())), (
             f"{gen_of(g_).label()} is not a permutation of the cosets"
         )
+        assert all(table.rows[perm[c]][2 * i + 1] == c for c in range(table.index()))
     # relators act trivially on the coset space
     for r in _S3.relators:
         for c in range(table.index()):
             image = c
             for x in reversed(r.word):
-                perm = table.permutation(pos[abs(x)])
-                image = perm[image] if x > 0 else perm.index(image)
+                image = table.rows[image][2 * pos[abs(x)] + (x < 0)]
             assert image == c, f"{r.tag} moves coset {c}"
 
 

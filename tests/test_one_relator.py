@@ -1,8 +1,6 @@
 """One-relator quotient of the crosscap generators: Dehn reduction,
 quotient equality, and the exact innerness decision."""
 
-import pytest
-
 from nmcg.one_relator import (
     REFUTED,
     VERIFIED,

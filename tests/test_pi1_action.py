@@ -26,6 +26,7 @@ from nmcg.presentations import (
     nonorientable_mcg_presentation,
     r_word,
     u,
+    urun,
 )
 from nmcg.words import Factored, free_reduce, gen, inverse, letter, lit, mul, named, parse, power
 
@@ -71,14 +72,31 @@ def test_factored_sides_evaluate_to_their_flat_words():
         if g > 8:
             continue
         # every cached part, at every exponent k in -3..4, is its flat power
-        parts = {id(part): part for part, _ in list(ev._parts.values())}
+        parts = {part for part, _ in ev._parts}
         assert len(parts) >= 2 * g - 3, g  # Delta_k, u_1..u_m, r_g
-        for part in parts.values():
+        for part in parts:
             for k in (-3, -2, -1, 1, 2, 3, 4):
                 t = ev._power(part, k)
-                assert ev._parts[(id(part), k)][1] is t is ev._power(part, k)
+                assert ev._parts[(part, k)] is t is ev._power(part, k)
                 assert t == Evaluator(g).evaluate(power(part, k)), (g, k)
     assert checked > 1000
+
+
+def test_equal_parts_share_one_cached_table(monkeypatch):
+    # the part cache is keyed on letters: a second object with the same
+    # letters, Factored or plain, reuses the first one's tables
+    import nmcg.pi1_action as pa
+
+    g = 7
+    p1, p2 = (Factored(((urun(1, 4), 1), (delta_word(4), 1))) for _ in "12")
+    assert p1 == p2 and p1 is not p2
+    ev = Evaluator(g)
+    t = ev.evaluate(Factored(((p1, 3),)))
+    calls, compose = [], pa.compose
+    monkeypatch.setattr(pa, "compose", lambda t1, t2: calls.append(1) or compose(t1, t2))
+    again = [ev.evaluate(Factored(((p2, 3),))), ev.evaluate(Factored(((tuple(p1), 3),)))]
+    assert not calls, f"{len(calls)} composes for a part already cached"
+    assert all(a is t for a in again)
 
 
 def test_factored_negative_and_nested_powers():

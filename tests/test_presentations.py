@@ -3,8 +3,6 @@ Tietze elimination, and the serialization surface."""
 
 import json
 
-import pytest
-
 from nmcg.abelianized import h1
 from nmcg.cosets import group_order
 from nmcg.presentations import (
@@ -21,7 +19,6 @@ from nmcg.presentations import (
     tietze_eliminate,
     urun,
     urun_down,
-    urun_part,
 )
 from nmcg.words import Factored, concat, free_reduce, gen, gen_of, inverse, named, parse
 
@@ -36,10 +33,7 @@ def test_delta_word_is_the_flat_half_twist_recursion():
         assert delta_word(k) is dk, "one shared object per k"
 
 
-def test_r_word_and_the_u_run_are_shared_factored_parts():
-    for m in range(0, 21):
-        run = urun_part(m)
-        assert isinstance(run, Factored) and run == urun(1, m) and urun_part(m) is run
+def test_r_word_is_a_shared_factored_part():
     for g in range(2, 21):
         rg = r_word(g)
         assert isinstance(rg, Factored) and r_word(g) is rg

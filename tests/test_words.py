@@ -1,6 +1,5 @@
 """Free-group word layer: reduction, parsing, and the algebra helpers."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from nmcg.words import (
