@@ -11,6 +11,9 @@ tier 3: the relator becomes an inner automorphism of the one-relator
         reduction, which finds the conjugator or names the generator
         whose image rules it out (needs g >= 4 for the small-cancellation
         condition).
+
+The relations of the presentations of (3,1) and (4,0) that carry the
+crosscap slide d are entries here, tagged smallgenus.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .presentations import (
     lantern_d_word,
     nonorientable_mcg_presentation,
     r_word,
-    slide_presentation,
     u,
     urun,
     urun_down,
@@ -155,12 +157,16 @@ def punctured_entries(g: int) -> list:
             a(4), a(5), inverse(u(4)), v, u(4), v, inverse(a(5)), inverse(a(4))
         )
         add("inS2", (), lhs, rhs)
-    if g == 2:
-        y1 = lit(named("y1"))
-        add("smallgenus", ("2,1", "1"), concat(a(1), y1, a(1)), y1)
-    if g == 3:
-        for r in slide_presentation(3, 1).relators:
-            add(r.tag, r.params, r.lhs, r.rhs)
+    if g == 3:  # the presentation of (3,1) on a_1, a_2, u_2 and the crosscap slide d
+        d = lit(named("d"))
+        sg = lambda k, lhs, rhs: add("smallgenus", ("g3n1", k), lhs, rhs)
+        sg("i", concat(a(2), d), concat(d, a(2)))
+        sg("ii", concat(a(2), a(1), a(2)), concat(a(1), a(2), a(1)))
+        sg("iii", concat(d, a(1), d), concat(a(1), d, a(1)))
+        sg("iv", concat(u(2), a(2), inverse(u(2))), inverse(a(2)))
+        sg("v", concat(u(2), a(1), inverse(u(2))), concat(a(1), inverse(d), inverse(a(1))))
+        sg("vi", power(concat(d, u(2)), 2), power(concat(u(2), d), 2))
+        sg("vii", power(concat(d, u(2)), 2), power(concat(a(2), d, d, a(1)), 3))
     # tier 2: relations of the capped surface, which hold at (g,1) up to
     # the stated power of the boundary twist. B4 is not one: it twists
     # about the curve around crosscaps 1..g-1, which bounds a Moebius
@@ -217,7 +223,19 @@ def closed_entries(g: int) -> list:
         add("chain3", ("delta",), lhs, _chain3_rhs_delta(), 1)
         add("chain3", ("r",), lhs, concat(rg, b(1), rg))
     if g == 4:
-        add("G3a", (), power(concat(b(1), lit(named("r4"))), 2))
+        r4, d = lit(named("r4")), lit(named("d"))
+        add("G3a", (), power(concat(b(1), r4), 2))
+        # the presentation of (4,0) on a_i, u_i, b, r_4 and the crosscap slide d
+        sg = lambda k, tier, lhs, rhs=(): add("smallgenus", ("g4n0", k), lhs, rhs, tier)
+        sg("i", 1, r4, concat(arun(1, 3), urun_down(3, 1)))
+        sg("ii", 1, concat(u(3), a(2), inverse(u(3))), concat(a(2), inverse(d), inverse(a(2))))
+        sg("iii", 3, power(u(1), 2), power(u(3), 2))
+        sg("iv", 3, power(concat(u(3), b(1)), 2))
+        sg("v", 3, power(concat(u(3), d), 2))
+        sg("vi", 1, concat(d, a(3)), concat(a(3), d))
+        sg("vii", 1, concat(d, a(2), d), concat(a(2), d, a(2)))
+        sg("viii", 3, power(concat(d, a(2), a(3)), 4))
+        sg("ix", 3, concat(u(3), d, inverse(u(3))), concat(u(1), d, inverse(u(1))))
     if g == 6:
         d = lantern_d_word()
         add(
@@ -232,12 +250,6 @@ def closed_entries(g: int) -> list:
             concat(inverse(c_word()), inverse(u(5)), d, u(5), c_word()),
             concat(inverse(u(5)), d, u(5)),
         )
-    if g == 4:
-        for r in slide_presentation(4, 0).relators:
-            if r.tag == "smallgenus":
-                k = r.params[1]
-                tier = 1 if k in ("i", "ii", "vi", "vii") else 3
-                E.append(Entry(r.tag, r.params, 4, 0, r.lhs, r.rhs, tier))
     return E
 
 

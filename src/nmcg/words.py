@@ -35,7 +35,6 @@ from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 _FAMS = ("a", "u", "b", "x")
-_FAM_RANK = {"a": 0, "u": 1, "b": 2, "x": 3, "n": 4}
 
 
 class Gen(NamedTuple):
@@ -61,10 +60,6 @@ def named(name: str) -> Gen:
     if not name:
         raise ValueError("named generator needs a nonempty name")
     return Gen("n", 0, name)
-
-
-def gen_sort_key(g: Gen):
-    return (_FAM_RANK[g.fam], g.idx, g.name)
 
 
 _ids = {}  # Gen -> its positive letter
@@ -207,12 +202,11 @@ def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     The input must already be freely reduced; the core is cyclically
     reduced (first and last letters are not mutually inverse).
     """
-    w = free_reduce(word)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
+    i, j = 0, len(word)
+    while j - i >= 2 and word[i] == -word[j - 1]:
         i += 1
         j -= 1
-    return w[i:j], w[:i]
+    return word[i:j], word[:i]
 
 
 def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:

@@ -35,6 +35,13 @@ def test_verify_relators_counts_match_presentation():
         assert all(isinstance(v, Verdict) and v.ok for v in out)
 
 
+def test_no_label_is_verified_twice_at_one_boundary():
+    for g in range(1, 13):
+        labels = [v.label for v in verify_relators(g)] + [e.label() for e in catalogue(g, 1)]
+        twice = sorted({x for x in labels if labels.count(x) > 1})
+        assert not twice, f"labels reported twice at ({g},1): {twice}"
+
+
 def test_boundary_fixation_covers_all_generators():
     from nmcg.presentations import nonorientable_mcg_presentation
 

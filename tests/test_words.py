@@ -10,7 +10,6 @@ from nmcg.words import (
     free_reduce,
     gen,
     gen_of,
-    gen_sort_key,
     inverse,
     letter,
     lit,
@@ -149,12 +148,6 @@ def test_exponent_sums_counts_signs():
     order = [gen("a", 1), gen("u", 2)]
     assert exponent_matrix([(parse("a1*a1*u2^-1"), ())], order)[0] == [2, -1]
     assert exponent_matrix([((), ())], order)[0] == [0, 0]
-
-
-def test_gen_sort_key_orders_families_then_indices():
-    word = parse("u1*a2*b1*a1*x1")
-    labels = [g.label() for g in sorted({gen_of(c) for c in word}, key=gen_sort_key)]
-    assert labels == ["a1", "a2", "u1", "b1", "x1"]
 
 
 def test_lit_sign():
