@@ -25,7 +25,9 @@ of the inverse word). The table of every part is cached on the Evaluator
 per (part, exponent), keyed on the part's letters: evaluation is a
 homomorphism, so equal words have equal tables, and a shared factor such
 as the half-twist Delta_k, and its square, is built once per genus
-whichever object holds it.
+whichever object holds it. A leading one-letter part, such as u_{k-i}
+in u_{k-i} Delta_k (B5), is spliced into the table of the rest: only
+the images that hold a letter it moves are rewritten.
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -48,6 +50,7 @@ in CPython's free lists of even-length tuples.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 
 from .presentations import expansion_env
 from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, power
@@ -80,6 +83,29 @@ def compose(t1, t2):
         t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else mul(*map(image, im))
         for im in t2
     ])
+
+
+def splice(t1, t2):
+    """t1 after t2, as compose, for a t1 that moves few letters: each
+    image of t2 is cut where it holds a letter t1 moves, and mul joins
+    the untouched slices to the moved letters' images, so only the
+    junctions are reduced letter by letter. An image with no cut is kept
+    as the same object."""
+    moved = {}
+    for i, im in enumerate(t1, 1):
+        if im != (i,):
+            moved[i], moved[-i] = im, inverse(im)
+    disjoint = moved.keys().isdisjoint
+    out = []
+    for im in t2:
+        if not disjoint(im):
+            pieces, start = [], 0
+            for p in compress(count(), map(moved.__contains__, im)):
+                pieces += (im[start:p], moved[im[p]])
+                start = p + 1
+            im = mul(*pieces, im[start:])
+        out.append(im)
+    return tuple(out)
 
 
 def boundary_word(g: int) -> Word:
@@ -166,7 +192,9 @@ class Evaluator:
     is meant to be a shared factor, such as Delta_k, u_1..u_m or r_g, so
     part^k is built once, by squaring the cached part^(+-1), and lives as
     long as the Evaluator. A Factored word evaluated whole is not cached
-    itself; it reuses the table of a cached part with its letters.
+    itself; it reuses the table of a cached part with its letters. If
+    its first part is one letter with exponent +-1 and further parts
+    follow, splice takes that letter's table into the product of the rest.
     homology holds homology_action's per-letter matrices, derived from
     these tables and words.
 
@@ -243,7 +271,11 @@ class Evaluator:
         return identity_table(self.g) if acc is None else acc
 
     def _product(self, parts):
-        return self._fold(self._power(part, k) for part, k in parts if k)
+        parts = [(part, k) for part, k in parts if k]
+        if len(parts) > 1 and len(parts[0][0]) == 1 and abs(parts[0][1]) == 1:
+            (c,), k = parts[0]
+            return splice(self.letter_table(c * k), self._product(parts[1:]))
+        return self._fold(self._power(part, k) for part, k in parts)
 
     def _power(self, part, k: int):
         """Table of part^k (k != 0), cached per (letters of part, k):

@@ -16,6 +16,7 @@ from nmcg.pi1_action import (
     identity_table,
     prefix_basis,
     prefix_basis_inverse,
+    splice,
     to_prefix_basis,
     xsub,
 )
@@ -80,6 +81,34 @@ def test_factored_sides_evaluate_to_their_flat_words():
                 assert ev._parts[(part, k)] is t is ev._power(part, k)
                 assert t == Evaluator(g).evaluate(power(part, k)), (g, k)
     assert checked > 1000
+
+
+def test_product_splices_a_leading_letter(monkeypatch):
+    # a leading one-letter part of exponent -1, one whose remaining parts
+    # are all trivial, and one that is itself a one-letter Factored: each
+    # word's table is that of its flat letters, and, once the parts after
+    # the first are cached, the splice runs once per letter that leads a
+    # product of further parts
+    import nmcg.pi1_action as pa
+
+    calls = []
+    monkeypatch.setattr(pa, "splice", lambda t1, t2: calls.append(1) or splice(t1, t2))
+    g = 7
+    d5 = delta_word(5)
+    for w, splices in (
+        (Factored(((u(1), -1), (d5, 1))), 1),
+        (Factored(((inverse(a(3)), -1), (d5, 2), (u(2), -1))), 1),
+        (Factored(((u(2), 1), (d5, 0), (a(1), 0))), 0),
+        (Factored(((Factored(((a(4), 1),)), 1), (r_word(g), 1))), 1),
+        (Factored(((Factored(((u(3), -1),)), -1), (u(5), 1), (d5, -1))), 2),
+    ):
+        ev = Evaluator(g)
+        for part, k in w.parts[1:]:
+            if k:
+                ev._power(part, k)
+        calls.clear()
+        assert ev.evaluate(w) == Evaluator(g).evaluate(tuple(w)), w.parts
+        assert len(calls) == splices, w.parts
 
 
 def test_equal_parts_share_one_cached_table(monkeypatch):
@@ -168,6 +197,33 @@ def test_evaluate_inverse_word_inverts_table(w):
 def test_compose_is_substitution_of_every_image(t1, t2):
     # the tables need not be automorphisms
     assert compose(t1, t2) == tuple(xsub(im, t1) for im in t2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables, _tables)
+def test_splice_is_compose(t1, t2):
+    assert splice(t1, t2) == compose(t1, t2)
+
+
+def test_splice_is_compose_for_every_letter_table():
+    # each a/u/b letter of either sign, in basis x and in basis q, spliced
+    # into T(Delta_k) for every k <= g, into the identity, and into the
+    # letter's own inverse table, whose images cancel completely; an
+    # image that holds no letter the left table moves is kept as is
+    for g in range(4, 13):
+        names = [f"{f}{i}" for f in "au" for i in range(1, g)]
+        names += [f"b{j}" for j in range((g - 2) // 2 + 1)]
+        for ev in (evaluator(g), evaluator(g).q):
+            deltas = [ev.evaluate(delta_word(k)) for k in range(2, g + 1)]
+            for c in (s * parse(name)[0] for name in names for s in (1, -1)):
+                t1 = ev.letter_table(c)
+                moved = {i for i, im in enumerate(t1, 1) if im != (i,)}
+                for t2 in deltas + [identity_table(g), ev.letter_table(-c)]:
+                    out = splice(t1, t2)
+                    assert out == compose(t1, t2), (g, c)
+                    for im, new in zip(t2, out):
+                        assert new is im or not moved.isdisjoint(map(abs, im)), (g, c, im)
+                assert splice(t1, ev.letter_table(-c)) == identity_table(g), (g, c)
 
 
 def test_braid_relation_by_tables():

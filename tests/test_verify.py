@@ -16,7 +16,7 @@ from nmcg.verify import (
     verify_entry,
     verify_relators,
 )
-from nmcg.words import Factored, gen_of, power
+from nmcg.words import Factored, gen_of, letter, power
 
 
 def _entry(g, n, label):
@@ -112,23 +112,28 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
 
 
 def _cold_compose_count(monkeypatch, run):
-    """pi1_action.compose calls made by run() with no table cached: the
-    shared Evaluators and the per-genus letter tables are dropped first."""
+    """pi1_action.compose and pi1_action.splice calls made by run() with
+    no table cached: the shared Evaluators and the per-genus letter
+    tables are dropped first."""
     import nmcg.pi1_action as pa
 
     pa.evaluator.cache_clear()
     pa.curve_twist.cache_clear()
     pa.crosscap_transposition.cache_clear()
-    calls, compose = [0], pa.compose
-
-    def counting(t1, t2):
-        calls[0] += 1
-        return compose(t1, t2)
-
-    monkeypatch.setattr(pa, "compose", counting)
+    calls = {"compose": 0, "splice": 0}
+    for name in calls:
+        monkeypatch.setattr(pa, name, _counting(calls, name, getattr(pa, name)))
     run()
     monkeypatch.undo()
-    return calls[0]
+    return calls["compose"], calls["splice"]
+
+
+def _counting(calls, name, fn):
+    def counted(t1, t2):
+        calls[name] += 1
+        return fn(t1, t2)
+
+    return counted
 
 
 def test_shared_factors_bound_the_compose_count(monkeypatch):
@@ -137,17 +142,20 @@ def test_shared_factors_bound_the_compose_count(monkeypatch):
     # composes when each entry rebuilt them. Keying the part cache on
     # letters took 4943 to 4751: plain parts are cached too, so
     # u_{k-1}..u_1, a part of both B6(k) and B8(k) (and of r_g at k = g),
-    # is folded once per k
+    # is folded once per k. A leading one-letter part (Delta_2 = u_1
+    # among them) is spliced into the product of the rest: one splice for
+    # each side of B5, E1, E3 and E4 that a letter leads, and one for
+    # Delta_2 and for each side of E1(2,1), took 4751 composes to 4332
     def punctured():
         assert all(v.ok for v in verify_relators(20) + boundary_fixation(20)
                    + verify_catalogue(20, 1))
 
-    n = _cold_compose_count(monkeypatch, punctured)
-    assert n <= 4751, n
+    n, spliced = _cold_compose_count(monkeypatch, punctured)
+    assert (n, spliced) == (4332, 418), (n, spliced)
     # the closed entries fold sparse letter tables on purpose (composing
     # two dense side tables costs more); their count is pinned
-    n = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
-    assert n == 2921, n
+    n, spliced = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
+    assert (n, spliced) == (2921, 0), (n, spliced)
 
 
 def test_verify_catalogue_tier_filter():
@@ -257,6 +265,50 @@ def test_tier1_rejects_every_single_letter_mutant():
     assert not survivors, "mutants not rejected:\n" + "\n".join(survivors[:20])
     assert mutants > 7000, mutants
     assert dt < 10.0, f"tier-1 mutation sweep exceeded its 10s budget: {dt:.2f}s"
+
+
+def _leading_letter_mutants(e):
+    """e with the one-letter part that leads a Factored side inverted,
+    moved to a neighbouring index, or dropped, each with whether the
+    mutated side keeps a letter to splice.
+
+    _side_mutants slices sides into flat tuples, which the Evaluator
+    folds letter by letter; these keep the parts, so a false relation
+    reaches the splice of its leading letter."""
+    for field in ("lhs", "rhs"):
+        side = getattr(e, field)
+        if not isinstance(side, Factored) or len(side.parts[0][0]) != 1:
+            continue
+        ((c,), k), rest = side.parts[0], side.parts[1:]
+        x = gen_of(c)
+        near = letter(x._replace(idx=x.idx + 1 if x.idx + 1 < e.genus else x.idx - 1), c)
+        for lead, spliced in (((-c,), True), ((near,), True), (None, False)):
+            parts = rest if lead is None else ((lead, k),) + rest
+            yield dataclasses.replace(e, **{field: Factored(parts)}), spliced
+
+
+def test_tier1_refutes_false_relations_on_the_splice_path(monkeypatch):
+    import nmcg.pi1_action as pa
+
+    # a mutant side whose letters are a part cached by an earlier test
+    # (u_2 u_1, say) would be looked up whole, not spliced
+    pa.evaluator.cache_clear()
+    calls, splice = [], pa.splice
+    monkeypatch.setattr(pa, "splice", lambda t1, t2: calls.append(1) or splice(t1, t2))
+    mutants, survivors = 0, []
+    for g in range(4, 9):
+        for e in catalogue(g, 1):
+            if e.tag not in ("B5", "E1", "E3", "E4"):
+                continue
+            for m, spliced in _leading_letter_mutants(e):
+                mutants += 1
+                calls.clear()
+                v = verify_entry(m)
+                if v.ok or v.tier != 1 or (spliced and not calls):
+                    survivors.append(f"({g},1) {e.label()} {m.lhs.parts} = {m.rhs.parts}: "
+                                     f"{v.detail}, {len(calls)} splices")
+    assert not survivors, "mutants not refuted on the splice path:\n" + "\n".join(survivors[:20])
+    assert mutants == 630, mutants
 
 
 def test_tier2_rejects_letter_mutants_and_wrong_twists():
