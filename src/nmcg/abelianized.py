@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import exponent_matrix
+from .words import exponent_matrix, letter
 from .presentations import Presentation
 
 
 def relation_matrix(pres: Presentation):
     """Rows indexed by relators, columns by pres.generators."""
-    return exponent_matrix([(r.lhs, r.rhs) for r in pres.relators], pres.generators)
+    return exponent_matrix([(r.lhs, r.rhs) for r in pres.relators],
+                           [letter(x) for x in pres.generators])
 
 
 def _nearest(a, d):

@@ -4,17 +4,17 @@ H_1 is Z^g on the crosscap classes e_1..e_g. Two independent routes,
 each a product of per-letter matrices in word order (the action is a
 homomorphism), cross-check each other mod 2:
 
-* F_2 matrices come from direct rules, as bitmask rows: u_i swaps e_i,
-  e_{i+1}, and the twist about the curve through crosscaps k..k+m-1
-  (a_i: k = i, m = 2; b_j: k = 1, m = 2j+2) is the transvection by
-  e_k+...+e_{k+m-1}, which for a_i is the same swap. A named letter is
-  the product over its word.
+* F_2 matrices come from one direct rule: mod 2, every a_i, u_i and b_j
+  acts as the transvection x -> x + (x.v)v by the class v of a curve,
+  e_i + e_{i+1} for a_i and u_i (for u_i this is the swap of e_i and
+  e_{i+1}) and e_1 + ... + e_{2j+2} for b_j. A named letter is replaced
+  by its word.
 * Z matrices abelianize the pi_1 letter tables. z_matrix_of_table
   abelianizes a whole table, the reference for the letterwise product.
 
-Each letter's matrix is built once per genus and kept as the rows
-(F_2) or columns (Z) where it differs from the identity, in the cache of
-the shared pi1_action.evaluator(g); a product rebuilds only those.
+The curve of each letter, and the Z columns where each letter's matrix
+differs from the identity, are cached here per (letter, genus); the
+pi1_action Evaluator holds no homology state.
 
 Mapping classes preserve the mod-2 intersection form, which is the
 standard dot product in this basis: M^T M = I over F_2. Words of the
@@ -25,7 +25,9 @@ closed relator's Z matrix must be the identity modulo the column vector
 
 from __future__ import annotations
 
-from .words import Word, Gen, gen_of, inverse
+from functools import lru_cache
+
+from .words import Word, exponent_matrix, gen_of, inverse
 from . import pi1_action
 
 
@@ -36,88 +38,56 @@ def f2_identity(g: int):
     return [1 << r for r in range(g)]
 
 
-def f2_generator(gen: Gen, g: int):
-    """The range checks are those of pi1_action's builders, so both
-    routes reject a generator that does not exist at genus g."""
-    m = f2_identity(g)
+@lru_cache(maxsize=None)
+def _curve(c: int, g: int):
+    """Bitmask of the curve class whose transvection is letter c's action
+    mod 2, or None for a named letter. The range checks are those of
+    pi1_action's builders, so both routes reject a generator that does
+    not exist at genus g."""
+    gen = gen_of(c)
     if gen.fam == "u":
-        i = gen.idx - 1
-        if not 0 <= i <= g - 2:
+        if not 1 <= gen.idx <= g - 1:
             raise ValueError(f"no crosscap transposition u_{gen.idx} at genus {g}")
-        m[i], m[i + 1] = m[i + 1], m[i]
-        return m
+        return 3 << (gen.idx - 1)
     if gen.fam in ("a", "b"):
         k, n = (gen.idx - 1, 2) if gen.fam == "a" else (0, 2 * gen.idx + 2)
         if k < 0 or k + n > g:
             raise ValueError(f"no two-sided curve through crosscaps {k + 1}..{k + n} at genus {g}")
-        curve = ((1 << n) - 1) << k
-        for r in range(k, k + n):
-            m[r] ^= curve
-        return m
-    raise KeyError(f"no direct F2 matrix for {gen.label()}")
-
-
-def f2_mul(A, B):
-    g = len(A)
-    out = []
-    for r in range(g):
-        row, bits = 0, A[r]
-        for k in range(g):
-            if bits >> k & 1:
-                row ^= B[k]
-        out.append(row)
-    return out
+        return ((1 << n) - 1) << k
+    return None
 
 
 def f2_matrix(word: Word, g: int, env=None):
     """F2 matrix of a word, the product of its letters' matrices; a named
     letter's is the product over its word. env, if given, is checked as
     by pi1_action.evaluate."""
-    ev = pi1_action.checked_evaluator(g, env)
-    return _f2_product(ev, ev.homology.setdefault("f2", {}), word)
+    rows = f2_identity(g)
+    _f2_apply(rows, word, g, pi1_action.checked_evaluator(g, env).words)
+    return rows
 
 
-def _f2_product(ev, cache, word: Word):
-    """Row r of acc L is (acc[r] & ~mask) ^ XOR{L[k] : k moved, bit k of acc[r]}."""
-    acc = f2_identity(ev.g)
+def _f2_apply(rows, word: Word, g: int, words):
+    """rows <- rows M(word), in place: row x times the transvection by v
+    is x + (x.v)v."""
     for c in word:
-        hit = cache.get(c)
-        if hit is None:
-            hit = cache[c] = _f2_letter(ev, cache, c)
-        mask, moved = hit
-        keep = ~mask
-        for r, row in enumerate(acc):
-            if row & mask:
-                out = row & keep
-                for k, lk in moved:
-                    if row >> k & 1:
-                        out ^= lk
-                acc[r] = out
-    return acc
-
-
-def _f2_letter(ev, cache, c: int):
-    """(mask, moved) of letter c: moved holds (k, row k) for each row k
-    that differs from the identity's, and mask has bit k set for each."""
-    gen = gen_of(c)
-    try:
-        m = f2_generator(gen, ev.g)  # swaps and transvections square to I
-    except KeyError:
-        w = ev.words.get(gen)
-        if w is None:
-            raise
-        m = _f2_product(ev, cache, w if c > 0 else inverse(w))
-    moved = tuple((k, row) for k, row in enumerate(m) if row != 1 << k)
-    return sum(1 << k for k, _ in moved), moved
-
-
-def f2_transpose(M):
-    g = len(M)
-    return [sum((M[r] >> c & 1) << r for r in range(g)) for c in range(g)]
+        v = _curve(c, g)
+        if v is None:
+            gen = gen_of(c)
+            w = words.get(gen)
+            if w is None:
+                raise KeyError(f"no direct F2 matrix for {gen.label()}")
+            _f2_apply(rows, w if c > 0 else inverse(w), g, words)
+            continue
+        for r, row in enumerate(rows):
+            if (row & v).bit_count() & 1:
+                rows[r] = row ^ v
 
 
 def preserves_mod2_form(M) -> bool:
-    return f2_mul(f2_transpose(M), M) == f2_identity(len(M))
+    """M^T M = I over F_2, tested as M M^T = I (the same for a square M):
+    rows r and s share an odd number of bits iff r = s."""
+    g = len(M)
+    return all((M[r] & M[s]).bit_count() % 2 == (r == s) for r in range(g) for s in range(r + 1))
 
 
 # ---- Z route: abelianized pi_1 action ---------------------------------
@@ -125,43 +95,34 @@ def preserves_mod2_form(M) -> bool:
 
 def z_matrix_of_table(table, g: int):
     """Column i-1 is the exponent vector of the image of x_i."""
-    cols = []
-    for i in range(g):
-        v = [0] * g
-        for c in table[i]:
-            v[abs(c) - 1] += 1 if c > 0 else -1
-        cols.append(v)
-    return [[cols[c][r] for c in range(g)] for r in range(g)]
+    return [list(row) for row in zip(*exponent_matrix([(im, ()) for im in table], range(1, g + 1)))]
 
 
 def z_matrix(word: Word, g: int, env=None):
     """Z matrix of a word, the product of its letters' matrices; it equals
     z_matrix_of_table(pi1_action.evaluate(word, g), g). env, if given, is
     checked as by pi1_action.evaluate."""
-    ev = pi1_action.checked_evaluator(g, env)
-    cache = ev.homology.setdefault("z", {})
+    pi1_action.checked_evaluator(g, env)
     cols = [[int(r == c) for r in range(g)] for c in range(g)]
     for c in word:
-        hit = cache.get(c)
-        if hit is None:
-            hit = cache[c] = _z_letter(ev, c)
         new = cols[:]
-        for c, ((k, a), *rest) in hit:  # column c of acc L = sum of L[k][c] acc[:, k]
+        for j, ((k, a), *rest) in _z_letter(c, g):  # column j of acc L = sum of L[k][j] acc[:, k]
             col = cols[k] if a == 1 else [a * x for x in cols[k]]
             for k, a in rest:
                 col = [x + a * y for x, y in zip(col, cols[k])]
-            new[c] = col
+            new[j] = col
         cols = new
     return [list(row) for row in zip(*cols)]
 
 
-def _z_letter(ev, letter: int):
-    """The columns c where a letter's abelianized pi_1 table differs from
-    the identity, each as (c, ((row k, coefficient), ...)) over its
+@lru_cache(maxsize=None)
+def _z_letter(c: int, g: int):
+    """The columns j where letter c's abelianized pi_1 table differs from
+    the identity, each as (j, ((row k, coefficient), ...)) over its
     nonzero entries (never empty: the matrix is invertible)."""
-    m = z_matrix_of_table(ev.letter_table(letter), ev.g)
-    cols = ((c, tuple((k, row[c]) for k, row in enumerate(m) if row[c])) for c in range(ev.g))
-    return tuple((c, terms) for c, terms in cols if terms != ((c, 1),))
+    m = z_matrix_of_table(pi1_action.evaluator(g).letter_table(c), g)
+    terms = (tuple((k, a) for k, a in enumerate(col) if a) for col in zip(*m))
+    return tuple((j, t) for j, t in enumerate(terms) if t != ((j, 1),))
 
 
 def z_mod2(M):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .pi1_action import boundary_word
-from .words import Word, free_reduce, inverse, mul, power
+from .words import Word, exponent_matrix, free_reduce, inverse, mul, power
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
@@ -113,13 +113,11 @@ def cyclic_dehn_reduce(word, g: int) -> tuple:
 
 def _x1_exponent(q2: Word, g: int):
     """k with q2 = x_1^k x_2^m in G_g, or None when no such k, m exist."""
-    sums = [0] * (g + 1)
-    for c in q2:
-        sums[abs(c)] += 1 if c > 0 else -1
-    t2 = sums[3]
-    if t2 % 2 or any(s != t2 for s in sums[4:]):
+    sums = exponent_matrix([(q2, ())], range(1, g + 1))[0]
+    t2 = sums[2]
+    if t2 % 2 or any(s != t2 for s in sums[3:]):
         return None
-    k, m = sums[1] - t2, sums[2] - t2
+    k, m = sums[0] - t2, sums[1] - t2
     return k if equal_in_quotient(q2, mul(power((1,), k), power((2,), m)), g) else None
 
 

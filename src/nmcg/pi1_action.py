@@ -11,11 +11,11 @@ whose entry i-1 is the image of x_i.
 Every twist generator, a_i and each b_j (b_0 included), is built by one
 rule, curve_twist, from the two-sided curve through its crosscaps: i, i+1
 for a_i and 1..2j+2 for b_j. The crosscap transposition u_i is written
-out directly. Both builders are cached, so each a_i, u_i and b_j table is
-built once per genus. Tests pin the tables of a_1, a_2, u_1 and b_1.
-The named letters (y1, y2, v, r_g, c, d) abbreviate words whose value
-depends on the genus alone, so one shared Evaluator per genus,
-evaluator(g), holds them all.
+out directly. The shared Evaluator caches each letter's table, so each
+a_i, u_i and b_j table is built once per genus. Tests pin the tables of
+a_1, a_2, u_1 and b_1. The named letters (y1, y2, v, r_g, c, d)
+abbreviate words whose value depends on the genus alone, so one shared
+Evaluator per genus, evaluator(g), holds them all.
 
 evaluate() composes generator tables in word order: the rightmost
 letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
@@ -142,7 +142,6 @@ def _one(g, images: dict):
     return tuple(images.get(i, im) for i, im in enumerate(identity_table(g), 1))
 
 
-@lru_cache(maxsize=None)
 def crosscap_transposition(i: int, g: int, sign: int = 1):
     """u_i: slides crosscap i+1 through crosscap i."""
     if not 1 <= i <= g - 1:
@@ -152,7 +151,6 @@ def crosscap_transposition(i: int, g: int, sign: int = 1):
     return _one(g, {i: (i + 1,), i + 1: (-(i + 1), -(i + 1), i, i + 1, i + 1)})
 
 
-@lru_cache(maxsize=None)
 def curve_twist(k: int, m: int, g: int, sign: int = 1):
     """Dehn twist T^sign about the two-sided curve through crosscaps
     k..k+m-1 (m even): a_i is (i, 2) and b_j is (1, 2j+2). With
@@ -183,11 +181,10 @@ class Evaluator:
     """Evaluates words over presentation generators to tables.
 
     a_i and b_j are built by curve_twist and u_i by
-    crosscap_transposition, whose caches every Evaluator of genus g
-    shares; words maps each named element of genus g (y1, y2, v, r_g, c,
-    d) to its defining word over a_i, u_i and b_j, the union of
-    expansion_env(g, 0) and expansion_env(g, 1), which agree on every
-    name they share. Tables are cached per letter, and per (part,
+    crosscap_transposition; words maps each named element of genus g
+    (y1, y2, v, r_g, c, d) to its defining word over a_i, u_i and b_j,
+    the union of expansion_env(g, 0) and expansion_env(g, 1), which
+    agree on every name they share. Tables are cached per letter, and per (part,
     exponent k) of a Factored word, keyed on the part's letters: a part
     is meant to be a shared factor, such as Delta_k, u_1..u_m or r_g, so
     part^k is built once, by squaring the cached part^(+-1), and lives as
@@ -195,8 +192,6 @@ class Evaluator:
     itself; it reuses the table of a cached part with its letters. If
     its first part is one letter with exponent +-1 and further parts
     follow, splice takes that letter's table into the product of the rest.
-    homology holds homology_action's per-letter matrices, derived from
-    these tables and words.
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
@@ -215,7 +210,6 @@ class Evaluator:
         self._q = None if x is None else self
         self._cache = {}
         self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
-        self.homology = {}  # route -> {letter: letter matrix}
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
 

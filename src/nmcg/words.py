@@ -222,16 +222,17 @@ def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
     return concat(*map(piece, word))
 
 
-def exponent_matrix(equations, order: list) -> list:
-    """One exponent-sum row of lhs rhs^-1 per equation (lhs, rhs); the
-    letter-to-(column, sign) map is built once. Free reduction does not
-    change exponent sums, so lhs rhs^-1 itself is never built."""
+def exponent_matrix(equations, columns) -> list:
+    """One exponent-sum row of lhs rhs^-1 per equation (lhs, rhs), with a
+    column for each positive letter in columns; the letter-to-(column,
+    sign) map is built once. Free reduction does not change exponent
+    sums, so lhs rhs^-1 itself is never built."""
     pos = {}
-    for i, g in enumerate(order):
-        pos[letter(g)], pos[letter(g, -1)] = (i, 1), (i, -1)
+    for i, c in enumerate(columns):
+        pos[c], pos[-c] = (i, 1), (i, -1)
     rows = []
     for lhs, rhs in equations:
-        row = [0] * len(order)
+        row = [0] * len(columns)
         for c in lhs:
             i, s = pos[c]
             row[i] += s

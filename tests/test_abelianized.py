@@ -15,7 +15,7 @@ from nmcg.presentations import (
     Relator,
     nonorientable_mcg_presentation,
 )
-from nmcg.words import exponent_matrix, gen, parse
+from nmcg.words import exponent_matrix, gen, letter, parse
 
 
 def _toy(relator_texts, gens="a1 a2"):
@@ -150,7 +150,7 @@ def test_relation_matrix_shape():
         m = relation_matrix(pres)
         assert len(m) == len(pres.relators)
         assert all(len(row) == len(pres.generators) for row in m)
-        order = list(pres.generators)
+        order = [letter(x) for x in pres.generators]
         for row, r in zip(m, pres.relators):
             assert row == exponent_matrix([(r.word, ())], order)[0], f"({g},{n}) {r.text()}"
 

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from nmcg.abelianized import smith_diagonal
 from nmcg.homology_action import (
-    f2_generator,
     f2_identity,
     f2_matrix,
-    f2_mul,
     is_identity_mod_boundary_class,
     preserves_mod2_form,
     z_matrix,
@@ -18,7 +16,7 @@ from nmcg.homology_action import (
 )
 from nmcg.pi1_action import Evaluator, evaluate, evaluator, identity_table
 from nmcg.presentations import expansion_env, nonorientable_mcg_presentation
-from nmcg.words import gen, gen_of, inverse, letter, lit, named, parse
+from nmcg.words import gen, inverse, letter, lit, named, parse
 
 _G = 4
 _ENV = expansion_env(_G, 1)
@@ -37,20 +35,6 @@ def test_integral_routes_agree(w):
     assert z_matrix(w, _G, _ENV) == z_matrix_of_table(evaluate(w, _G, _ENV), _G)
 
 
-def _dense_f2(word, g, env):
-    """Reference: the dense f2_mul fold over each letter's full matrix,
-    a named letter's matrix being the fold over its env word."""
-    acc = f2_identity(g)
-    for c in word:
-        x = gen_of(c)
-        if x.fam == "n":
-            m = _dense_f2(env[x] if c > 0 else inverse(env[x]), g, env)
-        else:
-            m = f2_generator(x, g)
-        acc = f2_mul(acc, m)
-    return acc
-
-
 @st.composite
 def _env_words(draw):
     g = draw(st.integers(4, 8))
@@ -63,8 +47,10 @@ def _env_words(draw):
 @settings(max_examples=80, deadline=None)
 @given(_env_words())
 def test_sparse_f2_product_matches_the_dense_fold(case):
+    # the curve rules against the independent route: the pi_1 table of
+    # the whole word, abelianized, mod 2
     g, env, w = case
-    assert f2_matrix(w, g, env) == _dense_f2(w, g, env)
+    assert f2_matrix(w, g, env) == z_mod2(z_matrix_of_table(evaluate(w, g, env), g))
 
 
 @pytest.mark.parametrize("g", [12, 16, 20])
@@ -128,13 +114,23 @@ def test_mod2_route_agrees_with_integral(w):
 @settings(max_examples=40, deadline=None)
 @given(_words)
 def test_f2_inverse_multiplies_to_identity(w):
-    m = f2_matrix(w, _G, _ENV)
-    minv = f2_matrix(inverse(w), _G, _ENV)
-    assert f2_mul(m, minv) == f2_identity(_G)
+    # w w^-1 letter for letter, not freely reduced
+    assert f2_matrix(w + inverse(w), _G, _ENV) == f2_identity(_G)
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda g: st.lists(st.integers(0, (1 << g) - 1), min_size=g, max_size=g)))
+def test_preserves_mod2_form_matches_the_definition(M):
+    # (M^T M)[r][c] is the sum over k of M[k][r] M[k][c], mod 2
+    g = len(M)
+    dense = [[row >> c & 1 for c in range(g)] for row in M]
+    mtm = [[sum(dense[k][r] * dense[k][c] for k in range(g)) % 2 for c in range(g)]
+           for r in range(g)]
+    assert preserves_mod2_form(M) == all(mtm[r][c] == (r == c) for r in range(g) for c in range(g))
 
 
 def test_generator_matrices_are_unimodular_and_form_preserving():
-    for g in (3, 5, 8, 12):
+    for g in (3, 5, 8, 12, 20, 24):
         pres = nonorientable_mcg_presentation(g, 1)
         env = expansion_env(g, 1)
         for gen_ in pres.generators:

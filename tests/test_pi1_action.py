@@ -143,12 +143,22 @@ def test_factored_negative_and_nested_powers():
     assert Factored(((d5, 2), (d5, -2))) == ()
 
 
-def test_letter_tables_are_shared_by_every_evaluator_of_a_genus():
+def test_letter_tables_are_built_once_per_genus(monkeypatch, cold_evaluators):
+    # the shared Evaluator of a genus caches each letter's table, in
+    # basis x and in basis q, so each builder runs once per letter
+    import nmcg.pi1_action as pa
+
+    built = []
+    for name in ("curve_twist", "crosscap_transposition"):
+        fn = getattr(pa, name)
+        monkeypatch.setattr(pa, name, lambda *args, fn=fn: built.append(args) or fn(*args))
     g = 6
-    e1, e2 = Evaluator(g), Evaluator(g)
-    for text in ("a1", "b1", "u2", "b2^-1"):
-        c = parse(text)[0]
-        assert e1.letter_table(c) is e2.letter_table(c), text
+    for _ in range(2):
+        for text in ("a1", "b1", "u2", "b2^-1"):
+            c = parse(text)[0]
+            assert evaluate(parse(text), g) is evaluator(g).letter_table(c), text
+            evaluator(g).q.letter_table(c)
+    assert len(built) == 4, built
 
 
 def test_named_letters_take_their_genus_words():

@@ -112,14 +112,11 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
 
 
 def _cold_compose_count(monkeypatch, run):
-    """pi1_action.compose and pi1_action.splice calls made by run() with
-    no table cached: the shared Evaluators and the per-genus letter
-    tables are dropped first."""
+    """pi1_action.compose and pi1_action.splice calls made by run(); the
+    caller starts from cold_evaluators, and run() must use genera that no
+    earlier count warmed."""
     import nmcg.pi1_action as pa
 
-    pa.evaluator.cache_clear()
-    pa.curve_twist.cache_clear()
-    pa.crosscap_transposition.cache_clear()
     calls = {"compose": 0, "splice": 0}
     for name in calls:
         monkeypatch.setattr(pa, name, _counting(calls, name, getattr(pa, name)))
@@ -136,7 +133,7 @@ def _counting(calls, name, fn):
     return counted
 
 
-def test_shared_factors_bound_the_compose_count(monkeypatch):
+def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # each shared factor (Delta_k and its square, u_1..u_m and its powers,
     # r_g) is built once per surface: a cold verify at (20,1) made 7902
     # composes when each entry rebuilt them. Keying the part cache on
@@ -287,12 +284,11 @@ def _leading_letter_mutants(e):
             yield dataclasses.replace(e, **{field: Factored(parts)}), spliced
 
 
-def test_tier1_refutes_false_relations_on_the_splice_path(monkeypatch):
+def test_tier1_refutes_false_relations_on_the_splice_path(monkeypatch, cold_evaluators):
     import nmcg.pi1_action as pa
 
     # a mutant side whose letters are a part cached by an earlier test
     # (u_2 u_1, say) would be looked up whole, not spliced
-    pa.evaluator.cache_clear()
     calls, splice = [], pa.splice
     monkeypatch.setattr(pa, "splice", lambda t1, t2: calls.append(1) or splice(t1, t2))
     mutants, survivors = 0, []

@@ -145,7 +145,7 @@ def test_substitute_is_a_homomorphism():
 
 
 def test_exponent_sums_counts_signs():
-    order = [gen("a", 1), gen("u", 2)]
+    order = [letter(gen("a", 1)), letter(gen("u", 2))]
     assert exponent_matrix([(parse("a1*a1*u2^-1"), ())], order)[0] == [2, -1]
     assert exponent_matrix([((), ())], order)[0] == [0, 0]
 
