@@ -95,14 +95,17 @@ def punctured_entries(g: int) -> list:
     if g >= 5:
         mid = concat(arun_down(4, 1), urun(1, 4))
         add("C9", (), concat(b(1), mid), concat(mid, b(1)))
-    for k in range(2, g + 1):
+    # from k = 3: at k = 2, where Delta_2 = u_1, B5, B6, B7 and B8 have one
+    # flat word on both sides and E1 is star(1); B6(3) is flat-equal too
+    for k in range(3, g + 1):
         dk, dk1 = delta_word(k), delta_word(k - 1)
         dk2 = Factored(((dk, 2),))
         for i in range(1, k):
             add("B5", (k, i), Factored(((dk, 1), (u(i), 1))), Factored(((u(k - i), 1), (dk, 1))))
             add("E1", (k, i), Factored(((dk, 1), (a(i), 1))),
                 Factored(((inverse(a(k - i)), 1), (dk, 1))))
-        add("B6", (k,), dk, Factored(((dk1, 1), (urun_down(k - 1, 1), 1))))
+        if k >= 4:
+            add("B6", (k,), dk, Factored(((dk1, 1), (urun_down(k - 1, 1), 1))))
         add("B7", (k,), dk2, Factored(((urun(1, k - 1), k),)))
         add("B8", (k,), dk2,
             Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun(1, k - 1), 1))))

@@ -1,12 +1,12 @@
-"""Coset enumeration (Todd-Coxeter, HLT strategy with row filling).
+"""Coset enumeration of the trivial subgroup (Todd-Coxeter, plain HLT).
 
-Deterministic by construction: cosets are defined in scan order, the
-subgroup generators are traced at coset 1 first, then each live coset
-processes every relator in presentation order and finally fills its
-row left to right. Coincidences are handled with a union-find over
-coset numbers, always keeping the smaller number alive. When the
-allocation cap is hit, one lookahead sweep (pure scanning, no new
-definitions) plus a compaction is attempted before giving up.
+Deterministic by construction: each live coset in turn traces every
+relator in presentation order, defining cosets as the scan needs them,
+and then fills its row left to right. Coincidences are handled with a
+union-find over coset numbers, always keeping the smaller number alive.
+The cap bounds the rows ever allocated, dead ones included: defining
+one more raises CapExceeded, with no lookahead or compaction to rescue
+the run. The table is compacted once, at the end.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ class CosetTable:
 
 
 class _Enumerator:
-    def __init__(self, pres: Presentation, subgroup, max_cosets):
+    def __init__(self, pres: Presentation, max_cosets):
         self.gens = tuple(pres.generators)
         self.ncols = 2 * len(self.gens)
         self.colof = {}
         for i, gen in enumerate(self.gens):
             self.colof[letter(gen)], self.colof[letter(gen, -1)] = 2 * i, 2 * i + 1
         self.relators = [self._cols(r.word) for r in pres.relators]
-        self.subgens = [self._cols(w) for w in subgroup]
         self.cap = max_cosets
         self.tab = [[None] * self.ncols]
         self.p = [0]
@@ -119,7 +118,7 @@ class _Enumerator:
                 elif cur != t:
                     queue.append((cur, t))
 
-    def scan(self, c: int, cols, fill: bool):
+    def scan(self, c: int, cols):
         f, b = 0, len(cols) - 1
         alpha = beta = c
         while True:
@@ -140,21 +139,10 @@ class _Enumerator:
                 self.tab[alpha][cols[f]] = beta
                 self.tab[beta][cols[f] ^ 1] = alpha
                 return
-            if not fill:
-                return
             self.define(alpha, cols[f])
 
-    def lookahead(self):
-        for c in range(len(self.tab)):
-            if self.rep(c) != c:
-                continue
-            for w in self.relators:
-                self.scan(c, w, fill=False)
-                if self.rep(c) != c:
-                    break
-
     def compact(self):
-        """Renumber live cosets by increasing old index; returns old->new."""
+        """Renumber live cosets by increasing old index."""
         mapping = {}
         for c in range(len(self.tab)):
             if self.rep(c) == c:
@@ -167,13 +155,12 @@ class _Enumerator:
                     newtab[new][col] = mapping[t]
         self.tab = newtab
         self.p = list(range(len(newtab)))
-        return mapping
 
     def _work(self, c: int):
         """Process one live coset: trace all relators, then fill its row."""
         for w in self.relators:
             if w:
-                self.scan(c, w, fill=True)
+                self.scan(c, w)
             if self.rep(c) != c:
                 return
         for col in range(self.ncols):
@@ -183,27 +170,10 @@ class _Enumerator:
                 self.define(c, col)
 
     def run(self):
-        for w in self.subgens:
-            if w:
-                self.scan(0, w, fill=True)
         c = 0
-        rescues = 20  # lookahead passes allowed before conceding
-        while c < len(self.tab):
-            if self.rep(c) != c:
-                c += 1
-                continue
-            try:
+        while c < len(self.tab):  # _work may append rows; they are visited too
+            if self.rep(c) == c:
                 self._work(c)
-            except CapExceeded:
-                before = len(self.tab)
-                self.lookahead()
-                live = self.rep(c)  # c may have died during the sweep
-                mapping = self.compact()
-                if len(mapping) >= before or rescues == 0:
-                    raise
-                rescues -= 1
-                c = mapping[live]  # retry the same coset, renumbered
-                continue
             c += 1
         self.compact()
 
@@ -223,15 +193,13 @@ class _Enumerator:
                     raise ValueError(f"relator open at coset {c}")
 
 
-def coset_enumeration(
-    pres: Presentation, subgroup=(), max_cosets: int = 10**6
-) -> CosetTable:
-    """Enumerate cosets of <subgroup> in the presented group."""
-    e = _Enumerator(pres, subgroup, max_cosets)
+def coset_enumeration(pres: Presentation, max_cosets: int = 10**6) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup: the group's elements."""
+    e = _Enumerator(pres, max_cosets)
     e.run()
     e.check_complete()
     return CosetTable(e.gens, tuple(tuple(r) for r in e.tab))
 
 
-def group_order(pres: Presentation, max_cosets: int = 10**6) -> int:
-    return coset_enumeration(pres, (), max_cosets).index()
+def group_order(pres: Presentation) -> int:
+    return coset_enumeration(pres).index()

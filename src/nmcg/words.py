@@ -22,8 +22,8 @@ letters; ``pi1_action.Evaluator`` reads ``parts`` to build the table of a
 shared factor (such as the half-twist ``presentations.delta_word(k)``)
 once and to take powers by squaring.
 
-Text syntax: letters like ``a3``, ``u2``, ``b0``, ``x4``, or a bare name
-(``d``, ``y1``, ``r4``, ``c``, ``v``), separated by ``*`` or whitespace,
+Text syntax: letters like ``a3``, ``u2``, ``b0``, or a bare name (``d``,
+``y1``, ``r4``, ``c``, ``v``), separated by ``*`` or whitespace,
 with an optional ``^<int>`` exponent (``^-1`` the common case). ``1``
 denotes the empty word. A bare ``b`` normalizes to ``b1``.
 """
@@ -34,11 +34,11 @@ import re
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
-_FAMS = ("a", "u", "b", "x")
+_FAMS = ("a", "u", "b")
 
 
 class Gen(NamedTuple):
-    fam: str  # "a", "u", "b", "x", or "n" for named
+    fam: str  # "a", "u", "b", or "n" for named
     idx: int = 0
     name: str = ""
 
@@ -79,10 +79,8 @@ def gen_of(c: Letter) -> Gen:
     return _gens[abs(c)]
 
 
-def lit(g: Gen, sign: int = 1) -> Word:
-    if sign not in (1, -1):
-        raise ValueError(f"letter sign must be 1 or -1, not {sign!r}")
-    return (letter(g, sign),)
+def lit(g: Gen) -> Word:
+    return (letter(g),)
 
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z_]*?)(\d*)(?:\^(-?\d+))?$")

@@ -14,14 +14,22 @@ def test_labels_are_unique_per_surface():
             assert len(labels) == len(set(labels)), f"duplicate labels at ({g},{n})"
 
 
+def test_no_tier1_entry_has_the_same_word_on_both_sides():
+    # such an entry passes whatever the tables compute: a silent pass
+    same = set()
+    for n, g0 in ((1, 3), (0, 4)):
+        for g in range(g0, 25):
+            same |= {e.label() for e in catalogue(g, n)
+                     if e.tier == 1 and tuple(e.lhs) == tuple(e.rhs)}
+    assert not same, f"tautological tier-1 entries: {sorted(same)}"
+
+
 def test_entries_carry_consistent_metadata():
     for g in (3, 5, 7):
         for e in catalogue(g, 1):
             assert e.genus == g and e.boundary == 1
             assert e.tier in (1, 2, 3)
             assert e.word == free_reduce(e.word)
-            # degenerate instances may have coinciding sides (empty quotient
-            # word) but never empty statements
             assert e.lhs or e.rhs, f"{e.label()}: empty entry"
 
 

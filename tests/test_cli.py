@@ -101,7 +101,7 @@ from nmcg.cli import main
 from nmcg.words import gen, letter, named
 six = [gen(f, i) for f in "au" for i in range(1, 6)] + [gen("b", j) for j in range(3)]
 six += [named(s) for s in ("y1", "y2", "v", "r6", "c")]
-for g in [gen("u", 11), gen("b", 7), gen("x", 9), named("zz")] + six[::-1]:
+for g in [gen("u", 11), gen("b", 7), named("x9"), named("zz")] + six[::-1]:
     letter(g)
 outs = []
 for argv in {commands!r}:

@@ -142,13 +142,15 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # is folded once per k. A leading one-letter part (Delta_2 = u_1
     # among them) is spliced into the product of the rest: one splice for
     # each side of B5, E1, E3 and E4 that a letter leads, and one for
-    # Delta_2 and for each side of E1(2,1), took 4751 composes to 4332
+    # Delta_2 and for each side of E1(2,1), took 4751 composes to 4332.
+    # Dropping the k = 2 entries and B6(3), whose sides are one flat word
+    # or restate star(1), took (4332, 418) to (4329, 415)
     def punctured():
         assert all(v.ok for v in verify_relators(20) + boundary_fixation(20)
                    + verify_catalogue(20, 1))
 
     n, spliced = _cold_compose_count(monkeypatch, punctured)
-    assert (n, spliced) == (4332, 418), (n, spliced)
+    assert (n, spliced) == (4329, 415), (n, spliced)
     # the closed entries fold sparse letter tables on purpose (composing
     # two dense side tables costs more); their count is pinned
     n, spliced = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
@@ -260,7 +262,9 @@ def test_tier1_rejects_every_single_letter_mutant():
     mutants, survivors = _sweep(entries)
     dt = time.perf_counter() - t0
     assert not survivors, "mutants not rejected:\n" + "\n".join(survivors[:20])
-    assert mutants > 7000, mutants
+    # 7068 before B5(2,1), E1(2,1), B6(2), B7(2), B8(2) and B6(3) were
+    # dropped; they made 48 mutants per genus
+    assert mutants >= 6924, mutants
     assert dt < 10.0, f"tier-1 mutation sweep exceeded its 10s budget: {dt:.2f}s"
 
 
@@ -304,7 +308,8 @@ def test_tier1_refutes_false_relations_on_the_splice_path(monkeypatch, cold_eval
                     survivors.append(f"({g},1) {e.label()} {m.lhs.parts} = {m.rhs.parts}: "
                                      f"{v.detail}, {len(calls)} splices")
     assert not survivors, "mutants not refuted on the splice path:\n" + "\n".join(survivors[:20])
-    assert mutants == 630, mutants
+    # 630 before B5(2,1) and E1(2,1) were dropped: 6 mutants each per genus
+    assert mutants == 570, mutants
 
 
 def test_tier2_rejects_letter_mutants_and_wrong_twists():
@@ -351,7 +356,7 @@ from nmcg.homology_action import f2_matrix
 from nmcg.pi1_action import crosscap_transposition, curve_twist
 from nmcg.presentations import Presentation, Relator, chain_word, nonorientable_mcg_presentation
 from nmcg.verify import verify_entry
-from nmcg.words import gen, gen_of, lit, named, parse
+from nmcg.words import gen, gen_of, named, parse
 
 e = next(e for e in catalogue(4, 0) if e.label() == "D")
 w = e.word
@@ -367,7 +372,7 @@ for key, entry in (("genus3", Entry("X", (), 3, 0, parse("1"), (), 3)),
         out[key] = ["ValueError", str(exc)]
 foreign = Presentation(0, 0, (gen("a", 1),), (Relator("X", (), parse("a1 a2")),))
 for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z", 1)),
-                  ("named", lambda: named("")), ("lit", lambda: lit(gen("a", 1), 2)),
+                  ("named", lambda: named("")),
                   ("u4", lambda: crosscap_transposition(4, 4)),
                   ("curve", lambda: curve_twist(1, 6, 4)),
                   ("f2u0", lambda: f2_matrix(parse("u0"), 4)),
@@ -397,7 +402,6 @@ print(json.dumps(out))
     assert out["closed3"][0] == "ValueError" and "genus >= 4" in out["closed3"][1]
     assert out["gen"][0] == "ValueError" and "'z'" in out["gen"][1]
     assert out["named"][0] == "ValueError" and "nonempty" in out["named"][1]
-    assert out["lit"][0] == "ValueError" and "sign" in out["lit"][1]
     assert out["u4"][0] == "ValueError" and "u_4" in out["u4"][1]
     assert out["curve"][0] == "ValueError" and "1..6" in out["curve"][1]
     assert out["f2u0"][0] == "ValueError" and "u_0" in out["f2u0"][1]
@@ -527,3 +531,58 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.relative_to(repo)}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def test_every_src_default_parameter_is_passed_outside_the_tests():
+    # a parameter with a default that no call in src/nmcg or bench/*.py
+    # passes, by position or by keyword, is an option only tests set:
+    # delete it. Calls are matched by the callee's name, as above, and a
+    # constructor by its class's name
+    import ast
+    from pathlib import Path
+
+    src = Path(verify_mod.__file__).resolve().parent
+    bench = sorted((src.parents[1] / "bench").glob("*.py"))
+    assert bench, "bench/*.py not found next to src/"
+    optional = []  # (function label, call name, position or None, parameter)
+    positional, keywords = {}, {}  # call name -> most positional args / keywords passed
+    for path in sorted(src.glob("*.py")) + bench:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                n = len(node.args)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    n = float("inf")
+                positional[name] = max(positional.get(name, 0), n)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+        if path.parent == src:
+            owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+            optional += [(f"{path.stem}.{label}", *rest)
+                         for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                         for label, *rest in _defaults(fn, owner.get(fn))]
+    unpassed = sorted(
+        f"{label}({param})" for label, name, pos, param in optional
+        # the console script calls main() with no argument
+        if name != "main"
+        and not ({None, param} & keywords.get(name, set()))  # None: a **kwargs call
+        and not (pos is not None and positional.get(name, 0) > pos)
+    )
+    assert unpassed == [], f"defaults in src/nmcg that only tests override: {unpassed}"
+
+
+def _defaults(fn, cls):
+    """(label, call name, position or None, parameter) for each parameter
+    of fn with a default; a method's positions skip self."""
+    args = fn.args.posonlyargs + fn.args.args
+    if cls:
+        args = args[1:]
+    name = cls if cls and fn.name in ("__init__", "__new__") else fn.name
+    label = f"{cls}.{fn.name}" if cls else fn.name
+    first = len(args) - len(fn.args.defaults)
+    out = [(label, name, i, a.arg) for i, a in enumerate(args) if i >= first]
+    out += [(label, name, None, a.arg)
+            for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out

@@ -23,7 +23,7 @@ from nmcg.words import (
 
 _letters = st.builds(
     letter,
-    st.builds(gen, st.sampled_from("aubx"), st.integers(1, 5)),
+    st.builds(gen, st.sampled_from("aub"), st.integers(1, 5)),
     st.sampled_from((1, -1)),
 )
 _words = st.lists(_letters, max_size=24).map(tuple)
@@ -121,7 +121,7 @@ def test_parse_named_letters():
 
 
 def test_letter_interns_each_generator_once():
-    for g in (gen("a", 1), gen("x", 7), named("y1"), gen("b", 1)):
+    for g in (gen("a", 1), gen("u", 7), named("y1"), gen("b", 1)):
         c = letter(g)
         assert c > 0 and letter(g, -1) == -c and letter(g) == c
         assert gen_of(c) == g == gen_of(-c)
@@ -151,8 +151,8 @@ def test_exponent_sums_counts_signs():
 
 
 def test_lit_sign():
-    assert lit(gen("a", 3), -1) == (letter(gen("a", 3), -1),)
-    assert inverse(lit(gen("a", 3))) == lit(gen("a", 3), -1)
+    assert lit(gen("a", 3)) == (letter(gen("a", 3)),)
+    assert inverse(lit(gen("a", 3))) == (letter(gen("a", 3), -1),)
 
 
 def test_named_roundtrip():
