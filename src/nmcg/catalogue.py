@@ -198,7 +198,9 @@ def punctured_entries(g: int) -> list:
 
 
 def closed_entries(g: int) -> list:
-    """Tier-3 entries: relations of the closed mapping class group."""
+    """Tier-3 entries: relations of the closed mapping class group.
+    B3, B4, B4b and E6, the long one-sided powers, are one-part Factored
+    powers, which verify builds by squaring; every other side is flat."""
     E = []
 
     def add(tag, params, lhs, rhs=(), tier=3):
@@ -207,10 +209,10 @@ def closed_entries(g: int) -> list:
     if g < 4:
         raise ValueError(f"closed verification needs genus >= 4 (small cancellation), not {g}")
     rg = r_word(g)
-    add("B3", (), power(urun(1, g - 1), g))
-    add("B4", (), power(urun(1, g - 2), g - 1))
+    add("B3", (), Factored(((urun(1, g - 1), g),)))
+    add("B4", (), Factored(((urun(1, g - 2), g - 1),)))
     add("B4a", (), concat(urun_down(g - 1, 1), urun(1, g - 1)))
-    add("B4b", (), power(urun(2, g - 1), g - 1))
+    add("B4b", (), Factored(((urun(2, g - 1), g - 1),)))
     mid = concat(arun(2, g - 1), urun_down(g - 1, 2))
     add("D", (), concat(a(1), mid, a(1)), mid)
     mid = concat(urun_down(g - 2, 1), arun(1, g - 2))
@@ -220,7 +222,7 @@ def closed_entries(g: int) -> list:
     add("E4a", (1,), concat(u(1), rg, u(1)), rg)
     add("E5", ("left",), power(arun(1, g - 1), 2), power(urun_down(g - 1, 1), -2))
     add("E5", ("right",), power(arun(1, g - 1), 2), power(urun(1, g - 1), 2))
-    add("E6", (), power(arun(1, g - 1), _e6_exponent(g)))
+    add("E6", (), Factored(((arun(1, g - 1), _e6_exponent(g)),)))
     if g >= 5:
         lhs = concat(inverse(b(1)), power(arun(1, 3), 4))
         add("chain3", ("delta",), lhs, _chain3_rhs_delta(), 1)

@@ -73,7 +73,7 @@ def _cmd_enumerate(args) -> int:
         return 1
     print(f"index {table.index()}")
     if args.csv:
-        print(table.to_csv())
+        print(table.to_csv(), end="")
     return 0
 
 

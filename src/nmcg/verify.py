@@ -13,7 +13,9 @@ and replay endpoints as entries at their script's tier.
 Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
 Verified with the conjugator, or Refuted naming the generator whose
-image fails.
+image fails. The relator's table is that of lhs when rhs is empty, so
+a Factored power (B3, B4, B4b, E6 at (g,0)) is built by squaring; an
+entry with both sides is folded letter by letter from its flat word.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def verify_entry(e: Entry) -> Verdict:
 
     if e.tier != 3:
         raise ValueError(f"entry {e.label()} has unverifiable tier {e.tier}")
-    res = find_inner_conjugator(ev.evaluate(e.word), g)
+    res = find_inner_conjugator(ev.evaluate(e.word if e.rhs else e.lhs), g)
     if res.status == VERIFIED:
         return Verdict(
             g, e.boundary, e.label(), 3, True,

@@ -189,6 +189,12 @@ def test_enumerate_csv(capsys):
     assert len(csv_lines) == 5
 
 
+def test_enumerate_csv_ends_in_one_newline(capsys):
+    assert main(["enumerate", "-g", "2", "-n", "0", "--csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n"), "one newline after the last row"
+
+
 def test_enumerate_cap(capsys):
     rc = main(["enumerate", "-g", "4", "-n", "1", "--max-cosets", "10"])
     captured = capsys.readouterr()

@@ -22,6 +22,7 @@ from nmcg.pi1_action import (
 )
 from nmcg.presentations import (
     a,
+    arun,
     delta_word,
     expansion_env,
     nonorientable_mcg_presentation,
@@ -55,15 +56,31 @@ _images = st.one_of(
 _tables = st.lists(_images, min_size=_G, max_size=_G).map(tuple)
 
 
+def _closed_powers(g):
+    """The flat words of the (g,0) power relators B3, B4, B4b and E6."""
+    return {
+        "B3": power(urun(1, g - 1), g),
+        "B4": power(urun(1, g - 2), g - 1),
+        "B4b": power(urun(2, g - 1), g - 1),
+        "E6": power(arun(1, g - 1), g if g % 2 == 0 else 2 * g),
+    }
+
+
 def test_factored_sides_evaluate_to_their_flat_words():
     # part tables (cached per exponent, powers by squaring) against the
     # flat letters evaluated one by one by an Evaluator that has cached
-    # nothing
+    # nothing, on both the (g,1) and the (g,0) catalogue
     checked = 0
     for g in list(range(4, 13)) + [16]:
         env = expansion_env(g, 1)
         ev = evaluator(g)
-        for e in catalogue(g, 1):
+        # the closed powers are Factored, and their letters are the flat
+        # powers they were written as, so the relations are the same
+        closed = {e.label(): e for e in catalogue(g, 0)}
+        for label, flat in _closed_powers(g).items():
+            assert isinstance(closed[label].lhs, Factored), (g, label)
+            assert closed[label].lhs == flat and closed[label].word == flat, (g, label)
+        for e in catalogue(g, 1) + catalogue(g, 0):
             for side in (e.lhs, e.rhs):
                 if isinstance(side, Factored):
                     flat = Evaluator(g).evaluate(tuple(side))

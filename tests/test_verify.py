@@ -151,10 +151,13 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
 
     n, spliced = _cold_compose_count(monkeypatch, punctured)
     assert (n, spliced) == (4329, 415), (n, spliced)
-    # the closed entries fold sparse letter tables on purpose (composing
-    # two dense side tables costs more); their count is pinned
+    # the long one-sided closed powers (B3, B4, B4b, E6) are built by
+    # squaring the run's table: that took (2921, 0) to (919, 0). E2a and
+    # E5 (exponent 2, where squaring a dense table costs more than
+    # folding sparse letter tables) and the two-sided entries (composing
+    # two dense side tables costs more) are folded letter by letter
     n, spliced = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
-    assert (n, spliced) == (2921, 0), (n, spliced)
+    assert (n, spliced) == (919, 0), (n, spliced)
 
 
 def test_verify_catalogue_tier_filter():
@@ -197,6 +200,35 @@ def test_tier3_rejects_every_single_letter_inversion():
     assert not wrong, "mutants not rejected:\n" + "\n".join(wrong)
     assert refuted > 700, refuted
     assert dt < 10.0, f"mutation sweep exceeded its 10s budget: {dt:.2f}s"
+
+
+def test_tier3_refutes_wrong_exponents_on_the_squaring_path(monkeypatch, cold_evaluators):
+    # the letter inversions above go through the flat relator, which the
+    # Evaluator folds letter by letter; these keep the one-part Factored
+    # power run^k of B3, B4, B4b and E6 and change k to k - 1 or k + 1,
+    # so a false relation reaches the squaring of the run's table
+    import re
+
+    import nmcg.pi1_action as pa
+
+    calls, table_power = [], pa._table_power
+    monkeypatch.setattr(pa, "_table_power", lambda t, k: calls.append(k) or table_power(t, k))
+    mutants, survivors = 0, []
+    for g in range(4, 10):
+        for e in catalogue(g, 0):
+            if not isinstance(e.lhs, Factored):
+                continue
+            ((run, k),) = e.lhs.parts
+            assert e.tier == 3 and not e.rhs, e.label()
+            for j in (k - 1, k + 1):
+                calls.clear()
+                v = verify_entry(dataclasses.replace(e, lhs=Factored(((run, j),))))
+                mutants += 1
+                if v.ok or not re.search(r"^Refuted: .* x_\d+$", v.detail) or j not in calls:
+                    survivors.append(f"({g},0) {e.label()} exponent {j}: {v.detail}, "
+                                     f"squared to {calls}")
+    assert not survivors, "mutants not refuted on the squaring path:\n" + "\n".join(survivors)
+    assert mutants == 48, mutants
 
 
 def test_tier1_rejects_an_extra_half_twist_on_a_factored_side():
