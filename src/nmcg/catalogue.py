@@ -14,6 +14,10 @@ tier 3: the relator becomes an inner automorphism of the one-relator
 
 The relations of the presentations of (3,1) and (4,0) that carry the
 crosscap slide d are entries here, tagged smallgenus.
+
+Each relation is stated once per surface, up to cyclic rotation and
+inversion at one tier and twist: a family starts where it stops
+restating a presentation relator or another entry.
 """
 
 from __future__ import annotations
@@ -74,12 +78,13 @@ def punctured_entries(g: int) -> list:
     def add(tag, params, lhs, rhs, twist=0):
         E.append(Entry(tag, tuple(params), g, 1, lhs, rhs, 2 if twist else 1, twist))
 
-    for i in range(1, g):
+    # from i = 2: star(1) is C4, starstar(1) is C5 and C1a(1,j) is C1(j);
+    # a_i u_i a_i = u_i is star(i) too
+    for i in range(2, g):
         add("star", (i,), concat(u(i), a(i), inverse(u(i))), inverse(a(i)))
-        add("C4a", (i,), concat(a(i), u(i), a(i)), u(i))
-    for i in range(1, g - 1):
+    for i in range(2, g - 1):
         add("starstar", (i,), concat(u(i + 1), a(i), a(i + 1), u(i)), concat(a(i), a(i + 1)))
-    for i in range(1, g):
+    for i in range(2, g):
         for j in range(1, g):
             if abs(i - j) > 1:
                 add("C1a", (i, j), concat(a(i), u(j)), concat(u(j), a(i)))
@@ -90,32 +95,37 @@ def punctured_entries(g: int) -> list:
             power(concat(b(1), u(3)), 2),
             concat(power(arun(1, 3), 2), power(urun(1, 3), 2)),
         )
-    for i in range(5, g):
+    for i in range(6, g):  # C7a(5) is C7
         add("C7a", (i,), concat(u(i), b(1)), concat(b(1), u(i)))
     if g >= 5:
         mid = concat(arun_down(4, 1), urun(1, 4))
         add("C9", (), concat(b(1), mid), concat(mid, b(1)))
-    # from k = 3: at k = 2, where Delta_2 = u_1, B5, B6, B7 and B8 have one
-    # flat word on both sides and E1 is star(1); B6(3) is flat-equal too
+    # E1 and B8 from k = 3: at k = 2 (Delta_2 = u_1) B5-B8 have one flat
+    # word on both sides and E1 is star(1). B5 and B7 from k = 4: at k = 3
+    # they are B2(1). B6 from k = 5: B6(3) is flat-equal, B6(4) is B1(1,3)
     for k in range(3, g + 1):
         dk, dk1 = delta_word(k), delta_word(k - 1)
         dk2 = Factored(((dk, 2),))
         for i in range(1, k):
-            add("B5", (k, i), Factored(((dk, 1), (u(i), 1))), Factored(((u(k - i), 1), (dk, 1))))
+            if k >= 4:
+                add("B5", (k, i), Factored(((dk, 1), (u(i), 1))), Factored(((u(k - i), 1), (dk, 1))))
             add("E1", (k, i), Factored(((dk, 1), (a(i), 1))),
                 Factored(((inverse(a(k - i)), 1), (dk, 1))))
-        if k >= 4:
+        if k >= 5:
             add("B6", (k,), dk, Factored(((dk1, 1), (urun_down(k - 1, 1), 1))))
-        add("B7", (k,), dk2, Factored(((urun(1, k - 1), k),)))
+        if k >= 4:
+            add("B7", (k,), dk2, Factored(((urun(1, k - 1), k),)))
         add("B8", (k,), dk2,
             Factored(((dk1, 2), (urun_down(k - 1, 1), 1), (urun(1, k - 1), 1))))
     stab = ()
     for m in range(g - 1, 0, -1):
         stab = concat(stab, urun(m, g - 2), power(u(g - 1), 2), urun_down(g - 2, m))
     dg2 = Factored(((delta_word(g), 2),))
-    add("DeltaStab", (), dg2, stab)
+    if g >= 3:  # DeltaStab is one flat word at g = 2 and 1 = 1 at g = 1
+        add("DeltaStab", (), dg2, stab)
     rg = r_word(g)
-    add("E2", (), Factored(((rg, 2),)), dg2)
+    if g >= 2:  # E2 is 1 = 1 at g = 1
+        add("E2", (), Factored(((rg, 2),)), dg2)
     for i in range(2, g):
         add("E3", (i,), Factored(((rg, 1), (a(i), 1))), Factored(((a(i), 1), (rg, 1))))
         add("E4", (i,), Factored(((u(i), 1), (rg, 1), (u(i), 1))), rg)
@@ -130,29 +140,17 @@ def punctured_entries(g: int) -> list:
                 chain_word(rho - 1, 2),
                 concat(power(c1, 2), b(rho)),
             )
-    for rho in (2, 3):
+    # the relations of b_{rho-2} (H5, H6 at rho = 2) and b_{rho-1} (H3, H4
+    # at rho = 3) with a_1..a_{2rho+1}: the others, with b_1, are A3 and
+    # A4, and those among the a_i (H1, H2) are A1 and A2
+    for rho, x, hole, tags in ((2, b(0), 4, ("H5", "H6")), (3, b(2), 2, ("H3", "H4"))):
         if g < 2 * rho + 2:
             continue
-        c = lambda i: b(rho - 1) if i == 0 else a(2 * rho + 2 - i)
-        d = b(rho - 2)
-        for i in range(1, 2 * rho + 1):
-            for j in range(i + 2, 2 * rho + 2):
-                add("H1", (rho, i, j), concat(c(i), c(j)), concat(c(j), c(i)))
-        for i in range(1, 2 * rho + 1):
-            add(
-                "H2",
-                (rho, i),
-                concat(c(i), c(i + 1), c(i)),
-                concat(c(i + 1), c(i), c(i + 1)),
-            )
+        c = lambda i: a(2 * rho + 2 - i)
         for i in range(1, 2 * rho + 2):
-            if i != 2:
-                add("H3", (rho, i), concat(c(0), c(i)), concat(c(i), c(0)))
-        add("H4", (rho,), concat(c(0), c(2), c(0)), concat(c(2), c(0), c(2)))
-        for i in range(1, 2 * rho + 2):
-            if i != 4:
-                add("H5", (rho, i), concat(d, c(i)), concat(c(i), d))
-        add("H6", (rho,), concat(d, c(4), d), concat(c(4), d, c(4)))
+            if i != hole:
+                add(tags[0], (rho, i), concat(x, c(i)), concat(c(i), x))
+        add(tags[1], (rho,), concat(x, c(hole), x), concat(c(hole), x, c(hole)))
     if g >= 6:
         v = v_word()
         lhs = concat(inverse(b(1)), inverse(concat(a(4), a(5), u(5), u(4))), b(1))
@@ -163,10 +161,9 @@ def punctured_entries(g: int) -> list:
     if g == 3:  # the presentation of (3,1) on a_1, a_2, u_2 and the crosscap slide d
         d = lit(named("d"))
         sg = lambda k, lhs, rhs: add("smallgenus", ("g3n1", k), lhs, rhs)
+        # (ii) a_2 a_1 a_2 = a_1 a_2 a_1 is A2(1); (iv) u_2 a_2 u_2^-1 = a_2^-1 is star(2)
         sg("i", concat(a(2), d), concat(d, a(2)))
-        sg("ii", concat(a(2), a(1), a(2)), concat(a(1), a(2), a(1)))
         sg("iii", concat(d, a(1), d), concat(a(1), d, a(1)))
-        sg("iv", concat(u(2), a(2), inverse(u(2))), inverse(a(2)))
         sg("v", concat(u(2), a(1), inverse(u(2))), concat(a(1), inverse(d), inverse(a(1))))
         sg("vi", power(concat(d, u(2)), 2), power(concat(u(2), d), 2))
         sg("vii", power(concat(d, u(2)), 2), power(concat(a(2), d, d, a(1)), 3))
@@ -175,7 +172,8 @@ def punctured_entries(g: int) -> list:
     # about the curve around crosscaps 1..g-1, which bounds a Moebius
     # band only once the boundary is capped. It is tier 3 in
     # closed_entries; at (g,1) its word is Delta_{g-1}^2 (tier-1 B7(g-1))
-    add("B7", (g, "closed"), dg2, (), twist=1)
+    if g >= 3:  # at g <= 2, Delta_g^2 is B3's word
+        add("B7", (g, "closed"), dg2, (), twist=1)
     add("B3", (), Factored(((urun(1, g - 1), g),)), (), twist=1)
     if g == 4:  # G1 holds exactly; G2 and G3 up to one boundary twist
         x3 = power(arun(1, 3), 3)

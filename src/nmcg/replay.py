@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .words import Word, parse_raw, fmt, free_reduce, inverse, concat, cyclic_reduce
+from .words import Word, parse_raw, fmt, free_reduce, inverse, concat, cyclic_canon
 from .catalogue import Entry, relation_index
 from .verify import verify_entry
 
@@ -51,17 +51,11 @@ class ReplayReport:
     w_power: int  # the stated boundary-twist exponent at tier 2, else 0
 
 
-def _rotations(w: Word):
-    return {w[i:] + w[:i] for i in range(max(len(w), 1))}
-
-
 def _licensed(match: Word, replace: Word, lhs: Word, rhs: Word) -> bool:
-    """match -> replace is a consequence of the single relation lhs = rhs."""
-    s = cyclic_reduce(concat(match, inverse(replace)))[0]
-    r = cyclic_reduce(concat(lhs, inverse(rhs)))[0]
-    if not s:
-        return True  # freely trivial rewrite
-    return s in _rotations(r) or s in _rotations(inverse(r))
+    """match -> replace is a consequence of the single relation lhs = rhs:
+    freely trivial, or a cyclic rotation of its relator or the inverse."""
+    s = cyclic_canon(concat(match, inverse(replace)))
+    return not s or s == cyclic_canon(concat(lhs, inverse(rhs)))
 
 
 def load_script(name: str) -> dict:

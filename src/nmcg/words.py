@@ -207,6 +207,13 @@ def cyclic_reduce(word: Word) -> tuple[Word, Word]:
     return word[i:j], word[:i]
 
 
+def cyclic_canon(word: Word) -> Word:
+    """The least rotation of the cyclic core of a freely reduced word or of its
+    inverse: equal for two words iff one is conjugate to the other or its inverse."""
+    w = cyclic_reduce(word)[0]
+    return min(r[i:] + r[:i] for r in (w, inverse(w)) for i in range(max(len(r), 1)))
+
+
 def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
     """Apply the homomorphism sending each positive letter c to images[c]
     (default: itself)."""

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from nmcg.words import (
     concat,
+    cyclic_canon,
     cyclic_reduce,
     exponent_matrix,
     fmt,
@@ -90,6 +91,15 @@ def test_cyclic_reduce_reassembles(w):
         assert not (core[0] == -core[-1]), (
             "core still has cancelling ends"
         )
+
+
+@given(_words)
+def test_cyclic_canon_is_the_least_rotation_of_the_word_and_its_inverse(w):
+    # the shortest of the reduced rotations are the rotations of the cyclic core
+    r = free_reduce(w)
+    rotations = [v[i:] + v[:i] for v in (r, inverse(r)) for i in range(len(v))]
+    assert cyclic_canon(r) == min((free_reduce(v) for v in rotations), key=lambda v: (len(v), v),
+                                  default=())
 
 
 @given(_words)
