@@ -174,7 +174,8 @@ def punctured_entries(g: int) -> list:
     # closed_entries; at (g,1) its word is Delta_{g-1}^2 (tier-1 B7(g-1))
     if g >= 3:  # at g <= 2, Delta_g^2 is B3's word
         add("B7", (g, "closed"), dg2, (), twist=1)
-    add("B3", (), Factored(((urun(1, g - 1), g),)), (), twist=1)
+    if g >= 2:  # at g = 1 both sides are empty and pass for every twist
+        add("B3", (), Factored(((urun(1, g - 1), g),)), (), twist=1)
     if g == 4:  # G1 holds exactly; G2 and G3 up to one boundary twist
         x3 = power(arun(1, 3), 3)
         add(

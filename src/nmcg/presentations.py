@@ -10,6 +10,11 @@ equations (lhs, rhs); the single-word form is lhs * rhs^-1. Generators
 and relators are built in the order they are printed: a, u, b by index,
 and relators by tag A1 ... C8, D with ascending params. The relations
 carrying the crosscap slide d at (3,1) and (4,0) are catalogue entries.
+
+The builders trust what they build: a, u and b return cached one-letter
+words (the runs read those letters), every side is made freely reduced
+by the word kernel, and _rel stores both sides as built. A test, not a
+re-scan here, checks that every relator and catalogue side is reduced.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .words import (
     Word,
     concat,
     fmt,
-    free_reduce,
     gen,
     inverse,
     letter,
@@ -36,34 +40,37 @@ from .words import (
 )
 
 
+@lru_cache(maxsize=None)
 def a(i: int) -> Word:
     return lit(gen("a", i))
 
 
+@lru_cache(maxsize=None)
 def u(i: int) -> Word:
     return lit(gen("u", i))
 
 
+@lru_cache(maxsize=None)
 def b(j: int) -> Word:
     return lit(gen("b", j))
 
 
 def arun(i: int, j: int) -> Word:
     """a_i a_{i+1} ... a_j; empty when j < i."""
-    return tuple(letter(gen("a", k)) for k in range(i, j + 1))
+    return tuple(a(k)[0] for k in range(i, j + 1))
 
 
 def urun(i: int, j: int) -> Word:
-    return tuple(letter(gen("u", k)) for k in range(i, j + 1))
+    return tuple(u(k)[0] for k in range(i, j + 1))
 
 
 def arun_down(i: int, j: int) -> Word:
     """a_i a_{i-1} ... a_j; empty when j > i."""
-    return tuple(letter(gen("a", k)) for k in range(i, j - 1, -1))
+    return tuple(a(k)[0] for k in range(i, j - 1, -1))
 
 
 def urun_down(i: int, j: int) -> Word:
-    return tuple(letter(gen("u", k)) for k in range(i, j - 1, -1))
+    return tuple(u(k)[0] for k in range(i, j - 1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +198,7 @@ class Presentation:
 
 
 def _rel(tag, params, lhs, rhs=()):
-    return Relator(tag, tuple(params), free_reduce(lhs), free_reduce(rhs))
+    return Relator(tag, tuple(params), lhs, rhs)
 
 
 def _twist_relators(g: int) -> list:

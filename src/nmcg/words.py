@@ -8,10 +8,12 @@ first-sight order, so no output may depend on their values; labels
 appear only where words are parsed or printed. A word is a tuple of
 letters; nothing here mutates its input.
 
-The kernel is free_reduce (any sequence), inverse, mul (freely reduced
-parts: only letters where two parts meet can cancel) and power.
-pi1_action and one_relator use it for their words in x_1..x_g, signed
-ints with +i for x_i.
+The kernel is free_reduce, inverse, mul and power. Its contract: mul
+and power take freely reduced words and never re-scan them (only
+letters where two factors meet can cancel); free_reduce, concat and
+parse are the entry points that take any word. pi1_action and
+one_relator use it for their words in x_1..x_g, signed ints with +i for
+x_i.
 
 A ``Factored`` word is a tuple of the same flat, freely reduced letters
 that also keeps how it was built: ``parts = ((part, k), ...)``, the
@@ -167,10 +169,10 @@ def mul(*words: Word) -> Word:
 
 
 def power(word: Word, k: int) -> Word:
-    w = free_reduce(word)
+    """word^k of a freely reduced word, by mul: the word is not re-scanned."""
     if k < 0:
-        w, k = inverse(w), -k
-    return mul(*([w] * k)) if k else ()
+        word, k = inverse(word), -k
+    return mul(*([word] * k)) if k else ()
 
 
 # ---- built on the kernel --------------------------------------------------
@@ -194,23 +196,20 @@ class Factored(tuple):
         return self
 
 
-def cyclic_reduce(word: Word) -> tuple[Word, Word]:
-    """Return (core, prefix) with word = prefix * core * prefix^-1.
-
-    The input must already be freely reduced; the core is cyclically
-    reduced (first and last letters are not mutually inverse).
-    """
+def cyclic_reduce(word: Word) -> Word:
+    """The core of a freely reduced word: word = p * core * p^-1 with the
+    core cyclically reduced (first and last letters not mutually inverse)."""
     i, j = 0, len(word)
     while j - i >= 2 and word[i] == -word[j - 1]:
         i += 1
         j -= 1
-    return word[i:j], word[:i]
+    return word[i:j]
 
 
 def cyclic_canon(word: Word) -> Word:
     """The least rotation of the cyclic core of a freely reduced word or of its
     inverse: equal for two words iff one is conjugate to the other or its inverse."""
-    w = cyclic_reduce(word)[0]
+    w = cyclic_reduce(word)
     return min(r[i:] + r[:i] for r in (w, inverse(w)) for i in range(max(len(r), 1)))
 
 

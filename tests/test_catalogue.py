@@ -15,13 +15,29 @@ def test_no_tier1_entry_has_the_same_word_on_both_sides():
     assert not same, f"tautological tier-1 entries: {sorted(same)}"
 
 
+def _assert_reduced(word, where, seen):
+    """word and, recursively, every part of a Factored word are freely
+    reduced; shared parts (the cached Delta_k and r_g) are checked once."""
+    if id(word) in seen:
+        return
+    seen.add(id(word))
+    assert tuple(word) == free_reduce(word), f"{where}: unreduced word or part"
+    for part, _ in getattr(word, "parts", ()):
+        _assert_reduced(part, where, seen)
+
+
 def test_entries_carry_consistent_metadata():
-    for g in (3, 5, 7):
-        for e in catalogue(g, 1):
-            assert e.genus == g and e.boundary == 1
-            assert e.tier in (1, 2, 3)
-            assert e.word == free_reduce(e.word)
-            assert e.lhs or e.rhs, f"{e.label()}: empty entry"
+    # the builders' words are trusted as reduced: this is the check
+    for n, g0 in ((1, 1), (0, 4)):
+        for g in range(g0, 25):
+            entries, seen = catalogue(g, n), set()
+            for e in entries:
+                where = f"({g},{n}) {e.label()}"
+                assert e.genus == g and e.boundary == n
+                assert e.tier in (1, 2, 3)
+                assert e.lhs or e.rhs, f"{where}: empty entry"
+                for side in (e.lhs, e.rhs, e.word):
+                    _assert_reduced(side, where, seen)
 
 
 def test_smallgenus_tier_maps_are_pinned():

@@ -70,7 +70,8 @@ def test_verify_no_hints(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("g,n,tier", [(5, 0, "2"), (8, 1, "3")])
+# (1,1) has no generators, no relators and no entry: its B3 had two empty sides
+@pytest.mark.parametrize("g,n,tier", [(5, 0, "2"), (8, 1, "3"), (1, 1, "all")])
 def test_verify_selection_that_checks_nothing_is_a_usage_error(capsys, g, n, tier):
     assert main(["verify", "-g", str(g), "-n", str(n), "--tier", tier]) == 2
     captured = capsys.readouterr()

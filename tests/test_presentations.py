@@ -80,15 +80,21 @@ def test_relator_counts_are_stable():
 
 
 def test_relator_sides_parse_and_reduce():
-    for g in (3, 5, 6):
-        pres = nonorientable_mcg_presentation(g, 1)
-        tags = set()
-        for r in pres.relators:
+    # _rel stores both sides as built, so this is the check that the
+    # builders emit freely reduced words. Below g = 3 the spherical braid
+    # relators are powers of the empty run u_1..u_{g-2}, so they start at 3
+    pres = [nonorientable_mcg_presentation(g, n) for g in range(1, 25) for n in (0, 1)]
+    pres += [braid_presentation(g, spherical=True) for g in range(3, 25)]
+    tags = set()
+    for p in pres:
+        for r in p.relators:
+            where = f"({p.genus},{p.boundary}) {r.tag}{r.params}"
             tags.add(r.tag)
-            assert r.word == free_reduce(r.word), f"{r.tag}: unreduced relator word"
-            assert r.word, f"{r.tag}: empty relator"
+            for side in (r.lhs, r.rhs, r.word):
+                assert type(side) is tuple and side == free_reduce(side), f"{where}: unreduced side"
+            assert r.word, f"{where}: empty relator"
             assert ":" in r.text() and "=" in r.text()
-        assert "A7" in tags
+    assert {"A7", "B3", "D", "smallgenus"} <= tags
 
 
 def test_relator_word_is_built_once():
