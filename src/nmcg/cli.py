@@ -4,7 +4,6 @@ Subcommands:
   present     print a presentation (text or JSON)
   verify      run tiered verification for one (genus, boundary) pair
   abelianize  H_1 of a presented group via Smith normal form
-  enumerate   Todd-Coxeter coset enumeration (small groups only)
   replay      replay recorded derivation scripts
   tables      dump the generator action tables that verify uses
 
@@ -21,7 +20,6 @@ import sys
 
 from . import pi1_action, replay
 from .abelianized import h1
-from .cosets import CapExceeded, coset_enumeration
 from .presentations import nonorientable_mcg_presentation
 from .verify import boundary_fixation, verify_catalogue, verify_relators
 
@@ -62,18 +60,6 @@ def _cmd_abelianize(args) -> int:
     res = h1(_pres(args))
     print(f"H_1 = {res.label()}")
     print(f"free rank {res.free_rank}, torsion {list(res.torsion)}")
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
-    try:
-        table = coset_enumeration(_pres(args), max_cosets=args.max_cosets)
-    except CapExceeded as e:
-        print(f"coset cap {e.cap} exceeded; the group is large or infinite", file=sys.stderr)
-        return 1
-    print(f"index {table.index()}")
-    if args.csv:
-        print(table.to_csv(), end="")
     return 0
 
 
@@ -126,12 +112,6 @@ def main(argv=None) -> int:
     _add_gn(p)
     p.set_defaults(fn=_cmd_abelianize)
 
-    p = sub.add_parser("enumerate", help="Todd-Coxeter coset enumeration")
-    _add_gn(p)
-    p.add_argument("--max-cosets", type=int, default=10**6)
-    p.add_argument("--csv", action="store_true", help="print the coset table")
-    p.set_defaults(fn=_cmd_enumerate)
-
     p = sub.add_parser("replay", help="replay derivation scripts")
     p.add_argument("names", nargs="*", help="script names (default: all)")
     p.set_defaults(fn=_cmd_replay)
@@ -145,8 +125,6 @@ def main(argv=None) -> int:
         parser.error("genus must be >= 1")
     if getattr(args, "boundary", None) == 0 and args.command in ("verify",) and args.genus < 4:
         parser.error("closed-surface verification needs genus >= 4")
-    if getattr(args, "max_cosets", 1) < 1:
-        parser.error("--max-cosets must be >= 1")
     unknown = [x for x in getattr(args, "names", ()) if x not in replay.available_scripts()]
     if unknown:
         parser.error(f"no replay script named {', '.join(map(repr, unknown))}")

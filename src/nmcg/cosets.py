@@ -4,54 +4,33 @@ Deterministic by construction: each live coset in turn traces every
 relator in presentation order, defining cosets as the scan needs them,
 and then fills its row left to right. Coincidences are handled with a
 union-find over coset numbers, always keeping the smaller number alive.
-The cap bounds the rows ever allocated, dead ones included: defining
+MAX_COSETS bounds the rows ever allocated, dead ones included: defining
 one more raises CapExceeded, with no lookahead or compaction to rescue
-the run. The table is compacted once, at the end.
+the run, so an infinite group stops there instead of filling memory.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .words import Word, gen_of, letter
 from .presentations import Presentation
 
 
+MAX_COSETS = 10**6
+
+
 class CapExceeded(Exception):
-    def __init__(self, cap):
-        super().__init__(f"coset enumeration exceeded {cap} cosets")
-        self.cap = cap
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    generators: tuple
-    rows: tuple  # rows[c][2*i] = c.gen_i, rows[c][2*i + 1] = c.gen_i^-1
-
-    def index(self) -> int:
-        return len(self.rows)
-
-    def to_csv(self) -> str:
-        head = ["coset"]
-        for gen in self.generators:
-            head.append(gen.label())
-            head.append(gen.label() + "^-1")
-        out = [",".join(head)]
-        for c, row in enumerate(self.rows):
-            out.append(",".join(str(v + 1) for v in (c, *row)))
-        return "\n".join(out) + "\n"
+    """Defining one more coset would pass MAX_COSETS rows."""
 
 
 class _Enumerator:
-    def __init__(self, pres: Presentation, max_cosets):
-        self.gens = tuple(pres.generators)
-        self.ncols = 2 * len(self.gens)
+    def __init__(self, pres: Presentation):
+        self.ncols = 2 * len(pres.generators)
         self.colof = {}
-        for i, gen in enumerate(self.gens):
+        for i, gen in enumerate(pres.generators):
             self.colof[letter(gen)], self.colof[letter(gen, -1)] = 2 * i, 2 * i + 1
         self.relators = [self._cols(r.word) for r in pres.relators]
-        self.cap = max_cosets
         self.tab = [[None] * self.ncols]
         self.p = [0]
 
@@ -79,8 +58,8 @@ class _Enumerator:
         return r
 
     def define(self, c: int, col: int) -> int:
-        if len(self.tab) >= self.cap:
-            raise CapExceeded(self.cap)
+        if len(self.tab) >= MAX_COSETS:
+            raise CapExceeded(f"coset enumeration exceeded {MAX_COSETS} cosets")
         n = len(self.tab)
         self.tab.append([None] * self.ncols)
         self.p.append(n)
@@ -141,21 +120,6 @@ class _Enumerator:
                 return
             self.define(alpha, cols[f])
 
-    def compact(self):
-        """Renumber live cosets by increasing old index."""
-        mapping = {}
-        for c in range(len(self.tab)):
-            if self.rep(c) == c:
-                mapping[c] = len(mapping)
-        newtab = [[None] * self.ncols for _ in mapping]
-        for old, new in mapping.items():
-            for col in range(self.ncols):
-                t = self.get(old, col)
-                if t is not None:
-                    newtab[new][col] = mapping[t]
-        self.tab = newtab
-        self.p = list(range(len(newtab)))
-
     def _work(self, c: int):
         """Process one live coset: trace all relators, then fill its row."""
         for w in self.relators:
@@ -175,31 +139,31 @@ class _Enumerator:
             if self.rep(c) == c:
                 self._work(c)
             c += 1
-        self.compact()
 
-    def check_complete(self):
-        for c, row in enumerate(self.tab):
-            if any(v is None for v in row):
-                raise ValueError(f"incomplete row {c}")
-            for col, t in enumerate(row):
-                if self.tab[t][col ^ 1] != c:
+    def check_complete(self) -> int:
+        """Check the live table: full rows, each column inverse to its
+        partner, every relator closed at every coset. Return the count."""
+        live = [c for c in range(len(self.tab)) if self.rep(c) == c]
+        for c in live:
+            for col in range(self.ncols):
+                t = self.get(c, col)
+                if t is None:
+                    raise ValueError(f"incomplete row {c}")
+                if self.get(t, col ^ 1) != c:
                     raise ValueError("table not involutive")
-        for c in range(len(self.tab)):
+        for c in live:
             for w in self.relators:
                 d = c
                 for col in w:
-                    d = self.tab[d][col]
+                    d = self.get(d, col)
                 if d != c:
                     raise ValueError(f"relator open at coset {c}")
-
-
-def coset_enumeration(pres: Presentation, max_cosets: int = 10**6) -> CosetTable:
-    """Enumerate the cosets of the trivial subgroup: the group's elements."""
-    e = _Enumerator(pres, max_cosets)
-    e.run()
-    e.check_complete()
-    return CosetTable(e.gens, tuple(tuple(r) for r in e.tab))
+        return len(live)
 
 
 def group_order(pres: Presentation) -> int:
-    return coset_enumeration(pres).index()
+    """The order of the presented group, by enumerating the cosets of the
+    trivial subgroup; CapExceeded past MAX_COSETS."""
+    e = _Enumerator(pres)
+    e.run()
+    return e.check_complete()

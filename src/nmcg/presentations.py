@@ -321,6 +321,8 @@ def _crosscap_relators(g: int) -> list:
 
 def braid_presentation(g: int, spherical: bool = False) -> Presentation:
     """Braid-type presentation on u_1..u_{g-1} (B3, B4 when spherical)."""
+    if spherical and g < 3:  # B4, and at g = 1 also B3, would be empty
+        raise ValueError(f"spherical braid presentation needs genus >= 3, not {g}")
     gens = tuple(gen("u", i) for i in range(1, g))
     return Presentation(g, 1, gens, tuple(_braid_relators(g, spherical)))
 

@@ -5,7 +5,7 @@ list of rewrite steps. The replayer executes the steps on a raw
 (unreduced) letter sequence and checks three things:
 
 * each applied rewrite matches the current word letter-for-letter at
-  the stated position;
+  the stated position, which lies inside the word;
 * each rewrite is licensed by a relation of the group: the freely
   reduced word match * replace^-1 must be conjugate in the free group
   to a cyclic rotation of the relation's relator (or its inverse);
@@ -72,13 +72,10 @@ def _apply_step(name, i, word, step, index):
     op = step["op"]
     if op == "cancel":
         return list(free_reduce(tuple(word)))
-    if op == "insert":
-        at = step["at"]
-        aux = list(parse_raw(step["aux"]))
-        if not 0 <= at <= len(word):
-            raise StepMismatch(name, i, f"insert position {at} out of range")
-        return word[:at] + aux + list(inverse(aux)) + word[at:]
-    if op == "apply":
+    if op == "insert":  # a rewrite of the empty subword at `at`
+        aux = parse_raw(step["aux"])
+        match, replace = (), aux + inverse(aux)
+    elif op == "apply":
         key = (step["rel"], tuple(step.get("params", ())))
         if key not in index:
             raise StepMismatch(name, i, f"unknown relation {key}")
@@ -93,15 +90,18 @@ def _apply_step(name, i, word, step, index):
                     f"rewrite {fmt(match)} -> {fmt(replace)} is not a"
                     f" consequence of {key}",
                 )
-        at = step["at"]
-        got = tuple(word[at : at + len(match)])
-        if got != match:
-            raise StepMismatch(
-                name, i,
-                f"at position {at} expected {fmt(match)}, found {fmt(got)}",
-            )
-        return word[:at] + list(replace) + word[at + len(match):]
-    raise StepMismatch(name, i, f"unknown op {op!r}")
+    else:
+        raise StepMismatch(name, i, f"unknown op {op!r}")
+    at = step["at"]
+    if not 0 <= at <= len(word) - len(match):
+        raise StepMismatch(name, i, f"{op} position {at} out of range")
+    got = tuple(word[at : at + len(match)])
+    if got != match:
+        raise StepMismatch(
+            name, i,
+            f"at position {at} expected {fmt(match)}, found {fmt(got)}",
+        )
+    return word[:at] + list(replace) + word[at + len(match):]
 
 
 def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:

@@ -1,16 +1,17 @@
 """Coset enumeration: finite groups with known orders, the enumeration
-cap, the permutation action and the CSV dump."""
+cap, and the completeness check that every order passes through."""
 
 import pytest
 
-from nmcg.cosets import CapExceeded, coset_enumeration, group_order
+from nmcg import cosets
+from nmcg.cosets import CapExceeded, _Enumerator, group_order
 from nmcg.presentations import (
     Presentation,
     Relator,
     braid_presentation,
     nonorientable_mcg_presentation,
 )
-from nmcg.words import gen, gen_of, letter, parse
+from nmcg.words import gen, parse
 
 
 def _pres(relator_texts, gens):
@@ -35,36 +36,44 @@ def test_dihedral_and_quaternion_orders():
     assert group_order(_Q8) == 8
 
 
-def test_permutation_action_is_consistent():
-    table = coset_enumeration(_S3)
-    pos = {letter(x): i for i, x in enumerate(_S3.generators)}
-    for g_, i in pos.items():
-        # columns 2i and 2i+1 of the rows are the actions of gen_i and gen_i^-1
-        perm = [row[2 * i] for row in table.rows]
-        assert sorted(perm) == list(range(table.index())), (
-            f"{gen_of(g_).label()} is not a permutation of the cosets"
-        )
-        assert all(table.rows[perm[c]][2 * i + 1] == c for c in range(table.index()))
-    # relators act trivially on the coset space
-    for r in _S3.relators:
-        for c in range(table.index()):
-            image = c
-            for x in reversed(r.word):
-                image = table.rows[image][2 * pos[abs(x)] + (x < 0)]
-            assert image == c, f"{r.tag} moves coset {c}"
+def _finished_s3():
+    e = _Enumerator(_S3)
+    e.run()
+    return e, [c for c in range(len(e.tab)) if e.rep(c) == c]
 
 
-def test_cap_exceeded():
+def test_check_complete_rejects_a_corrupted_table():
+    e, live = _finished_s3()
+    assert e.check_complete() == len(live) == 6
+    # a hole in a live row
+    e.tab[live[0]][1] = None
+    with pytest.raises(ValueError, match=f"incomplete row {live[0]}"):
+        e.check_complete()
+    # one entry overwritten: a1 no longer inverse to a1^-1 at coset 0
+    e, live = _finished_s3()
+    e.tab[0][0] = next(c for c in live if c not in (0, e.get(0, 0)))
+    with pytest.raises(ValueError, match="not involutive"):
+        e.check_complete()
+    # a1 acting as the identity: full and involutive, but (a1 a2)^3 = a2
+    e, live = _finished_s3()
+    for c in live:
+        e.tab[c][0] = e.tab[c][1] = c
+    with pytest.raises(ValueError, match="relator open"):
+        e.check_complete()
+
+
+def test_identity_subgroup_equals_group_order():
+    # the table is never compacted: the order counts live cosets only,
+    # not the rows that coincidences killed
+    e, live = _finished_s3()
+    assert len(e.tab) > len(live) == group_order(_S3) == 6
+
+
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(cosets, "MAX_COSETS", 50)
     free = _pres([], "a1 a2")
     with pytest.raises(CapExceeded):
-        coset_enumeration(free, max_cosets=50)
-
-
-def test_csv_dump():
-    table = coset_enumeration(_S3)
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0].startswith("coset,")
-    assert len(lines) == table.index() + 1
+        group_order(free)
 
 
 def test_mapping_class_group_orders():
@@ -74,19 +83,16 @@ def test_mapping_class_group_orders():
     assert group_order(braid_presentation(3, spherical=True)) == 6
 
 
-def test_identity_subgroup_equals_group_order():
-    table = coset_enumeration(_S3)
-    assert table.index() == 6
-
-
-def test_the_finite_mapping_class_groups_fit_a_cap_equal_to_their_order():
+def test_the_finite_mapping_class_groups_fit_a_cap_equal_to_their_order(monkeypatch):
     # the cap bounds every row ever allocated, and nothing rescues a run
     # that hits it, so this pins HLT's allocation on the finite cases
     finite = {(1, 0): 1, (1, 1): 1, (2, 0): 4}
     for (g, n), order in finite.items():
-        assert coset_enumeration(nonorientable_mcg_presentation(g, n), max_cosets=order).index() == order
+        monkeypatch.setattr(cosets, "MAX_COSETS", order)
+        assert group_order(nonorientable_mcg_presentation(g, n)) == order
+    monkeypatch.setattr(cosets, "MAX_COSETS", 2000)
     for g in range(1, 7):
         for n in (0, 1):
             if (g, n) not in finite:
                 with pytest.raises(CapExceeded):
-                    coset_enumeration(nonorientable_mcg_presentation(g, n), max_cosets=2000)
+                    group_order(nonorientable_mcg_presentation(g, n))

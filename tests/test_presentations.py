@@ -3,6 +3,8 @@ Tietze elimination, and the serialization surface."""
 
 import json
 
+import pytest
+
 from nmcg.abelianized import h1
 from nmcg.cosets import group_order
 from nmcg.presentations import (
@@ -203,6 +205,13 @@ def test_braid_presentation_shapes():
         "spherical quotient adds the sphere relation and the involution"
     )
     assert group_order(sph) == 6
+
+
+def test_spherical_braid_presentation_needs_genus_3():
+    # below g = 3 its B4, and at g = 1 also B3, would be the empty relator
+    for g in (1, 2):
+        with pytest.raises(ValueError, match="genus >= 3"):
+            braid_presentation(g, spherical=True)
 
 
 def test_to_json_is_deterministic_and_loadable():

@@ -93,6 +93,23 @@ def test_apply_step_rejects_unknown_relation():
         _apply_step("t", 0, [], {"op": "apply", "at": 0, "rel": "nope", "dir": "LtoR"}, {})
 
 
+def test_apply_step_rejects_a_position_out_of_range():
+    # B3 at (4,0) has an empty right side: read RtoL it matches the empty
+    # subword, which must still sit inside the word, at 0..len(word)
+    index = dict(relation_index(4, 0))
+    word = list(parse_raw("a1*a2"))
+    for at in (99, -1, 3):
+        step = {"op": "apply", "at": at, "rel": "B3", "dir": "RtoL"}
+        with pytest.raises(StepMismatch, match=f"apply position {at} out of range"):
+            _apply_step("t", 0, word, step, index)
+    assert len(_apply_step("t", 0, word, dict(step, at=2), index)) > len(word)
+    # a nonempty match must fit whole: C2 at position 1 of a three-letter
+    # word runs off its end
+    step = {"op": "apply", "at": 1, "rel": "C2", "params": [1], "dir": "LtoR"}
+    with pytest.raises(StepMismatch, match="apply position 1 out of range"):
+        _apply_step("t", 0, list(parse_raw("a1*u2*u1")), step, dict(relation_index(4, 1)))
+
+
 def test_insert_and_cancel_are_inverse():
     word = list(parse_raw("a1*u1"))
     grown = _apply_step("t", 0, word, {"op": "insert", "at": 1, "aux": "b1*a2"}, {})

@@ -407,7 +407,7 @@ def test_tier3_guards_survive_optimize():
 import json
 from nmcg.abelianized import smith_diagonal
 from nmcg.catalogue import Entry, catalogue
-from nmcg.cosets import coset_enumeration
+from nmcg.cosets import group_order
 from nmcg.homology_action import f2_matrix
 from nmcg.pi1_action import crosscap_transposition, curve_twist
 from nmcg.presentations import Presentation, Relator, chain_word, nonorientable_mcg_presentation
@@ -435,7 +435,7 @@ for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z",
                   ("chain", lambda: chain_word(1, 3)),
                   ("boundary2", lambda: nonorientable_mcg_presentation(4, 2)),
                   ("ragged", lambda: smith_diagonal([[1, 2], [3]], 2)),
-                  ("foreign", lambda: coset_enumeration(foreign))):
+                  ("foreign", lambda: group_order(foreign))):
     try:
         out[key] = ["returned", repr(call())]
     except ValueError as exc:
