@@ -36,23 +36,30 @@ def _add(row, k, x):
 def smith_diagonal(rows, ncols) -> tuple:
     """Invariant factors d_1 | d_2 | ... (positive, 1s included).
 
-    One sparse loop: each nonzero row is a {col: value} dict. A round
-    takes the entry d of least |d| (ties: shortest row) and clears its
-    column by row operations and its row by column operations, each with
-    the nearest-integer quotient, so every remainder has |r| <= |d|/2.
-    With both clear, |d| is emitted if it divides every remaining entry;
-    otherwise an offending row is added to the pivot row, reduced mod d.
-    So each round emits or leaves a nonzero entry of at most |d|/2: the
-    loop ends, and the entries stay bounded where elimination without
-    small remainders lets them explode (Kannan and Bachem, SIAM J.
-    Comput. 8, 1979).
+    One sparse loop: each nonzero row is a {col: value} dict; zero rows,
+    most of a relation matrix, are dropped before any dict is built. A
+    round pivots on the first entry d = +-1 in row order, and only when
+    no unit is left on the entry d of least |d| (ties: shortest row). A
+    unit is a least entry, so both rules take a pivot of least |d|. The
+    round clears the pivot's column by row operations and its row by
+    column operations, each with the nearest-integer quotient, so every
+    remainder has |r| <= |d|/2 (0 for a unit, whose row and column are
+    then removed whole). With both clear, |d| is emitted if it divides
+    every remaining entry; otherwise an offending row is added to the
+    pivot row, reduced mod d. So each round emits or leaves a nonzero
+    entry of at most |d|/2: the loop ends, and the entries stay bounded
+    where elimination without small remainders lets them explode (Kannan
+    and Bachem, SIAM J. Comput. 8, 1979).
     """
     if any(len(r) != ncols for r in rows):
         raise ValueError(f"ragged relation matrix: a row does not have {ncols} entries")
-    m = [r for r in ({j: v for j, v in enumerate(row) if v} for row in rows) if r]
+    m = [{j: v for j, v in enumerate(row) if v} for row in rows if any(row)]
     diag = []
     while m:
-        _, _, i, j = min((abs(v), len(r), i, j) for i, r in enumerate(m) for j, v in r.items())
+        ij = next(((i, j) for i, r in enumerate(m) for j, v in r.items() if v in (1, -1)), None)
+        if ij is None:
+            _, _, *ij = min((abs(v), len(r), i, j) for i, r in enumerate(m) for j, v in r.items())
+        i, j = ij
         piv = m[i]
         d = piv[j]
         for r in m:

@@ -18,7 +18,16 @@ list of rewrite steps. The replayer executes the steps on a raw
 
 Scripts may depend on other scripts ("uses"); a dependency is replayed
 first and its conclusion becomes available as the relation
-("script:<name>", ()).
+("script:<name>", ()). The conclusion must be a relation of the
+script's group: a dependency of another genus is refused, and so is one
+that a (g,1) script cites from (g,0) or from tier 2, which holds only up
+to the boundary twist. A (g,0) script may cite any dependency of its
+genus, since capping the boundary makes the twist trivial.
+
+A memo passed between scripts (replay_all and `nmcg replay` pass one)
+holds each replayed script's report under its name and each relation
+index under its (g, n), so a run builds each index once and every
+script extends a copy of it.
 """
 
 from __future__ import annotations
@@ -114,9 +123,17 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
     stack.add(name)
     data = load_script(name)
     g, n = data["genus"], data["boundary"]
-    index = dict(relation_index(g, n))
+    if (g, n) not in memo:
+        memo[g, n] = relation_index(g, n)
+    index = dict(memo[g, n])
     for dep in data.get("uses", ()):
-        replay_script(dep, memo, stack)
+        rep = replay_script(dep, memo, stack)
+        if rep.genus != g or (n == 1 and (rep.boundary == 0 or rep.tier == 2)):
+            raise StepMismatch(
+                name, -1,
+                f"dependency {dep!r} at ({rep.genus},{rep.boundary}) tier {rep.tier}"
+                f" is no relation of ({g},{n})",
+            )
         dd = load_script(dep)
         index[(f"script:{dep}", ())] = (parse_raw(dd["start"]), parse_raw(dd["end"]))
     word = list(parse_raw(data["start"]))

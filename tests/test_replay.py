@@ -156,6 +156,62 @@ def test_tier2_endpoint_checks_the_stated_exponent(tmp_path, monkeypatch):
         replay_script("g2")
 
 
+def _scripts_with(tmp_path, monkeypatch, *extra):
+    """The shipped scripts plus `extra`, in a script dir of their own."""
+    import json
+
+    import nmcg.replay as replay_mod
+
+    for p in replay_mod.SCRIPT_DIR.glob("*.json"):
+        (tmp_path / p.name).write_text(p.read_text())
+    for data in extra:
+        (tmp_path / f"{data['name']}.json").write_text(json.dumps(data))
+    monkeypatch.setattr(replay_mod, "SCRIPT_DIR", tmp_path)
+
+
+def _cites(dep, start, g, n):
+    """A tier-1 script at (g, n) that rewrites dep's start to its end and
+    back: every step matches, and the endpoint holds whatever dep says."""
+    steps = [{"op": "apply", "at": 0, "rel": f"script:{dep}", "dir": d}
+             for d in ("LtoR", "RtoL")]
+    return {"name": "user", "genus": g, "boundary": n, "tier": 1,
+            "start": start, "end": start, "uses": [dep], "steps": steps}
+
+
+def test_dependency_of_another_genus_is_refused(tmp_path, monkeypatch):
+    user = _cites("slide_word_g3", load_script("slide_word_g3")["start"], 4, 1)
+    _scripts_with(tmp_path, monkeypatch, user)
+    assert replay_script("slide_word_g3").genus == 3
+    with pytest.raises(StepMismatch, match=r"dependency 'slide_word_g3' at \(3,1\)"
+                       r" tier 1 is no relation of \(4,1\)"):
+        replay_script("user")
+
+
+def test_closed_dependency_of_a_one_boundary_script_is_refused(tmp_path, monkeypatch):
+    # a (4,0) derivation is licensed by the closed group's relations, so a
+    # (4,1) script may not cite it, however trivial
+    closed = {"name": "closed_cancel", "genus": 4, "boundary": 0, "tier": 1,
+              "start": "a1*a1^-1", "end": "1", "steps": [{"op": "cancel"}]}
+    _scripts_with(tmp_path, monkeypatch, closed, _cites("closed_cancel", closed["start"], 4, 1))
+    assert replay_script("closed_cancel").tier == 1
+    with pytest.raises(StepMismatch, match=r"dependency 'closed_cancel' at \(4,0\)"
+                       r" tier 1 is no relation of \(4,1\)"):
+        replay_script("user")
+
+
+def test_tier2_dependency_of_a_one_boundary_script_is_refused(tmp_path, monkeypatch):
+    # G2 at (4,1) holds only up to the boundary twist w
+    twisted = {"name": "g2_open", "genus": 4, "boundary": 1, "tier": 2, "w_power": 1,
+               "start": "b1*u3*u2*u1*b1",
+               "end": "a1*a2*a3*a1*a2*a3*a1*a2*a3*u1^-1*u2^-1*u3^-1*a1*a2*a3*a1*a2*a3*a1*a2*a3",
+               "steps": [{"op": "apply", "at": 0, "rel": "G2", "dir": "LtoR"}]}
+    _scripts_with(tmp_path, monkeypatch, twisted, _cites("g2_open", twisted["start"], 4, 1))
+    assert replay_script("g2_open").w_power == 1
+    with pytest.raises(StepMismatch, match=r"dependency 'g2_open' at \(4,1\)"
+                       r" tier 2 is no relation of \(4,1\)"):
+        replay_script("user")
+
+
 def test_scripts_declare_consistent_metadata():
     for name in available_scripts():
         data = load_script(name)
