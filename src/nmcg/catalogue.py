@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Factored, Word, concat, inverse, lit, named, power
+from .words import Factored, Word, concat, inverse, lit, mul, named, power
 from .presentations import (
     a,
     arun,
@@ -55,7 +55,7 @@ class Entry:
 
     @property
     def word(self) -> Word:
-        return concat(self.lhs, inverse(self.rhs))
+        return mul(self.lhs, inverse(self.rhs))
 
     def label(self) -> str:
         p = ",".join(map(str, self.params))

@@ -68,10 +68,17 @@ def _tables(g: int):
     return by_len
 
 
-def dehn_reduce(word, g: int) -> Word:
-    """Shortest Dehn-normal form: empty iff the word is trivial in G_g."""
+def dehn_reduce(w: Word, g: int) -> Word:
+    """The Dehn-reduced form of a freely reduced word: empty iff the word
+    is trivial in G_g. Like words.mul, it takes a freely reduced word and
+    never re-scans it: each rewrite replaces a subword by its relator
+    complement, a reduced word, so only the two junctions can cancel.
+
+    The rewrite order is fixed: the longest window first, the leftmost
+    among equals. Dehn-reduced forms of one element are not unique, so
+    the form returned, and with it every printed tier-3 conjugator,
+    depends on that order."""
     tables = _tables(g)
-    w = free_reduce(word)
     changed = True
     while changed:
         changed = False
@@ -80,7 +87,7 @@ def dehn_reduce(word, g: int) -> Word:
             for pos in range(len(w) - L + 1):
                 repl = tab.get(w[pos : pos + L])
                 if repl is not None:
-                    w = free_reduce(w[:pos] + repl + w[pos + L :])
+                    w = mul(w[:pos], repl, w[pos + L :])
                     changed = True
                     break
             if changed:
@@ -88,7 +95,8 @@ def dehn_reduce(word, g: int) -> Word:
     return w
 
 
-def equal_in_quotient(lhs, rhs, g: int) -> bool:
+def equal_in_quotient(lhs: Word, rhs: Word, g: int) -> bool:
+    """lhs = rhs in G_g, for freely reduced lhs and rhs."""
     return dehn_reduce(mul(lhs, inverse(rhs)), g) == ()
 
 
@@ -143,6 +151,6 @@ def find_inner_conjugator(table, g: int) -> ConjugacyResult:
     u = dehn_reduce(mul(q, power((1,), k)), g)
     ui = inverse(u)
     for i in range(1, g + 1):
-        if not equal_in_quotient(mul(u, (i,), ui), table[i - 1], g):
+        if dehn_reduce(mul(u, (i,), ui, inverse(table[i - 1])), g):
             return ConjugacyResult(REFUTED, generator=i)
     return ConjugacyResult(VERIFIED, u)

@@ -33,6 +33,7 @@ from .words import (
     inverse,
     letter,
     lit,
+    mul,
     named,
     parse,
     power,
@@ -161,7 +162,7 @@ class Relator:
 
     @cached_property  # writes __dict__ directly, so frozen does not stop it
     def word(self) -> Word:
-        return concat(self.lhs, inverse(self.rhs))
+        return mul(self.lhs, inverse(self.rhs))
 
     def text(self) -> str:
         head = self.tag + ("(%s)" % ",".join(map(str, self.params)) if self.params else "")

@@ -13,7 +13,8 @@ and power take freely reduced words and never re-scan them (only
 letters where two factors meet can cancel); free_reduce, concat and
 parse are the entry points that take any word. pi1_action and
 one_relator use it for their words in x_1..x_g, signed ints with +i for
-x_i.
+x_i, and one_relator keeps the contract: dehn_reduce and
+equal_in_quotient take freely reduced words, like mul and power.
 
 A ``Factored`` word is a tuple of the same flat, freely reduced letters
 that also keeps how it was built: ``parts = ((part, k), ...)``, the
