@@ -18,8 +18,12 @@ abbreviate words whose value depends on the genus alone, so one shared
 Evaluator per genus, evaluator(g), holds them all.
 
 evaluate() composes generator tables in word order: the rightmost
-letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A
-words.Factored word is evaluated from its parts: each part's table is
+letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A plain
+word is its first letter's table followed by one letter step per later
+letter c: the table so far after T(c) differs from the table so far
+only at the images T(c) moves (two for a_i and u_i), so a step copies
+it and rewrites those images alone, each by mul of the images so far.
+A words.Factored word is evaluated from its parts: each part's table is
 raised to its power by repeated squaring (a negative power is the table
 of the inverse word). The table of every part is cached on the Evaluator
 per (part, exponent), keyed on the part's letters: evaluation is a
@@ -27,7 +31,9 @@ homomorphism, so equal words have equal tables, and a shared factor such
 as the half-twist Delta_k, and its square, is built once per genus
 whichever object holds it. A leading one-letter part, such as u_{k-i}
 in u_{k-i} Delta_k (B5), is spliced into the table of the rest: only
-the images that hold a letter it moves are rewritten.
+the images that hold a letter it moves are rewritten. A trailing
+one-letter part, such as a_i in Delta_k a_i (E1, B5), is applied to the
+table of the rest by a letter step.
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -68,33 +74,49 @@ def identity_table(g: int):
 
 def compose(t1, t2):
     """t1 after t2 (x -> t1(t2(x))). An image (j,) of t2 is t1[j-1]
-    itself, shared rather than copied (tables are reduced and immutable);
-    each image of t1 is inverted at most once per call."""
-    inv = {}
-
-    def image(c):
-        if c > 0:
-            return t1[c - 1]
-        if c not in inv:
-            inv[c] = inverse(t1[-c - 1])
-        return inv[c]
-
+    itself, shared rather than copied (tables are reduced and immutable).
+    Each image of t1 is inverted once per call: piece(c) is t1[c-1] for
+    c > 0, and for c = -i, by negative indexing, the inverse of t1[i-1]."""
+    piece = (None, *t1, *map(inverse, reversed(t1))).__getitem__
     return tuple([
-        t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else mul(*map(image, im))
+        t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else mul(*map(piece, im))
         for im in t2
     ])
 
 
-def splice(t1, t2):
-    """t1 after t2, as compose, for a t1 that moves few letters: each
-    image of t2 is cut where it holds a letter t1 moves, and mul joins
-    the untouched slices to the moved letters' images, so only the
-    junctions are reduced letter by letter. An image with no cut is kept
-    as the same object."""
+def _moves(t):
+    """The images the table t moves, keyed +i for x_i, and their
+    inverses, keyed -i."""
     moved = {}
-    for i, im in enumerate(t1, 1):
+    for i, im in enumerate(t, 1):
         if im != (i,):
             moved[i], moved[-i] = im, inverse(im)
+    return moved
+
+
+def _step(acc, moved):
+    """acc after T, for the table T whose moves (see _moves) are moved:
+    a copy of acc in which only the images T moves are rewritten, each
+    as the product of acc's images of its letters. A one-letter image is
+    that letter's image itself, and each image of acc is inverted at
+    most once per call."""
+    out = list(acc)
+    pieces = {}
+    for i, im in moved.items():
+        if i > 0:
+            for c in im:
+                if c not in pieces:
+                    pieces[c] = acc[c - 1] if c > 0 else inverse(acc[-c - 1])
+            out[i - 1] = mul(*map(pieces.__getitem__, im)) if len(im) != 1 else pieces[im[0]]
+    return tuple(out)
+
+
+def splice(moved, t2):
+    """T after t2, as compose, for the table T whose moves (see _moves)
+    are moved, when T moves few letters: each image of t2 is cut where
+    it holds a letter T moves, and mul joins the untouched slices to the
+    moved letters' images, so only the junctions are reduced letter by
+    letter. An image with no cut is kept as the same object."""
     disjoint = moved.keys().isdisjoint
     out = []
     for im in t2:
@@ -191,7 +213,15 @@ class Evaluator:
     long as the Evaluator. A Factored word evaluated whole is not cached
     itself; it reuses the table of a cached part with its letters. If
     its first part is one letter with exponent +-1 and further parts
-    follow, splice takes that letter's table into the product of the rest.
+    follow, splice takes that letter's table into the product of the
+    rest; failing that, if its last part is one such letter, a letter
+    step applies that letter's table after the product of the rest.
+
+    Each letter also has a cached record of the images its table moves,
+    and their inverses (_moves), made once per letter and basis. A plain
+    word, a plain part included, is folded from its first letter's table
+    by one letter step (_step) per later letter, which rewrites only the
+    moved images; splice reads the same record for a leading letter.
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
@@ -210,6 +240,7 @@ class Evaluator:
         self._q = None if x is None else self
         self._cache = {}
         self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
+        self._moved = {}  # letter -> the moves of its table, for letter steps and splice
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
 
@@ -256,25 +287,43 @@ class Evaluator:
         if isinstance(word, Factored):
             hit = self._parts.get((word, 1))
             return hit if hit is not None else self._product(word.parts)
-        return self._fold(map(self.letter_table, word))
+        return self._letters(word)
 
-    def _fold(self, tables):
-        acc = None
-        for t in tables:
-            acc = t if acc is None else compose(acc, t)
-        return identity_table(self.g) if acc is None else acc
+    def _letter_moves(self, c: int):
+        """The moves (see _moves) of c's letter table, made once per letter."""
+        moved = self._moved.get(c)
+        if moved is None:
+            moved = self._moved[c] = _moves(self.letter_table(c))
+        return moved
+
+    def _letters(self, word: Word):
+        """Table of a plain word: its first letter's table, then one
+        letter step per later letter."""
+        if not word:
+            return identity_table(self.g)
+        acc = self.letter_table(word[0])
+        for c in word[1:]:
+            acc = _step(acc, self._letter_moves(c))
+        return acc
 
     def _product(self, parts):
         parts = [(part, k) for part, k in parts if k]
-        if len(parts) > 1 and len(parts[0][0]) == 1 and abs(parts[0][1]) == 1:
-            (c,), k = parts[0]
-            return splice(self.letter_table(c * k), self._product(parts[1:]))
-        return self._fold(self._power(part, k) for part, k in parts)
+        if len(parts) > 1:
+            (first, j), (last, k) = parts[0], parts[-1]
+            if len(first) == 1 and abs(j) == 1:
+                return splice(self._letter_moves(first[0] * j), self._product(parts[1:]))
+            if len(last) == 1 and abs(k) == 1:
+                return _step(self._product(parts[:-1]), self._letter_moves(last[0] * k))
+        acc = None
+        for part, k in parts:
+            t = self._power(part, k)
+            acc = t if acc is None else compose(acc, t)
+        return identity_table(self.g) if acc is None else acc
 
     def _power(self, part, k: int):
         """Table of part^k (k != 0), cached per (letters of part, k):
         |k| > 1 squares the cached part^(+-1); part^(+-1) is the product
-        of a Factored part's parts, or the fold of a plain part's letters."""
+        of a Factored part's parts, or a plain part's letters."""
         key = (part, k)
         t = self._parts.get(key)
         if t is None:
@@ -283,7 +332,7 @@ class Evaluator:
             elif isinstance(part, Factored):
                 t = self._product(part.parts if k > 0 else [(p, -e) for p, e in part.parts[::-1]])
             else:
-                t = self._fold(map(self.letter_table, part if k > 0 else inverse(part)))
+                t = self._letters(part if k > 0 else inverse(part))
             self._parts[key] = t
         return t
 

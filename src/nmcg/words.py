@@ -158,14 +158,19 @@ def inverse(word: Word) -> Word:
 def mul(*words: Word) -> Word:
     """Free reduction of the concatenation of words, each of which must be
     freely reduced: then only letters where the result so far meets the
-    next word can cancel, and the rest of that word is appended whole."""
+    next word can cancel, and the rest of that word is appended whole.
+    A word whose first letter does not cancel is appended whole at once;
+    at a cancelling junction, letters are popped one at a time."""
     out = []
     for w in words:
-        i, n = 0, len(w)
-        while i < n and out and out[-1] == -w[i]:
-            out.pop()
-            i += 1
-        out.extend(w[i:])
+        if out and w and out[-1] == -w[0]:
+            i, n = 0, len(w)
+            while i < n and out and out[-1] == -w[i]:
+                out.pop()
+                i += 1
+            out += w[i:]
+        else:
+            out += w
     return tuple(out)
 
 

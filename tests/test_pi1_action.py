@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from nmcg.catalogue import catalogue
 from nmcg.pi1_action import (
     Evaluator,
+    _moves,
+    _step,
     boundary_word,
     compose,
     conjugation_table,
@@ -102,30 +104,47 @@ def test_factored_sides_evaluate_to_their_flat_words():
 
 def test_product_splices_a_leading_letter(monkeypatch):
     # a leading one-letter part of exponent -1, one whose remaining parts
-    # are all trivial, and one that is itself a one-letter Factored: each
-    # word's table is that of its flat letters, and, once the parts after
-    # the first are cached, the splice runs once per letter that leads a
-    # product of further parts
+    # are all trivial, and one that is itself a one-letter Factored, and
+    # the same shapes at the end: each word's table is that of its flat
+    # letters, and, once the parts are cached, the splice runs once per
+    # letter that leads a product of further parts, and the letter step
+    # once per letter that ends one
     import nmcg.pi1_action as pa
 
-    calls = []
-    monkeypatch.setattr(pa, "splice", lambda t1, t2: calls.append(1) or splice(t1, t2))
+    calls = {"splice": 0, "_step": 0}
+
+    def counting(name, fn):
+        def counted(t1, t2):
+            calls[name] += 1
+            return fn(t1, t2)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(pa, name, counting(name, getattr(pa, name)))
     g = 7
     d5 = delta_word(5)
-    for w, splices in (
-        (Factored(((u(1), -1), (d5, 1))), 1),
-        (Factored(((inverse(a(3)), -1), (d5, 2), (u(2), -1))), 1),
-        (Factored(((u(2), 1), (d5, 0), (a(1), 0))), 0),
-        (Factored(((Factored(((a(4), 1),)), 1), (r_word(g), 1))), 1),
-        (Factored(((Factored(((u(3), -1),)), -1), (u(5), 1), (d5, -1))), 2),
+    for w, splices, steps in (
+        (Factored(((u(1), -1), (d5, 1))), 1, 0),
+        (Factored(((inverse(a(3)), -1), (d5, 2), (u(2), -1))), 1, 1),
+        (Factored(((u(2), 1), (d5, 0), (a(1), 0))), 0, 0),
+        (Factored(((Factored(((a(4), 1),)), 1), (r_word(g), 1))), 1, 0),
+        (Factored(((Factored(((u(3), -1),)), -1), (u(5), 1), (d5, -1))), 2, 0),
+        (Factored(((d5, 1), (a(2), 1))), 0, 1),
+        (Factored(((d5, -1), (u(4), -1))), 0, 1),
+        (Factored(((r_word(g), 2), (Factored(((u(3), -1),)), -1))), 0, 1),
+        (Factored(((d5, 1), (a(1), 1), (u(2), -1))), 0, 2),
+        (Factored(((u(1), 1), (d5, 1), (a(4), -1), (a(4), 0))), 1, 1),
+        (Factored(((a(1), 1), (u(2), 1))), 1, 0),
     ):
+        flat = Evaluator(g).evaluate(tuple(w))
         ev = Evaluator(g)
-        for part, k in w.parts[1:]:
-            if k:
+        for part, k in w.parts:
+            if k and len(part) > 1:
                 ev._power(part, k)
-        calls.clear()
-        assert ev.evaluate(w) == Evaluator(g).evaluate(tuple(w)), w.parts
-        assert len(calls) == splices, w.parts
+        calls.update(dict.fromkeys(calls, 0))
+        assert ev.evaluate(w) == flat, w.parts
+        assert (calls["splice"], calls["_step"]) == (splices, steps), w.parts
 
 
 def test_equal_parts_share_one_cached_table(monkeypatch):
@@ -229,28 +248,63 @@ def test_compose_is_substitution_of_every_image(t1, t2):
 @settings(max_examples=300, deadline=None)
 @given(_tables, _tables)
 def test_splice_is_compose(t1, t2):
-    assert splice(t1, t2) == compose(t1, t2)
+    assert splice(_moves(t1), t2) == compose(t1, t2)
 
 
-def test_splice_is_compose_for_every_letter_table():
-    # each a/u/b letter of either sign, in basis x and in basis q, spliced
-    # into T(Delta_k) for every k <= g, into the identity, and into the
-    # letter's own inverse table, whose images cancel completely; an
-    # image that holds no letter the left table moves is kept as is
+@settings(max_examples=300, deadline=None)
+@given(_tables, _tables)
+def test_letter_step_is_compose(t1, t2):
+    out = _step(t1, _moves(t2))
+    assert out == compose(t1, t2)
+    # an image t2 keeps is t1's image itself
+    for i, (im, new) in enumerate(zip(t1, out), 1):
+        assert new is im or t2[i - 1] != (i,)
+
+
+def _letter_tables_and_deltas():
+    """(genus, Evaluator, every a/u/b letter of either sign, the tables
+    T(Delta_k) for k = 2..g) in basis x and in basis q, g = 4..12."""
     for g in range(4, 13):
         names = [f"{f}{i}" for f in "au" for i in range(1, g)]
         names += [f"b{j}" for j in range((g - 2) // 2 + 1)]
+        letters = [s * parse(name)[0] for name in names for s in (1, -1)]
         for ev in (evaluator(g), evaluator(g).q):
-            deltas = [ev.evaluate(delta_word(k)) for k in range(2, g + 1)]
-            for c in (s * parse(name)[0] for name in names for s in (1, -1)):
-                t1 = ev.letter_table(c)
-                moved = {i for i, im in enumerate(t1, 1) if im != (i,)}
-                for t2 in deltas + [identity_table(g), ev.letter_table(-c)]:
-                    out = splice(t1, t2)
-                    assert out == compose(t1, t2), (g, c)
-                    for im, new in zip(t2, out):
-                        assert new is im or not moved.isdisjoint(map(abs, im)), (g, c, im)
-                assert splice(t1, ev.letter_table(-c)) == identity_table(g), (g, c)
+            yield g, ev, letters, [ev.evaluate(delta_word(k)) for k in range(2, g + 1)]
+
+
+def test_splice_is_compose_for_every_letter_table():
+    # each letter table spliced into T(Delta_k) for every k <= g, into
+    # the identity, and into the letter's own inverse table, whose images
+    # cancel completely; an image that holds no letter the left table
+    # moves is kept as is
+    for g, ev, letters, deltas in _letter_tables_and_deltas():
+        for c in letters:
+            t1 = ev.letter_table(c)
+            moved = _moves(t1)
+            for t2 in deltas + [identity_table(g), ev.letter_table(-c)]:
+                out = splice(moved, t2)
+                assert out == compose(t1, t2), (g, c)
+                for im, new in zip(t2, out):
+                    assert new is im or not moved.keys().isdisjoint(im), (g, c, im)
+            assert splice(moved, ev.letter_table(-c)) == identity_table(g), (g, c)
+
+
+def test_letter_step_is_compose_for_every_letter_table():
+    # each letter table applied by a letter step after T(Delta_k) for
+    # every k <= g, after the identity, and after the letter's own
+    # inverse table, where every moved image cancels to one letter; an
+    # image the letter does not move is kept as is
+    for g, ev, letters, deltas in _letter_tables_and_deltas():
+        for c in letters:
+            t2 = ev.letter_table(c)
+            moved = ev._letter_moves(c)
+            assert moved == _moves(t2) and moved is ev._letter_moves(c), (g, c)
+            for t1 in deltas + [identity_table(g), ev.letter_table(-c)]:
+                out = _step(t1, moved)
+                assert out == compose(t1, t2), (g, c)
+                for i, (im, new) in enumerate(zip(t1, out), 1):
+                    assert new is im or i in moved, (g, c, i)
+            assert _step(ev.letter_table(-c), moved) == identity_table(g), (g, c)
 
 
 def test_braid_relation_by_tables():

@@ -132,17 +132,17 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
 
 
 def _cold_compose_count(monkeypatch, run):
-    """pi1_action.compose and pi1_action.splice calls made by run(); the
-    caller starts from cold_evaluators, and run() must use genera that no
-    earlier count warmed."""
+    """pi1_action.compose, pi1_action.splice and letter-step calls made
+    by run(); the caller starts from cold_evaluators, and run() must use
+    genera that no earlier count warmed."""
     import nmcg.pi1_action as pa
 
-    calls = {"compose": 0, "splice": 0}
+    calls = {"compose": 0, "splice": 0, "_step": 0}
     for name in calls:
         monkeypatch.setattr(pa, name, _counting(calls, name, getattr(pa, name)))
     run()
     monkeypatch.undo()
-    return calls["compose"], calls["splice"]
+    return calls["compose"], calls["splice"], calls["_step"]
 
 
 def _counting(calls, name, fn):
@@ -165,20 +165,25 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # Delta_2 and for each side of E1(2,1), took 4751 composes to 4332.
     # Dropping the k = 2 entries and B6(3), whose sides are one flat word
     # or restate star(1), took (4332, 418) to (4329, 415). Dropping the
-    # entries that restate a relator or another entry took it to (4134, 413)
+    # entries that restate a relator or another entry took it to (4134, 413).
+    # A fold step after a single letter, and a trailing one-letter part,
+    # is now a letter step, which rewrites only the images that letter
+    # moves: (composes, splices, letter steps) went from (4134, 413, 0) to
+    # (275, 413, 3859), every compose after a letter table now a step
     def punctured():
         assert all(v.ok for v in verify_relators(20) + boundary_fixation(20)
                    + verify_catalogue(20, 1))
 
-    n, spliced = _cold_compose_count(monkeypatch, punctured)
-    assert (n, spliced) == (4134, 413), (n, spliced)
+    counts = _cold_compose_count(monkeypatch, punctured)
+    assert counts == (275, 413, 3859), counts
     # the long one-sided closed powers (B3, B4, B4b, E6) are built by
     # squaring the run's table: that took (2921, 0) to (919, 0). E2a and
     # E5 (exponent 2, where squaring a dense table costs more than
     # folding sparse letter tables) and the two-sided entries (composing
-    # two dense side tables costs more) are folded letter by letter
-    n, spliced = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
-    assert (n, spliced) == (919, 0), (n, spliced)
+    # two dense side tables costs more) are folded letter by letter, so
+    # letter steps took (919, 0, 0) to (24, 0, 895)
+    counts = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
+    assert counts == (24, 0, 895), counts
 
 
 def test_verify_catalogue_tier_filter():

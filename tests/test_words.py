@@ -145,6 +145,26 @@ def test_mul_of_reduced_parts_is_the_reduced_concatenation(parts):
     assert mul(*parts) == free_reduce(sum(parts, ()))
 
 
+@st.composite
+def _cancelling_factors(draw):
+    """Reduced factors, each of which opens by undoing a drawn suffix of
+    the product so far: one with an empty rest cancels whole, so that
+    the next one's cancellation reaches back into earlier factors, and
+    one that undoes nothing and adds nothing is empty."""
+    factors, product = [], ()
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, len(product)))
+        rest = draw(st.one_of(st.just(()), _words.map(free_reduce)))
+        factors.append(free_reduce(inverse(product[len(product) - k:]) + rest))
+        product = free_reduce(product + factors[-1])
+    return factors
+
+
+@given(_cancelling_factors())
+def test_mul_cancels_across_junctions_and_whole_factors(factors):
+    assert mul(*factors) == free_reduce(sum(factors, ()))
+
+
 def test_substitute_is_a_homomorphism():
     images = {letter(gen("a", 1)): parse("u1*u2"), letter(gen("u", 2)): parse("a1^-1")}
     v, w = parse("a1*u2"), parse("u2^-1*a1*x1")
