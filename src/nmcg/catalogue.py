@@ -18,14 +18,18 @@ crosscap slide d are entries here, tagged smallgenus.
 Each relation is stated once per surface, up to cyclic rotation and
 inversion at one tier and twist: a family starts where it stops
 restating a presentation relator or another entry.
+
+An entry is a presentations.Entry, the record that holds each
+presentation relator too. A relator's tier is the one at which it
+holds: 3 for B3, B4, D and the relators of (2,0) and (3,0), which hold
+only once the boundary is capped, and 1 for every other relator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Factored, Word, concat, inverse, lit, mul, named, power
+from .words import Factored, Word, concat, inverse, lit, named, power
 from .presentations import (
+    Entry,
     a,
     arun,
     arun_down,
@@ -41,25 +45,6 @@ from .presentations import (
     urun_down,
     v_word,
 )
-
-@dataclass(frozen=True)
-class Entry:
-    tag: str
-    params: tuple
-    genus: int
-    boundary: int
-    lhs: Word
-    rhs: Word
-    tier: int
-    twist: int = 0  # tier 2: the stated boundary-twist exponent k
-
-    @property
-    def word(self) -> Word:
-        return mul(self.lhs, inverse(self.rhs))
-
-    def label(self) -> str:
-        p = ",".join(map(str, self.params))
-        return f"{self.tag}({p})" if p else self.tag
 
 
 def _chain3_rhs_delta() -> Word:
@@ -267,13 +252,12 @@ def catalogue(g: int, n: int) -> list:
 def relation_index(g: int, n: int) -> dict:
     """(tag, params) -> equation, over presentation relators and the
     catalogue; used by the derivation replayer."""
-    idx = {}
-    for r in nonorientable_mcg_presentation(g, n).relators:
-        idx[(r.tag, r.params)] = (r.lhs, r.rhs)
+    records = list(nonorientable_mcg_presentation(g, n).relators)
     if g >= 3:
-        for e in punctured_entries(g):
-            idx.setdefault((e.tag, e.params), (e.lhs, e.rhs))
+        records += punctured_entries(g)
     if n == 0 and g >= 4:
-        for e in closed_entries(g):
-            idx.setdefault((e.tag, e.params), (e.lhs, e.rhs))
+        records += closed_entries(g)
+    idx = {}
+    for e in records:
+        idx.setdefault((e.tag, e.params), (e.lhs, e.rhs))
     return idx

@@ -5,22 +5,27 @@ presentations that feed into them.
 Generators: a_i (twists about two-sided curves through crosscaps i,
 i+1), u_i (crosscap transpositions), b_j (twists about the curves through
 the first 2j+2 crosscaps; b_0 = a_1, b_1 written b). Small-genus groups
-get their classical ad-hoc presentations. Relators are stored as
-equations (lhs, rhs); the single-word form is lhs * rhs^-1. Generators
-and relators are built in the order they are printed: a, u, b by index,
-and relators by tag A1 ... C8, D with ascending params. The relations
-carrying the crosscap slide d at (3,1) and (4,0) are catalogue entries.
+get their classical ad-hoc presentations. A relator is an Entry, the
+one relation record that the catalogue uses too: the equation lhs = rhs
+at its (genus, boundary) and tier, whose single-word form lhs * rhs^-1
+is its cached word. B3, B4 and D, and every relator of (2,0) and (3,0),
+are tier 3: they hold only once the boundary is capped. Every other
+relator is tier 1. Generators and relators are built in the order they
+are printed: a, u, b by index, and relators by tag A1 ... C8, D with
+ascending params. The relations carrying the crosscap slide d at (3,1)
+and (4,0) are catalogue entries.
 
 The builders trust what they build: a, u and b return cached one-letter
 words (the runs read those letters), every side is made freely reduced
-by the word kernel, and _rel stores both sides as built. A test, not a
-re-scan here, checks that every relator and catalogue side is reduced.
+by the word kernel, and each relator's record is made once, where it is
+built, with both sides as built. A test, not a re-scan here, checks
+that every relator and catalogue side is reduced.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .words import (
@@ -154,19 +159,30 @@ def expansion_env(g: int, n: int) -> dict:
 
 
 @dataclass(frozen=True)
-class Relator:
+class Entry:
+    """The relation lhs = rhs in M(N_{g,n}), g = genus and n = boundary,
+    checked at tier (see catalogue): a presentation relator or a
+    catalogue entry."""
+
     tag: str
     params: tuple
+    genus: int
+    boundary: int
     lhs: Word
     rhs: Word = ()
+    tier: int = 1
+    twist: int = 0  # tier 2: the stated boundary-twist exponent k
 
     @cached_property  # writes __dict__ directly, so frozen does not stop it
     def word(self) -> Word:
         return mul(self.lhs, inverse(self.rhs))
 
+    def label(self) -> str:
+        p = ",".join(map(str, self.params))
+        return f"{self.tag}({p})" if p else self.tag
+
     def text(self) -> str:
-        head = self.tag + ("(%s)" % ",".join(map(str, self.params)) if self.params else "")
-        return f"{head}: {fmt(self.lhs)} = {fmt(self.rhs)}"
+        return f"{self.label()}: {fmt(self.lhs)} = {fmt(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -198,126 +214,77 @@ class Presentation:
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _rel(tag, params, lhs, rhs=()):
-    return Relator(tag, tuple(params), lhs, rhs)
-
-
-def _twist_relators(g: int) -> list:
-    """A-family: relations among a_1..a_{g-1} and the b_j."""
+def _records(g: int, n: int):
+    """An empty relator list for (g, n), and the function that appends
+    the record of one relator lhs = rhs at a tier (1 unless stated) to it."""
     rels = []
+
+    def add(tag, params, lhs, rhs=(), tier=1):
+        rels.append(Entry(tag, params, g, n, lhs, rhs, tier))
+
+    return rels, add
+
+
+def _twist_relators(g: int, add) -> None:
+    """A-family: relations among a_1..a_{g-1} and the b_j."""
     for i in range(1, g - 1):
         for j in range(i + 2, g):
-            rels.append(_rel("A1", (i, j), concat(a(i), a(j)), concat(a(j), a(i))))
+            add("A1", (i, j), concat(a(i), a(j)), concat(a(j), a(i)))
     for i in range(1, g - 1):
-        rels.append(
-            _rel("A2", (i,), concat(a(i), a(i + 1), a(i)), concat(a(i + 1), a(i), a(i + 1)))
-        )
+        add("A2", (i,), concat(a(i), a(i + 1), a(i)), concat(a(i + 1), a(i), a(i + 1)))
     if g >= 4:
         for i in range(1, g):
             if i != 4:
-                rels.append(_rel("A3", (i,), concat(a(i), b(1)), concat(b(1), a(i))))
+                add("A3", (i,), concat(a(i), b(1)), concat(b(1), a(i)))
     if g >= 5:
-        rels.append(
-            _rel("A4", (), concat(b(1), a(4), b(1)), concat(a(4), b(1), a(4)))
-        )
-        rels.append(
-            _rel(
-                "A5",
-                (),
-                power(concat(arun(2, 4), b(1)), 10),
-                power(concat(arun(1, 4), b(1)), 6),
-            )
-        )
+        add("A4", (), concat(b(1), a(4), b(1)), concat(a(4), b(1), a(4)))
+        add("A5", (), power(concat(arun(2, 4), b(1)), 10), power(concat(arun(1, 4), b(1)), 6))
     if g >= 7:
-        rels.append(
-            _rel(
-                "A6",
-                (),
-                power(concat(arun(2, 6), b(1)), 12),
-                power(concat(arun(1, 6), b(1)), 9),
-            )
-        )
-    rels.append(_rel("A7", (), b(0), a(1)))
+        add("A6", (), power(concat(arun(2, 6), b(1)), 12), power(concat(arun(1, 6), b(1)), 9))
+    add("A7", (), b(0), a(1))
     i = 1
     while 2 * i <= g - 4:
-        rels.append(_rel("A8", (i,), b(i + 1), a8_word(i)))
+        add("A8", (i,), b(i + 1), a8_word(i))
         i += 1
     if g >= 8 and g % 2 == 0:
         rho = (g - 2) // 2
-        rels.append(
-            _rel(
-                "A9a",
-                (rho,),
-                concat(b(rho), a(2 * rho - 3)),
-                concat(a(2 * rho - 3), b(rho)),
-            )
-        )
+        add("A9a", (rho,), concat(b(rho), a(2 * rho - 3)), concat(a(2 * rho - 3), b(rho)))
     if g == 6:
-        rels.append(_rel("A9b", (), concat(b(2), b(1)), concat(b(1), b(2))))
-    return rels
+        add("A9b", (), concat(b(2), b(1)), concat(b(1), b(2)))
 
 
-def _braid_relators(g: int, spherical: bool) -> list:
-    rels = []
+def _braid_relators(g: int, spherical: bool, add) -> None:
     for i in range(1, g - 1):
         for j in range(i + 2, g):
-            rels.append(_rel("B1", (i, j), concat(u(i), u(j)), concat(u(j), u(i))))
+            add("B1", (i, j), concat(u(i), u(j)), concat(u(j), u(i)))
     for i in range(1, g - 1):
-        rels.append(
-            _rel("B2", (i,), concat(u(i), u(i + 1), u(i)), concat(u(i + 1), u(i), u(i + 1)))
-        )
+        add("B2", (i,), concat(u(i), u(i + 1), u(i)), concat(u(i + 1), u(i), u(i + 1)))
     if spherical:
-        rels.append(_rel("B3", (), power(urun(1, g - 1), g)))
-        rels.append(_rel("B4", (), power(urun(1, g - 2), g - 1)))
-    return rels
+        add("B3", (), power(urun(1, g - 1), g), tier=3)
+        add("B4", (), power(urun(1, g - 2), g - 1), tier=3)
 
 
-def _crosscap_relators(g: int) -> list:
-    rels = []
+def _crosscap_relators(g: int, add) -> None:
     for i in range(3, g):
-        rels.append(_rel("C1", (i,), concat(a(1), u(i)), concat(u(i), a(1))))
+        add("C1", (i,), concat(a(1), u(i)), concat(u(i), a(1)))
     for i in range(1, g - 1):
-        rels.append(
-            _rel(
-                "C2",
-                (i,),
-                concat(a(i), u(i + 1), u(i)),
-                concat(u(i + 1), u(i), a(i + 1)),
-            )
-        )
+        add("C2", (i,), concat(a(i), u(i + 1), u(i)), concat(u(i + 1), u(i), a(i + 1)))
     for i in range(1, g - 1):
-        rels.append(
-            _rel(
-                "C3",
-                (i,),
-                concat(a(i + 1), u(i), u(i + 1)),
-                concat(u(i), u(i + 1), a(i)),
-            )
-        )
-    rels.append(_rel("C4", (), concat(a(1), u(1), a(1)), u(1)))
-    rels.append(_rel("C5", (), concat(u(2), a(1), a(2), u(1)), concat(a(1), a(2))))
+        add("C3", (i,), concat(a(i + 1), u(i), u(i + 1)), concat(u(i), u(i + 1), a(i)))
+    add("C4", (), concat(a(1), u(1), a(1)), u(1))
+    add("C5", (), concat(u(2), a(1), a(2), u(1)), concat(a(1), a(2)))
     if g >= 4:
-        rels.append(
-            _rel(
-                "C6",
-                (),
-                power(concat(u(3), b(1)), 2),
-                concat(power(arun(1, 3), 2), power(urun(1, 3), 2)),
-            )
+        add(
+            "C6",
+            (),
+            power(concat(u(3), b(1)), 2),
+            concat(power(arun(1, 3), 2), power(urun(1, 3), 2)),
         )
     if g >= 6:
-        rels.append(_rel("C7", (), concat(u(5), b(1)), concat(b(1), u(5))))
+        add("C7", (), concat(u(5), b(1)), concat(b(1), u(5)))
     if g >= 5:
         mid = concat(arun_down(4, 1), urun(1, 4))
-        rels.append(
-            _rel(
-                "C8",
-                (),
-                concat(a(4), u(4), mid, b(1)),
-                concat(b(1), a(4), u(4)),
-            )
-        )
-    return rels
+        add("C8", (), concat(a(4), u(4), mid, b(1)), concat(b(1), a(4), u(4)))
 
 
 def braid_presentation(g: int, spherical: bool = False) -> Presentation:
@@ -325,33 +292,32 @@ def braid_presentation(g: int, spherical: bool = False) -> Presentation:
     if spherical and g < 3:  # B4, and at g = 1 also B3, would be empty
         raise ValueError(f"spherical braid presentation needs genus >= 3, not {g}")
     gens = tuple(gen("u", i) for i in range(1, g))
-    return Presentation(g, 1, gens, tuple(_braid_relators(g, spherical)))
+    rels, add = _records(g, 1)
+    _braid_relators(g, spherical, add)
+    return Presentation(g, 1, gens, tuple(rels))
 
 
 def _small_genus(g: int, n: int) -> Presentation:
-    sg = lambda k, lhs, rhs=(): _rel("smallgenus", (f"{g},{n}", k), lhs, rhs)
+    rels, add = _records(g, n)
+    sg = lambda k, lhs, rhs=(): add("smallgenus", (f"{g},{n}", k), lhs, rhs, 3 if n == 0 else 1)
     if g == 1:
         return Presentation(g, n, (), ())
     y1, y2 = named("y1"), named("y2")
     if (g, n) == (2, 0):
-        rels = (
-            sg("1", power(a(1), 2)),
-            sg("2", power(lit(y1), 2)),
-            sg("3", power(concat(a(1), lit(y1)), 2)),
-        )
-        return Presentation(2, 0, (gen("a", 1), y1), rels)
+        sg("1", power(a(1), 2))
+        sg("2", power(lit(y1), 2))
+        sg("3", power(concat(a(1), lit(y1)), 2))
+        return Presentation(2, 0, (gen("a", 1), y1), tuple(rels))
     if (g, n) == (2, 1):
-        rels = (sg("1", concat(a(1), lit(y1), a(1)), lit(y1)),)
-        return Presentation(2, 1, (gen("a", 1), y1), rels)
+        sg("1", concat(a(1), lit(y1), a(1)), lit(y1))
+        return Presentation(2, 1, (gen("a", 1), y1), tuple(rels))
     if (g, n) == (3, 0):
-        rels = (
-            sg("1", concat(a(1), a(2), a(1)), concat(a(2), a(1), a(2))),
-            sg("2", power(lit(y2), 2)),
-            sg("3", power(concat(a(1), lit(y2)), 2)),
-            sg("4", power(concat(a(2), lit(y2)), 2)),
-            sg("5", power(concat(a(1), a(2)), 6)),
-        )
-        return Presentation(3, 0, (gen("a", 1), gen("a", 2), y2), rels)
+        sg("1", concat(a(1), a(2), a(1)), concat(a(2), a(1), a(2)))
+        sg("2", power(lit(y2), 2))
+        sg("3", power(concat(a(1), lit(y2)), 2))
+        sg("4", power(concat(a(2), lit(y2)), 2))
+        sg("5", power(concat(a(1), a(2)), 6))
+        return Presentation(3, 0, (gen("a", 1), gen("a", 2), y2), tuple(rels))
     raise ValueError(f"no small-genus presentation for ({g},{n})")
 
 
@@ -367,10 +333,13 @@ def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
     gens = [gen("a", i) for i in range(1, g)]
     gens += [gen("u", i) for i in range(1, g)]
     gens += [gen("b", j) for j in range(0, (g - 2) // 2 + 1)]
-    rels = _twist_relators(g) + _braid_relators(g, n == 0) + _crosscap_relators(g)
+    rels, add = _records(g, n)
+    _twist_relators(g, add)
+    _braid_relators(g, n == 0, add)
+    _crosscap_relators(g, add)
     if n == 0:
         mid = concat(arun(2, g - 1), urun_down(g - 1, 2))
-        rels.append(_rel("D", (), concat(a(1), mid, a(1)), mid))
+        add("D", (), concat(a(1), mid, a(1)), mid, tier=3)
     return Presentation(g, n, tuple(gens), tuple(rels))
 
 
@@ -393,7 +362,7 @@ def tietze_eliminate(pres: Presentation, victim: Gen) -> Presentation:
     sub = {v: img}
     gens = tuple(gn for gn in pres.generators if gn != victim)
     rels = tuple(
-        Relator(r.tag, r.params, substitute(r.lhs, sub), substitute(r.rhs, sub))
+        replace(r, lhs=substitute(r.lhs, sub), rhs=substitute(r.rhs, sub))
         for i, r in enumerate(pres.relators)
         if i != relator_index
     )

@@ -8,8 +8,9 @@ words.Factored structure, so a shared factor's table is built once per
 surface. An entry whose letters include a b_j and no u_i is decided in
 the prefix basis q (pi1_action.Evaluator.q), where b_j tables are short,
 and w is written in that basis; every other entry in basis x.
-Presentation relators are checked as tier-1 entries on the same path,
-and replay endpoints as entries at their script's tier.
+The relators of the one-boundary presentation are Entry records at
+tier 1 and take the same path, and replay endpoints are entries at
+their script's tier.
 Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
 Verified with the conjugator, or Refuted naming the generator whose
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pi1_action
-from .catalogue import Entry, catalogue
+from .catalogue import catalogue
 from .one_relator import VERIFIED, find_inner_conjugator
-from .presentations import nonorientable_mcg_presentation
+from .presentations import Entry, nonorientable_mcg_presentation
 from .words import gen_of, lit
 
 
@@ -90,8 +91,7 @@ def verify_catalogue(g: int, n: int, tiers=None) -> list:
 def verify_relators(g: int) -> list:
     """Every defining relator of the one-boundary presentation holds as
     an exact identity of punctured-surface automorphisms (g >= 3)."""
-    return [verify_entry(Entry(r.tag, r.params, g, 1, r.lhs, r.rhs, 1))
-            for r in nonorientable_mcg_presentation(g, 1).relators]
+    return [verify_entry(r) for r in nonorientable_mcg_presentation(g, 1).relators]
 
 
 def boundary_fixation(g: int) -> list:

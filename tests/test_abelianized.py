@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from nmcg.abelianized import h1, relation_matrix, smith_diagonal
 from nmcg.presentations import (
+    Entry,
     Presentation,
-    Relator,
     nonorientable_mcg_presentation,
 )
 from nmcg.words import exponent_matrix, gen, letter, parse
@@ -21,7 +21,7 @@ from nmcg.words import exponent_matrix, gen, letter, parse
 def _toy(relator_texts, gens="a1 a2"):
     gens = tuple(gen(t[0], int(t[1:])) for t in gens.split())
     rels = tuple(
-        Relator(f"r{i}", (), parse(t), ()) for i, t in enumerate(relator_texts)
+        Entry(f"r{i}", (), 0, 0, parse(t)) for i, t in enumerate(relator_texts)
     )
     return Presentation(genus=0, boundary=0, generators=gens, relators=rels)
 
@@ -191,13 +191,15 @@ def test_h1_invariant_under_relator_shuffle():
 
 
 def test_h1_invariant_under_relator_inversion_and_conjugation():
+    from dataclasses import replace
+
     from nmcg.words import concat, inverse
 
     base = nonorientable_mcg_presentation(4, 1)
     expected = h1(base)
     conj = parse("a1*u2")
     rels = tuple(
-        Relator(r.tag, r.params, concat(conj, concat(r.lhs, inverse(conj))), r.rhs)
+        replace(r, lhs=concat(conj, concat(r.lhs, inverse(conj))))
         for r in base.relators
     )
     tweaked = Presentation(

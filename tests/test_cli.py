@@ -127,6 +127,35 @@ print(json.dumps({{"u11": letter(gen("u", 11)), "outs": outs}}))
         assert rc == 0 and out, argv
 
 
+# sha256 of stdout, first 16 hex digits. A change that alters these bytes on
+# purpose updates the hash and says why
+GOLDEN = {
+    "present -g 2 -n 0": "b9837861438710f4",
+    "present -g 3 -n 0": "4d9ee3537c81dee7",
+    "present -g 3 -n 1": "81450d7178600ef8",
+    "present -g 8 -n 0": "9164c2e07675d5f9",
+    "present -g 24 -n 1": "d5adef754cbd6d33",
+    "present -g 24 -n 0 --format json": "0e824385b572aa54",
+    "verify -g 8 -n 1": "75e7d58f1259d182",
+    "verify -g 8 -n 0": "c22e59797cae7b8b",
+    "verify -g 3 -n 1": "28bb3350d7f97af6",
+    "replay": "4ed9b0ca51aae1e3",
+}
+
+
+def test_outputs_match_their_golden_hashes(capsys):
+    import hashlib
+
+    changed = []
+    for command, digest in GOLDEN.items():
+        rc = main(command.split())
+        out = capsys.readouterr().out
+        got = hashlib.sha256(out.encode()).hexdigest()[:16]
+        if (rc, got) != (0, digest):
+            changed.append(f"{command}: exit {rc}, sha256 {got}, pinned {digest}")
+    assert not changed, "\n".join(changed)
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_pipe_exits_without_a_traceback(unbuffered):
     # as in `nmcg verify -g 4 -n 1 | head -3`, but with the read end closed

@@ -6,8 +6,8 @@ import pytest
 from nmcg import cosets
 from nmcg.cosets import CapExceeded, _Enumerator, group_order
 from nmcg.presentations import (
+    Entry,
     Presentation,
-    Relator,
     braid_presentation,
     nonorientable_mcg_presentation,
 )
@@ -17,7 +17,7 @@ from nmcg.words import gen, parse
 def _pres(relator_texts, gens):
     gens = tuple(gen(t[0], int(t[1:])) for t in gens.split())
     rels = tuple(
-        Relator(f"r{i}", (), parse(t), ()) for i, t in enumerate(relator_texts)
+        Entry(f"r{i}", (), 0, 0, parse(t)) for i, t in enumerate(relator_texts)
     )
     return Presentation(genus=0, boundary=0, generators=gens, relators=rels)
 

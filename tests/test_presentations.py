@@ -6,10 +6,11 @@ import json
 import pytest
 
 from nmcg.abelianized import h1
+from nmcg.catalogue import catalogue
 from nmcg.cosets import group_order
 from nmcg.presentations import (
+    Entry,
     Presentation,
-    Relator,
     a,
     braid_presentation,
     delta_word,
@@ -82,8 +83,8 @@ def test_relator_counts_are_stable():
 
 
 def test_relator_sides_parse_and_reduce():
-    # _rel stores both sides as built, so this is the check that the
-    # builders emit freely reduced words. Below g = 3 the spherical braid
+    # each relator's record holds both sides as built, so this is the
+    # check that the builders emit freely reduced words. Below g = 3 the spherical braid
     # relators are powers of the empty run u_1..u_{g-2}, so they start at 3
     pres = [nonorientable_mcg_presentation(g, n) for g in range(1, 25) for n in (0, 1)]
     pres += [braid_presentation(g, spherical=True) for g in range(3, 25)]
@@ -100,13 +101,36 @@ def test_relator_sides_parse_and_reduce():
 
 
 def test_relator_word_is_built_once():
-    for r in nonorientable_mcg_presentation(6, 1).relators:
-        twin = Relator(r.tag, r.params, r.lhs, r.rhs)
+    # relators and catalogue entries are one record type, with one cached word
+    records = [*nonorientable_mcg_presentation(6, 1).relators, *catalogue(8, 1), *catalogue(8, 0)]
+    for r in records:
+        twin = Entry(r.tag, r.params, r.genus, r.boundary, r.lhs, r.rhs, r.tier, r.twist)
         assert r.word is r.word
         assert r.word == concat(r.lhs, inverse(r.rhs))
         # twin has not built its word: equality, hashing and text ignore it
         assert r == twin and hash(r) == hash(twin) and r.text() == twin.text()
         assert repr(r) == repr(twin)
+
+
+def test_relator_tiers_are_stamped_where_they_are_built():
+    # every record carries its presentation's (genus, boundary)
+    pres = [nonorientable_mcg_presentation(g, n) for g in range(1, 25) for n in (0, 1)]
+    pres += [braid_presentation(g, spherical=s) for g in range(3, 25) for s in (False, True)]
+    for p in pres:
+        assert {(r.genus, r.boundary) for r in p.relators} <= {(p.genus, p.boundary)}
+    # the relators of (2,0) and (3,0) hold only once the boundary is capped
+    for g in (2, 3):
+        tiers = {r.tier for r in nonorientable_mcg_presentation(g, 0).relators}
+        assert tiers == {3}, (g, tiers)
+    for g in range(4, 17):
+        punctured = nonorientable_mcg_presentation(g, 1).relators
+        assert {r.tier for r in punctured} == {1}, g
+        closed = nonorientable_mcg_presentation(g, 0).relators
+        assert [r.tag for r in closed if r.tier == 3] == ["B3", "B4", "D"], g
+        # a closed relator at tier 1 is a punctured one, so verify_relators(g) backs it
+        sides = {(r.tag, r.params, r.lhs, r.rhs) for r in punctured}
+        assert all((r.tag, r.params, r.lhs, r.rhs) in sides for r in closed if r.tier == 1), g
+        assert {r.tier for r in closed} == {1, 3}, g
 
 
 def test_expansion_env_covers_abbreviations():
@@ -153,8 +177,8 @@ def test_tietze_eliminate_toy():
         boundary=0,
         generators=(p, q),
         relators=(
-            Relator("def", (), parse("a2"), parse("a1*a1")),
-            Relator("ord", (), parse("a2*a2*a2"), ()),
+            Entry("def", (), 0, 0, parse("a2"), parse("a1*a1")),
+            Entry("ord", (), 0, 0, parse("a2*a2*a2")),
         ),
     )
     out = tietze_eliminate(pres, q)
@@ -174,8 +198,8 @@ def test_tietze_eliminate_inverted_victim():
         boundary=0,
         generators=(p, q),
         relators=(
-            Relator("def", (), parse("a2*a1^-1*a2"), ()),
-            Relator("ord", (), parse("a1*a1*a1"), ()),
+            Entry("def", (), 0, 0, parse("a2*a1^-1*a2")),
+            Entry("ord", (), 0, 0, parse("a1*a1*a1")),
         ),
     )
     out = tietze_eliminate(pres, p)

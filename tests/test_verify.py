@@ -54,8 +54,7 @@ def test_no_label_is_verified_twice_at_one_boundary():
     repeated = []
     for g, n in [(g, 1) for g in range(1, 17)] + [(g, 0) for g in range(4, 17)]:
         # the relators as verify_relators checks them, at (g,1)
-        entries = [Entry(r.tag, r.params, g, 1, r.lhs, r.rhs, 1)
-                   for r in nonorientable_mcg_presentation(g, 1).relators] if n else []
+        entries = list(nonorientable_mcg_presentation(g, 1).relators) if n else []
         items = [(e.label(), e.word, e.tier, e.twist) for e in entries + catalogue(g, n)]
         repeated += [f"({g},{n}) {labels}" for labels in _repeats(items)]
     assert not repeated, "verified twice:\n" + "\n".join(repeated)
@@ -114,8 +113,7 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     entries, routed = [], 0
     for g in range(4, 13):
         entries += [e for e in catalogue(g, 1) if e.tier in (1, 2)]
-        entries += [Entry(r.tag, r.params, g, 1, r.lhs, r.rhs, 1)
-                    for r in nonorientable_mcg_presentation(g, 1).relators]
+        entries += nonorientable_mcg_presentation(g, 1).relators
     rule = [verify_entry(e) for e in entries]
     for e in entries:
         ev = evaluator(e.genus)
@@ -315,8 +313,7 @@ def test_tier1_rejects_every_single_letter_mutant():
     entries = []
     for g in (4, 5, 6):
         entries += [e for e in catalogue(g, 1) if e.tier == 1]
-        entries += [Entry(r.tag, r.params, g, 1, r.lhs, r.rhs, 1)
-                    for r in nonorientable_mcg_presentation(g, 1).relators]
+        entries += nonorientable_mcg_presentation(g, 1).relators
     mutants, survivors = _sweep(entries)
     dt = time.perf_counter() - t0
     assert not survivors, "mutants not rejected:\n" + "\n".join(survivors[:20])
@@ -415,7 +412,7 @@ from nmcg.catalogue import Entry, catalogue
 from nmcg.cosets import group_order
 from nmcg.homology_action import f2_matrix
 from nmcg.pi1_action import crosscap_transposition, curve_twist
-from nmcg.presentations import Presentation, Relator, chain_word, nonorientable_mcg_presentation
+from nmcg.presentations import Presentation, chain_word, nonorientable_mcg_presentation
 from nmcg.verify import verify_entry
 from nmcg.words import gen, gen_of, named, parse
 
@@ -431,7 +428,7 @@ for key, entry in (("genus3", Entry("X", (), 3, 0, parse("1"), (), 3)),
         out[key] = ["returned", verify_entry(entry).ok]
     except ValueError as exc:
         out[key] = ["ValueError", str(exc)]
-foreign = Presentation(0, 0, (gen("a", 1),), (Relator("X", (), parse("a1 a2")),))
+foreign = Presentation(0, 0, (gen("a", 1),), (Entry("X", (), 0, 0, parse("a1 a2")),))
 for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z", 1)),
                   ("named", lambda: named("")),
                   ("u4", lambda: crosscap_transposition(4, 4)),
