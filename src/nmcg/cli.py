@@ -2,7 +2,10 @@
 
 Subcommands:
   present     print a presentation (text or JSON)
-  verify      run tiered verification for one (genus, boundary) pair
+  verify      print verify.verify's verdicts at one (genus, boundary):
+              at (g,1) the relators, each generator's boundary fixation
+              and the catalogue; at (g,0) the catalogue, as each closed
+              tier-1 relator is a (g,1) relator and B3, B4, D are entries
   abelianize  H_1 of a presented group via Smith normal form
   replay      replay recorded derivation scripts
   tables      dump the generator action tables that verify uses
@@ -21,7 +24,7 @@ import sys
 from . import pi1_action, replay
 from .abelianized import h1
 from .presentations import nonorientable_mcg_presentation
-from .verify import boundary_fixation, verify_catalogue, verify_relators
+from .verify import verify
 
 
 def _pres(args):
@@ -29,11 +32,13 @@ def _pres(args):
 
 
 def _print_verdicts(verdicts) -> list:
-    """Print each verdict; return their ok flags."""
+    """Print each verdict as it comes; return their ok flags."""
+    oks = []
     for v in verdicts:
         mark = "ok  " if v.ok else "FAIL"
         print(f"{mark} ({v.genus},{v.boundary}) tier {v.tier} {v.label}: {v.detail}")
-    return [v.ok for v in verdicts]
+        oks.append(v.ok)
+    return oks
 
 
 def _cmd_present(args) -> int:
@@ -44,12 +49,7 @@ def _cmd_present(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, n = args.genus, args.boundary
-    tiers = None if args.tier == "all" else {int(args.tier)}
-    oks = []
-    if n == 1 and (tiers is None or tiers == {1}):
-        oks += _print_verdicts(verify_relators(g))
-        oks += _print_verdicts(boundary_fixation(g))
-    oks += _print_verdicts(verify_catalogue(g, n, tiers=tiers))
+    oks = _print_verdicts(verify(g, n, None if args.tier == "all" else {int(args.tier)}))
     if not oks:  # a selection that checks nothing must not pass silently
         print(f"no tier-{args.tier} checks at ({g},{n})", file=sys.stderr)
         return 2

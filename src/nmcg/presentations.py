@@ -288,13 +288,14 @@ def _crosscap_relators(g: int, add) -> None:
 
 
 def braid_presentation(g: int, spherical: bool = False) -> Presentation:
-    """Braid-type presentation on u_1..u_{g-1} (B3, B4 when spherical)."""
+    """Braid-type presentation on u_1..u_{g-1}; when spherical, with B3
+    and B4 and at boundary 0, since they hold only once it is capped."""
     if spherical and g < 3:  # B4, and at g = 1 also B3, would be empty
         raise ValueError(f"spherical braid presentation needs genus >= 3, not {g}")
     gens = tuple(gen("u", i) for i in range(1, g))
-    rels, add = _records(g, 1)
+    rels, add = _records(g, 0 if spherical else 1)
     _braid_relators(g, spherical, add)
-    return Presentation(g, 1, gens, tuple(rels))
+    return Presentation(g, 0 if spherical else 1, gens, tuple(rels))
 
 
 def _small_genus(g: int, n: int) -> Presentation:

@@ -1,5 +1,8 @@
-"""Verification driver: evaluates catalogue entries at their declared
-tiers and reports one verdict per item.
+"""Verification driver: verify(g, n) yields every verdict `nmcg verify`
+prints at (g, n), one per record decided at its declared tier. At (g,1)
+these are the relators of the one-boundary presentation (Entry records
+at tier 1), one boundary-fixation verdict per generator, and the
+catalogue; at (g,0), the catalogue alone (verify says why).
 
 Tiers 1 and 2 are one decision, T(lhs) == C o T(rhs), with C the
 conjugation by w^k, w the boundary word and k the exponent the entry
@@ -8,9 +11,7 @@ words.Factored structure, so a shared factor's table is built once per
 surface. An entry whose letters include a b_j and no u_i is decided in
 the prefix basis q (pi1_action.Evaluator.q), where b_j tables are short,
 and w is written in that basis; every other entry in basis x.
-The relators of the one-boundary presentation are Entry records at
-tier 1 and take the same path, and replay endpoints are entries at
-their script's tier.
+Replay endpoints, entries at their script's tier, take this path too.
 Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
 Verified with the conjugator, or Refuted naming the generator whose
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from . import pi1_action
 from .catalogue import catalogue
 from .one_relator import VERIFIED, find_inner_conjugator
-from .presentations import Entry, nonorientable_mcg_presentation
+from .presentations import Entry, Presentation, nonorientable_mcg_presentation
 from .words import gen_of, lit
 
 
@@ -63,44 +64,40 @@ def verify_entry(e: Entry) -> Verdict:
             detail = "sides have equal tables" if ok else "sides differ in the punctured representation"
         else:
             detail = f"lhs = rhs*w^{k}" if ok else f"lhs != rhs*w^{k} for the stated twist k = {k}"
-        return Verdict(g, e.boundary, e.label(), e.tier, ok, detail)
-
-    if e.tier != 3:
+    elif e.tier == 3:
+        res = find_inner_conjugator(ev.evaluate(e.word if e.rhs else e.lhs), g)
+        ok = res.status == VERIFIED
+        if ok:
+            detail = f"inner in the quotient, conjugator {list(res.conjugator)}"
+        else:
+            detail = (f"{res.status}: not inner in the quotient, "
+                      f"first fails at the image of x_{res.generator}")
+    else:
         raise ValueError(f"entry {e.label()} has unverifiable tier {e.tier}")
-    res = find_inner_conjugator(ev.evaluate(e.word if e.rhs else e.lhs), g)
-    if res.status == VERIFIED:
-        return Verdict(
-            g, e.boundary, e.label(), 3, True,
-            f"inner in the quotient, conjugator {list(res.conjugator)}",
-        )
-    return Verdict(
-        g, e.boundary, e.label(), 3, False,
-        f"{res.status}: not inner in the quotient, first fails at the image of x_{res.generator}",
-    )
+    return Verdict(g, e.boundary, e.label(), e.tier, ok, detail)
 
 
-def verify_catalogue(g: int, n: int, tiers=None) -> list:
-    out = []
-    for e in catalogue(g, n):
-        if tiers is not None and e.tier not in tiers:
-            continue
-        out.append(verify_entry(e))
-    return out
-
-
-def verify_relators(g: int) -> list:
-    """Every defining relator of the one-boundary presentation holds as
-    an exact identity of punctured-surface automorphisms (g >= 3)."""
-    return [verify_entry(r) for r in nonorientable_mcg_presentation(g, 1).relators]
-
-
-def boundary_fixation(g: int) -> list:
-    """Each generator of the one-boundary group fixes the boundary word."""
-    pres = nonorientable_mcg_presentation(g, 1)
-    out = []
+def boundary_fixation(pres: Presentation):
+    """One verdict per generator of the one-boundary presentation pres:
+    it fixes the boundary word."""
+    g = pres.genus
     for gen_ in pres.generators:
         table = pi1_action.evaluate(lit(gen_), g)
         ok = pi1_action.fixes_boundary(table, g)
         detail = "fixes the boundary word" if ok else "moves the boundary word"
-        out.append(Verdict(g, 1, gen_.label(), 1, ok, detail))
-    return out
+        yield Verdict(g, pres.boundary, gen_.label(), 1, ok, detail)
+
+
+def verify(g: int, n: int, tiers=None):
+    """Yield the verdicts on M(N_{g,n}) in the order `nmcg verify` prints
+    them, of the records whose tier is in tiers (all when None; boundary
+    fixation is tier 1). (g,0) needs no relator loop: each tier-1 relator
+    of the closed presentation is a relator of (g,1), decided there, and
+    its tier-3 relators B3, B4 and D are entries of the closed catalogue."""
+    keep = lambda tier: tiers is None or tier in tiers
+    if n == 1:
+        pres = nonorientable_mcg_presentation(g, 1)
+        yield from (verify_entry(r) for r in pres.relators if keep(r.tier))
+        if keep(1):
+            yield from boundary_fixation(pres)
+    yield from (verify_entry(e) for e in catalogue(g, n) if keep(e.tier))

@@ -35,12 +35,7 @@ from nmcg.presentations import (
     urun,
 )
 from nmcg.replay import available_scripts, replay_all
-from nmcg.verify import (
-    boundary_fixation,
-    verify_catalogue,
-    verify_entry,
-    verify_relators,
-)
+from nmcg.verify import boundary_fixation, verify, verify_entry
 from nmcg.words import gen, inverse, letter, lit, mul, named, parse, power
 
 GENUS_RANGE = range(3, 9)
@@ -64,12 +59,13 @@ def test_criterion_1_relators_and_boundary_fixation():
     count = 0
     labels = set()
     for g in PUNCTURED_RANGE:
-        for v in verify_relators(g):
+        pres = nonorientable_mcg_presentation(g, 1)
+        for v in map(verify_entry, pres.relators):
             count += 1
             labels.add(v.label)
             if not v.ok:
                 bad.append(f"({g},1) relator {v.label}: {v.detail}")
-        for v in boundary_fixation(g):
+        for v in boundary_fixation(pres):
             count += 1
             if not v.ok:
                 bad.append(f"({g},1) generator {v.label}: {v.detail}")
@@ -88,13 +84,14 @@ def test_criterion_2_derived_relation_suite():
     count = 0
     seen_tags = set()
     for g in PUNCTURED_RANGE:
-        for v in verify_catalogue(g, 1, tiers=(1,)):
+        for v in verify(g, 1, tiers=(1,)):
             count += 1
             seen_tags.add(v.label.split("(")[0])
             if not v.ok:
                 bad.append(f"({g},1) {v.label}: {v.detail}")
     dt = time.perf_counter() - t0
-    _report(2, not bad, f"{count} tier-1 catalogue entries, g=3..16", dt, BUDGET_2)
+    _report(2, not bad, f"{count} tier-1 verdicts, relators and fixation included, g=3..16",
+            dt, BUDGET_2)
     assert not bad, "derived-relation failures:\n" + "\n".join(bad)
     # every family the catalogue promises is actually instantiated
     for tag in (
@@ -110,7 +107,7 @@ def test_criterion_3_boundary_twist_exponents():
     t0 = time.perf_counter()
     passed, failed = [], []
     for g in PUNCTURED_RANGE:
-        for v in verify_catalogue(g, 1, tiers=(2,)):
+        for v in verify(g, 1, tiers=(2,)):
             (passed if v.ok else failed).append(f"({g},1) {v.label}: {v.detail}")
     # B4 is a closed-surface relation: at (g,1) it is the twist about the
     # curve around crosscaps 1..g-1, the partial conjugation by
@@ -146,7 +143,7 @@ def test_criterion_4_closed_relators_inner_by_search():
     bad = []
     seen = set()
     for g in CLOSED_RANGE:
-        for v in verify_catalogue(g, 0, tiers=(3,)):
+        for v in verify(g, 0, tiers=(3,)):
             seen.add((g, v.label.split("(")[0]))
             if not v.ok:
                 bad.append(f"({g},0) {v.label}: {v.detail}")

@@ -139,6 +139,11 @@ GOLDEN = {
     "verify -g 8 -n 1": "75e7d58f1259d182",
     "verify -g 8 -n 0": "c22e59797cae7b8b",
     "verify -g 3 -n 1": "28bb3350d7f97af6",
+    "verify -g 24 -n 0": "8345976e95cd9eae",
+    "verify -g 6 -n 0 --tier 3": "dbf3f348ef45c673",
+    "verify -g 12 -n 1 --tier 1": "04192906c90a3226",
+    "verify -g 12 -n 1 --tier 2": "3dda1ed951a3e797",
+    "verify -g 2 -n 1": "48d5f99051f35b1a",
     "replay": "4ed9b0ca51aae1e3",
 }
 

@@ -20,7 +20,7 @@ from nmcg.pi1_action import (
     evaluate,
     identity_table,
 )
-from nmcg.verify import verify_catalogue, verify_entry
+from nmcg.verify import verify, verify_entry
 from nmcg.words import free_reduce, gen_of, inverse, mul, parse
 
 _G = 5
@@ -86,7 +86,7 @@ def test_every_dehn_reduction_gets_a_freely_reduced_word(monkeypatch):
     # re-scans them: every caller on the tier-3 path must pass one
     seen, real = [], dehn_reduce
     monkeypatch.setattr(one_relator, "dehn_reduce", lambda w, g: seen.append(w) or real(w, g))
-    verdicts = [v for g in range(4, 13) for v in verify_catalogue(g, 0, tiers=(3,))]
+    verdicts = [v for g in range(4, 13) for v in verify(g, 0, tiers=(3,))]
     assert verdicts and all(v.ok for v in verdicts)
     refuted = 0
     for g in (4, 5, 6):

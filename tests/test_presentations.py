@@ -118,6 +118,8 @@ def test_relator_tiers_are_stamped_where_they_are_built():
     pres += [braid_presentation(g, spherical=s) for g in range(3, 25) for s in (False, True)]
     for p in pres:
         assert {(r.genus, r.boundary) for r in p.relators} <= {(p.genus, p.boundary)}
+        # a tier-3 relation holds only once the boundary is capped
+        assert all(r.boundary == 0 for r in p.relators if r.tier == 3), (p.genus, p.boundary)
     # the relators of (2,0) and (3,0) hold only once the boundary is capped
     for g in (2, 3):
         tiers = {r.tier for r in nonorientable_mcg_presentation(g, 0).relators}
@@ -127,10 +129,23 @@ def test_relator_tiers_are_stamped_where_they_are_built():
         assert {r.tier for r in punctured} == {1}, g
         closed = nonorientable_mcg_presentation(g, 0).relators
         assert [r.tag for r in closed if r.tier == 3] == ["B3", "B4", "D"], g
-        # a closed relator at tier 1 is a punctured one, so verify_relators(g) backs it
+        # a closed relator at tier 1 is a punctured one, so verify(g, 1) backs it
         sides = {(r.tag, r.params, r.lhs, r.rhs) for r in punctured}
         assert all((r.tag, r.params, r.lhs, r.rhs) in sides for r in closed if r.tier == 1), g
         assert {r.tier for r in closed} == {1, 3}, g
+
+
+def test_closed_catalogue_restates_the_tier3_relators():
+    # verify(g, 0) decides the catalogue alone, so its B3, B4 and D must be
+    # the closed presentation's own tier-3 relators: the catalogue builds
+    # B3 and B4 as Factored powers, the presentation as flat powers
+    def flat(records):
+        return [(r.tag, r.params, tuple(r.lhs), tuple(r.rhs), r.tier) for r in records]
+
+    for g in range(4, 25):
+        relators = [r for r in nonorientable_mcg_presentation(g, 0).relators if r.tier == 3]
+        entries = [e for e in catalogue(g, 0) if e.tag in ("B3", "B4", "D")]
+        assert flat(entries) == flat(relators), g
 
 
 def test_expansion_env_covers_abbreviations():
@@ -154,7 +169,8 @@ def test_a8_compares_the_curve_built_twist_with_its_word(monkeypatch):
     import nmcg.verify as verify_mod
 
     def failing(g):
-        return sorted(v.label for v in verify_mod.verify_relators(g) if not v.ok)
+        relators = nonorientable_mcg_presentation(g, 1).relators
+        return sorted(v.label for v in map(verify_mod.verify_entry, relators) if not v.ok)
 
     def a8_labels(g):
         pres = nonorientable_mcg_presentation(g, 1)

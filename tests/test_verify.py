@@ -8,14 +8,8 @@ import dataclasses
 
 import nmcg.verify as verify_mod
 from nmcg.catalogue import Entry, catalogue
-from nmcg.presentations import delta_word, urun
-from nmcg.verify import (
-    Verdict,
-    boundary_fixation,
-    verify_catalogue,
-    verify_entry,
-    verify_relators,
-)
+from nmcg.presentations import delta_word, nonorientable_mcg_presentation, urun
+from nmcg.verify import Verdict, boundary_fixation, verify, verify_entry
 from nmcg.words import Factored, cyclic_canon, gen_of, letter, power
 
 
@@ -27,11 +21,15 @@ def _entry(g, n, label):
 
 
 def test_verify_relators_counts_match_presentation():
-    from nmcg.presentations import nonorientable_mcg_presentation
-
+    # at (g,1) verify yields the relators, then one boundary-fixation
+    # verdict per generator, then the catalogue, each in its built order
     for g in (3, 4):
-        out = verify_relators(g)
-        assert len(out) == len(nonorientable_mcg_presentation(g, 1).relators)
+        pres = nonorientable_mcg_presentation(g, 1)
+        out = list(verify(g, 1))
+        rels, gens = len(pres.relators), len(pres.generators)
+        assert [v.label for v in out[:rels]] == [r.label() for r in pres.relators]
+        assert [v.label for v in out[rels:rels + gens]] == pres.generator_labels()
+        assert [v.label for v in out[rels + gens:]] == [e.label() for e in catalogue(g, 1)]
         assert all(isinstance(v, Verdict) and v.ok for v in out)
 
 
@@ -49,11 +47,9 @@ def _repeats(items):
 def test_no_label_is_verified_twice_at_one_boundary():
     # each relation is stated once: a restated one is a second check of
     # the same word, under another label or the same one
-    from nmcg.presentations import nonorientable_mcg_presentation
-
     repeated = []
     for g, n in [(g, 1) for g in range(1, 17)] + [(g, 0) for g in range(4, 17)]:
-        # the relators as verify_relators checks them, at (g,1)
+        # the relators as verify checks them, at (g,1) only
         entries = list(nonorientable_mcg_presentation(g, 1).relators) if n else []
         items = [(e.label(), e.word, e.tier, e.twist) for e in entries + catalogue(g, n)]
         repeated += [f"({g},{n}) {labels}" for labels in _repeats(items)]
@@ -61,14 +57,10 @@ def test_no_label_is_verified_twice_at_one_boundary():
 
 
 def test_boundary_fixation_covers_all_generators():
-    from nmcg.presentations import nonorientable_mcg_presentation
-
-    out = boundary_fixation(5)
-    labels = [v.label for v in out]
-    assert labels == [
-        x.label() for x in nonorientable_mcg_presentation(5, 1).generators
-    ]
-    assert all(v.ok for v in out)
+    pres = nonorientable_mcg_presentation(5, 1)
+    out = list(boundary_fixation(pres))
+    assert [v.label for v in out] == pres.generator_labels()
+    assert all(v.ok and v.tier == 1 for v in out)
 
 
 def test_tier1_entry_verifies():
@@ -108,7 +100,6 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     # conjugation by sigma keeps table equality, so deciding every entry
     # in basis x, and every entry in basis q, gives the verdicts of the rule
     from nmcg.pi1_action import evaluator
-    from nmcg.presentations import nonorientable_mcg_presentation
 
     entries, routed = [], 0
     for g in range(4, 13):
@@ -169,8 +160,7 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # moves: (composes, splices, letter steps) went from (4134, 413, 0) to
     # (275, 413, 3859), every compose after a letter table now a step
     def punctured():
-        assert all(v.ok for v in verify_relators(20) + boundary_fixation(20)
-                   + verify_catalogue(20, 1))
+        assert all(v.ok for v in verify(20, 1))
 
     counts = _cold_compose_count(monkeypatch, punctured)
     assert counts == (275, 413, 3859), counts
@@ -180,15 +170,23 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # folding sparse letter tables) and the two-sided entries (composing
     # two dense side tables costs more) are folded letter by letter, so
     # letter steps took (919, 0, 0) to (24, 0, 895)
-    counts = _cold_compose_count(monkeypatch, lambda: verify_catalogue(24, 0))
+    counts = _cold_compose_count(monkeypatch, lambda: list(verify(24, 0)))
     assert counts == (24, 0, 895), counts
 
 
 def test_verify_catalogue_tier_filter():
-    out = verify_catalogue(5, 1, tiers=(1,))
+    # relators and boundary fixation are tier 1, so only tiers=None or a
+    # selection with 1 in it checks them
+    pres = nonorientable_mcg_presentation(5, 1)
+    entries = catalogue(5, 1)
+    head = len(pres.relators) + len(pres.generators)
+    out = list(verify(5, 1, tiers=(1,)))
     assert out and all(v.tier == 1 for v in out)
-    everything = verify_catalogue(5, 1)
-    assert len(everything) == len(catalogue(5, 1))
+    assert len(out) == head + sum(e.tier == 1 for e in entries)
+    out = list(verify(5, 1, tiers=(2,)))
+    assert [v.label for v in out] == [e.label() for e in entries if e.tier == 2]
+    everything = list(verify(5, 1))
+    assert len(everything) == head + len(entries)
 
 
 def _letter_mutants(e):
@@ -306,8 +304,6 @@ def _sweep(entries):
 
 def test_tier1_rejects_every_single_letter_mutant():
     import time
-
-    from nmcg.presentations import nonorientable_mcg_presentation
 
     t0 = time.perf_counter()
     entries = []
