@@ -30,10 +30,13 @@ per (part, exponent), keyed on the part's letters: evaluation is a
 homomorphism, so equal words have equal tables, and a shared factor such
 as the half-twist Delta_k, and its square, is built once per genus
 whichever object holds it. A leading one-letter part, such as u_{k-i}
-in u_{k-i} Delta_k (B5), is spliced into the table of the rest: only
-the images that hold a letter it moves are rewritten. A trailing
-one-letter part, such as a_i in Delta_k a_i (E1, B5), is applied to the
-table of the rest by a letter step.
+in u_{k-i} Delta_k (B5), is spliced into the table of the rest: each
+image is cut only around the maximal runs of letters it moves whose
+image differs from the run. u_m and a_m^{+-1} map each run
+x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word, and its
+inverse, to itself, so most images of T(Delta_k) are kept as they are.
+A trailing one-letter part, such as a_i in Delta_k a_i (E1, B5), is
+applied to the table of the rest by a letter step.
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -111,21 +114,36 @@ def _step(acc, moved):
     return tuple(out)
 
 
-def splice(moved, t2):
+def splice(moved, runs, t2):
     """T after t2, as compose, for the table T whose moves (see _moves)
-    are moved, when T moves few letters: each image of t2 is cut where
-    it holds a letter T moves, and mul joins the untouched slices to the
-    moved letters' images, so only the junctions are reduced letter by
-    letter. An image with no cut is kept as the same object."""
-    disjoint = moved.keys().isdisjoint
+    are moved, when T moves few letters. Each image of t2 is split into
+    maximal runs of letters T moves and the slices between them. The
+    image of a run under T is cached in runs, a dict kept per table T:
+    a run T maps to itself, such as x_m x_m x_{m+1} x_{m+1} under u_m,
+    stays inside its slice, and only the changed runs are cut out and
+    joined by mul to the untouched slices, so only the junctions are
+    reduced letter by letter. An image with no changed run is kept as
+    the same object."""
+    disjoint, contains, image = moved.keys().isdisjoint, moved.__contains__, moved.__getitem__
     out = []
     for im in t2:
         if not disjoint(im):
-            pieces, start = [], 0
-            for p in compress(count(), map(moved.__contains__, im)):
-                pieces += (im[start:p], moved[im[p]])
-                start = p + 1
-            im = mul(*pieces, im[start:])
+            pieces, start, lo, hi = [], 0, 0, 0
+            # the positions of moved letters, then -1 to end the last run
+            for p in (*compress(count(), map(contains, im)), -1):
+                if p != hi:  # the run im[lo:hi], if any, ends before p
+                    if hi:
+                        run = im[lo:hi]
+                        new = runs.get(run)
+                        if new is None:
+                            new = runs[run] = mul(*map(image, run))
+                        if new != run:
+                            pieces += (im[start:lo], new)
+                            start = hi
+                    lo = p
+                hi = p + 1
+            if pieces:
+                im = mul(*pieces, im[start:])
         out.append(im)
     return tuple(out)
 
@@ -221,7 +239,11 @@ class Evaluator:
     and their inverses (_moves), made once per letter and basis. A plain
     word, a plain part included, is folded from its first letter's table
     by one letter step (_step) per later letter, which rewrites only the
-    moved images; splice reads the same record for a leading letter.
+    moved images; splice reads the same record for a leading letter, and
+    the letter's run cache (_letter_runs), which holds the image of each
+    run of moved letters splice has met. The images of every T(Delta_k)
+    share their runs, so each run's image is computed once per letter
+    and basis.
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
@@ -241,6 +263,7 @@ class Evaluator:
         self._cache = {}
         self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
         self._moved = {}  # letter -> the moves of its table, for letter steps and splice
+        self._runs = {}  # letter -> {run of letters its table moves: the run's image}, for splice
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
 
@@ -296,6 +319,10 @@ class Evaluator:
             moved = self._moved[c] = _moves(self.letter_table(c))
         return moved
 
+    def _letter_runs(self, c: int) -> dict:
+        """The run cache (see splice) of c's letter table, one per letter."""
+        return self._runs.setdefault(c, {})
+
     def _letters(self, word: Word):
         """Table of a plain word: its first letter's table, then one
         letter step per later letter."""
@@ -311,7 +338,8 @@ class Evaluator:
         if len(parts) > 1:
             (first, j), (last, k) = parts[0], parts[-1]
             if len(first) == 1 and abs(j) == 1:
-                return splice(self._letter_moves(first[0] * j), self._product(parts[1:]))
+                c = first[0] * j
+                return splice(self._letter_moves(c), self._letter_runs(c), self._product(parts[1:]))
             if len(last) == 1 and abs(k) == 1:
                 return _step(self._product(parts[:-1]), self._letter_moves(last[0] * k))
         acc = None
@@ -359,11 +387,12 @@ def evaluator(g: int) -> Evaluator:
 
 def checked_evaluator(g: int, env=None) -> Evaluator:
     """evaluator(g), once env, if given, is found to hold only genus g's
-    own named words: the words it would evaluate anyway."""
+    own named words: the words it would evaluate anyway. The check is one
+    comparison of item views; the name to quote is sought only if it fails."""
     ev = evaluator(g)
-    for gen, word in (env or {}).items():
-        if ev.words.get(gen) != word:
-            raise ValueError(f"env gives {gen.label()} a word other than its own at genus {g}")
+    if env and not env.items() <= ev.words.items():
+        gen = next(gen for gen, word in env.items() if ev.words.get(gen) != word)
+        raise ValueError(f"env gives {gen.label()} a word other than its own at genus {g}")
     return ev
 
 

@@ -144,6 +144,7 @@ GOLDEN = {
     "verify -g 12 -n 1 --tier 1": "04192906c90a3226",
     "verify -g 12 -n 1 --tier 2": "3dda1ed951a3e797",
     "verify -g 2 -n 1": "48d5f99051f35b1a",
+    "verify -g 20 -n 1": "84d553d2772cb6ad",
     "replay": "4ed9b0ca51aae1e3",
 }
 

@@ -69,9 +69,15 @@ def test_one_evaluator_per_genus_and_a_foreign_env_is_rejected(monkeypatch):
     env = expansion_env(g, 1)
     w = parse("a1 y1 u2")
     assert f2_matrix(w, g, env) == f2_matrix(w, g)
+    assert f2_matrix(w, g, dict(evaluator(g).words)) == f2_matrix(w, g)
     env[named("y1")] = parse("b1 a3^-1")
     for route in (evaluate, f2_matrix, z_matrix):
         with pytest.raises(ValueError, match="y1"):
+            route(w, g, env)
+    # a name that genus g does not have is foreign too
+    env = {**expansion_env(g, 1), named("r9"): parse("u1 u2")}
+    for route in (evaluate, f2_matrix, z_matrix):
+        with pytest.raises(ValueError, match="r9"):
             route(w, g, env)
     assert evaluator(g) is evaluator(g)
     # (g,0) and (g,1) share the Evaluator of genus g: a warm pass over

@@ -1,6 +1,8 @@
 """Punctured-surface representation: automorphism tables, evaluation,
 boundary behaviour, and conjugation by powers of the boundary word."""
 
+from itertools import groupby
+
 from hypothesis import given, settings, strategies as st
 
 from nmcg.catalogue import catalogue
@@ -114,9 +116,9 @@ def test_product_splices_a_leading_letter(monkeypatch):
     calls = {"splice": 0, "_step": 0}
 
     def counting(name, fn):
-        def counted(t1, t2):
+        def counted(*args):
             calls[name] += 1
-            return fn(t1, t2)
+            return fn(*args)
 
         return counted
 
@@ -248,7 +250,7 @@ def test_compose_is_substitution_of_every_image(t1, t2):
 @settings(max_examples=300, deadline=None)
 @given(_tables, _tables)
 def test_splice_is_compose(t1, t2):
-    assert splice(_moves(t1), t2) == compose(t1, t2)
+    assert splice(_moves(t1), {}, t2) == compose(t1, t2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,21 +274,48 @@ def _letter_tables_and_deltas():
             yield g, ev, letters, [ev.evaluate(delta_word(k)) for k in range(2, g + 1)]
 
 
+def _moved_runs(moved, im):
+    """The maximal runs of letters of im that are keys of moved."""
+    return [tuple(run) for is_moved, run in groupby(im, moved.__contains__) if is_moved]
+
+
 def test_splice_is_compose_for_every_letter_table():
     # each letter table spliced into T(Delta_k) for every k <= g, into
     # the identity, and into the letter's own inverse table, whose images
-    # cancel completely; an image that holds no letter the left table
-    # moves is kept as is
+    # cancel completely, each with a fresh run cache; an image whose
+    # maximal runs of moved letters all map to themselves (none, if it
+    # holds no moved letter) is kept as is
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
             t1 = ev.letter_table(c)
             moved = _moves(t1)
             for t2 in deltas + [identity_table(g), ev.letter_table(-c)]:
-                out = splice(moved, t2)
+                out = splice(moved, {}, t2)
                 assert out == compose(t1, t2), (g, c)
                 for im, new in zip(t2, out):
-                    assert new is im or not moved.keys().isdisjoint(im), (g, c, im)
-            assert splice(moved, ev.letter_table(-c)) == identity_table(g), (g, c)
+                    fixed = all(xsub(run, t1) == run for run in _moved_runs(moved, im))
+                    assert new is im or not fixed, (g, c, im)
+            assert splice(moved, {}, ev.letter_table(-c)) == identity_table(g), (g, c)
+
+
+def test_splice_reuses_one_letter_run_cache():
+    # the Evaluator keeps one run cache per letter and basis, which holds
+    # each run's image under that letter's table alone: read back across
+    # T(Delta_k) for every k <= g, the identity and the letter's own
+    # inverse table, it gives compose each time, and a second round
+    # finds every run it needs cached
+    for g, ev, letters, deltas in _letter_tables_and_deltas():
+        for c in letters:
+            t1, moved, runs = ev.letter_table(c), ev._letter_moves(c), ev._letter_runs(c)
+            assert runs is ev._letter_runs(c), (g, c)
+            tables = deltas + [identity_table(g), ev.letter_table(-c)]
+            for t2 in tables:
+                assert splice(moved, runs, t2) == compose(t1, t2), (g, c)
+            known = dict(runs)
+            for t2 in tables:
+                assert splice(moved, runs, t2) == compose(t1, t2), (g, c)
+            assert runs == known, (g, c)
+            assert all(im == xsub(run, t1) for run, im in runs.items()), (g, c)
 
 
 def test_letter_step_is_compose_for_every_letter_table():
