@@ -18,25 +18,28 @@ abbreviate words whose value depends on the genus alone, so one shared
 Evaluator per genus, evaluator(g), holds them all.
 
 evaluate() composes generator tables in word order: the rightmost
-letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. A plain
+letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. There is
+one composition kernel, the letter step: t1 after t2 differs from t1
+only at the images t2 moves (two for a_i and u_i), so a step copies t1
+and rewrites those images alone, each by mul of t1's images of its
+letters; compose(t1, t2) is the step by every image t2 moves. A plain
 word is its first letter's table followed by one letter step per later
-letter c: the table so far after T(c) differs from the table so far
-only at the images T(c) moves (two for a_i and u_i), so a step copies
-it and rewrites those images alone, each by mul of the images so far.
-A words.Factored word is evaluated from its parts: each part's table is
-raised to its power by repeated squaring (a negative power is the table
-of the inverse word). The table of every part is cached on the Evaluator
-per (part, exponent), keyed on the part's letters: evaluation is a
-homomorphism, so equal words have equal tables, and a shared factor such
-as the half-twist Delta_k, and its square, is built once per genus
-whichever object holds it. A leading one-letter part, such as u_{k-i}
-in u_{k-i} Delta_k (B5), is spliced into the table of the rest: each
-image is cut only around the maximal runs of letters it moves whose
-image differs from the run. u_m and a_m^{+-1} map each run
-x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word, and its
-inverse, to itself, so most images of T(Delta_k) are kept as they are.
-A trailing one-letter part, such as a_i in Delta_k a_i (E1, B5), is
-applied to the table of the rest by a letter step.
+letter. A words.Factored word is evaluated from its parts by the same
+fold: a one-letter part with exponent +-1 is a letter step, and any
+other part's table is raised to its power by repeated squaring (a
+negative power is the table of the inverse word) and composed. The
+table of every such part is cached on the Evaluator per (part,
+exponent), keyed on the part's letters: evaluation is a homomorphism,
+so equal words have equal tables, and a shared factor such as the
+half-twist Delta_k, and its square, is built once per genus whichever
+object holds it. The one special case is a leading one-letter part,
+such as u_{k-i} in u_{k-i} Delta_k (B5), which is spliced into the
+table of the rest: each image is cut only around the maximal runs of
+letters it moves whose image differs from the run. u_m and a_m^{+-1}
+map each run x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word,
+and its inverse, to itself, so most images of T(Delta_k) are kept as
+they are. The boundary twist acts by conjugation by W, an inner
+automorphism, so boundary_conjugate conjugates each image by W^k.
 
 Words in x_1..x_g and words over the presentation generators share one
 kernel, that of the words module (mul, inverse, power); mul takes freely
@@ -76,15 +79,9 @@ def identity_table(g: int):
 
 
 def compose(t1, t2):
-    """t1 after t2 (x -> t1(t2(x))). An image (j,) of t2 is t1[j-1]
-    itself, shared rather than copied (tables are reduced and immutable).
-    Each image of t1 is inverted once per call: piece(c) is t1[c-1] for
-    c > 0, and for c = -i, by negative indexing, the inverse of t1[i-1]."""
-    piece = (None, *t1, *map(inverse, reversed(t1))).__getitem__
-    return tuple([
-        t1[im[0] - 1] if len(im) == 1 and im[0] > 0 else mul(*map(piece, im))
-        for im in t2
-    ])
+    """t1 after t2 (x -> t1(t2(x))): the letter step (see _step) by every
+    image t2 moves."""
+    return _step(t1, _moves(t2))
 
 
 def _moves(t):
@@ -150,11 +147,6 @@ def splice(moved, runs, t2):
 
 def boundary_word(g: int) -> Word:
     return tuple(i for i in range(1, g + 1) for _ in (0, 1))
-
-
-def conjugation_table(w: Word, g: int):
-    """Conjugation by the freely reduced w."""
-    return tuple(mul(w, (i,), inverse(w)) for i in range(1, g + 1))
 
 
 def prefix_basis(g: int):
@@ -224,26 +216,25 @@ class Evaluator:
     crosscap_transposition; words maps each named element of genus g
     (y1, y2, v, r_g, c, d) to its defining word over a_i, u_i and b_j,
     the union of expansion_env(g, 0) and expansion_env(g, 1), which
-    agree on every name they share. Tables are cached per letter, and per (part,
-    exponent k) of a Factored word, keyed on the part's letters: a part
-    is meant to be a shared factor, such as Delta_k, u_1..u_m or r_g, so
-    part^k is built once, by squaring the cached part^(+-1), and lives as
-    long as the Evaluator. A Factored word evaluated whole is not cached
-    itself; it reuses the table of a cached part with its letters. If
-    its first part is one letter with exponent +-1 and further parts
-    follow, splice takes that letter's table into the product of the
-    rest; failing that, if its last part is one such letter, a letter
-    step applies that letter's table after the product of the rest.
+    agree on every name they share. Tables are cached per letter, and per
+    (part, exponent k) of a Factored word, keyed on the part's letters: a
+    part is meant to be a shared factor, such as Delta_k, u_1..u_m or
+    r_g, so part^k is built once, by squaring the cached part^(+-1), and
+    lives as long as the Evaluator. A Factored word evaluated whole is
+    not cached itself; it reuses the table of a cached part with its
+    letters.
 
-    Each letter also has a cached record of the images its table moves,
-    and their inverses (_moves), made once per letter and basis. A plain
-    word, a plain part included, is folded from its first letter's table
-    by one letter step (_step) per later letter, which rewrites only the
-    moved images; splice reads the same record for a leading letter, and
-    the letter's run cache (_letter_runs), which holds the image of each
-    run of moved letters splice has met. The images of every T(Delta_k)
-    share their runs, so each run's image is computed once per letter
-    and basis.
+    Each letter also has one record, made on first use per letter and
+    basis: the images its table moves, with their inverses (_moves), and
+    its run cache, which holds the image of each run of moved letters
+    that splice has met. A product of parts, and a plain word as the
+    product of its letters, is one fold (_fold): a one-letter part with
+    exponent +-1 is a letter step (_step) by its record, which rewrites
+    only the images that letter moves; any other part's cached power is
+    composed. The one special case is a leading one-letter part followed
+    by further parts, which splice takes into the product of the rest
+    with its record. The images of every T(Delta_k) share their runs, so
+    each run's image is computed once per letter and basis.
 
     The Evaluator works in basis x. Its sibling q, built on first use,
     runs the same code in basis q with its own caches: its letter table
@@ -252,7 +243,7 @@ class Evaluator:
     the b_j curve is the two-letter word q_{2j+1} q_{2j+2}, so a b_j
     table has short images, where in basis x every interior image is
     conjugated by the curve. boundary is the boundary word in the
-    Evaluator's basis.
+    Evaluator's basis. deciding picks the basis for an identity.
     """
 
     def __init__(self, g: int, x=None):
@@ -262,8 +253,10 @@ class Evaluator:
         self._q = None if x is None else self
         self._cache = {}
         self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
-        self._moved = {}  # letter -> the moves of its table, for letter steps and splice
-        self._runs = {}  # letter -> {run of letters its table moves: the run's image}, for splice
+        self._records = {}  # letter -> (the moves of its table, its run cache), for _step and splice
+        # the letters u_i^+-1 and b_j^+-1 of genus g, for deciding
+        self._u = frozenset(s * letter(Gen("u", i)) for i in range(1, g) for s in (1, -1))
+        self._b = frozenset(s * letter(Gen("b", j)) for j in range(g // 2) for s in (1, -1))
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
 
@@ -274,6 +267,14 @@ class Evaluator:
         if self._q is None:
             self._q = Evaluator(self.g, x=self)
         return self._q
+
+    def deciding(self, lhs: Word, rhs: Word) -> "Evaluator":
+        """The Evaluator that decides T(lhs) == C o T(rhs): the basis-q
+        sibling when lhs and rhs have a b_j letter and no u_i letter (b_j
+        tables are short in basis q, and u_i moves q_k for every odd
+        k > i), else self. Either basis gives the same verdict."""
+        letters = {*lhs, *rhs}
+        return self.q if letters.isdisjoint(self._u) and not letters.isdisjoint(self._b) else self
 
     def letter_table(self, c: int):
         hit = self._cache.get(c)
@@ -298,54 +299,50 @@ class Evaluator:
         return t
 
     def boundary_conjugate(self, table, k: int):
-        """table followed by conjugation by W^k, W the boundary word.
-        Conjugation by W is the action of the boundary twist, which is
-        central, so lhs = rhs times its k-th power reads
-        T(lhs) == boundary_conjugate(T(rhs), k); k = 0 gives table."""
+        """table followed by conjugation by W^k, W the boundary word:
+        each image conjugated by W^k. Conjugation by W is the action of
+        the boundary twist, which is central, so lhs = rhs times its k-th
+        power reads T(lhs) == boundary_conjugate(T(rhs), k); k = 0 gives
+        table."""
         if not k:
             return table
-        return compose(conjugation_table(power(self.boundary, k), self.g), table)
+        wk, wki = power(self.boundary, k), power(self.boundary, -k)
+        return tuple([mul(wk, im, wki) for im in table])
 
     def evaluate(self, word: Word):
         if isinstance(word, Factored):
             hit = self._parts.get((word, 1))
             return hit if hit is not None else self._product(word.parts)
-        return self._letters(word)
+        return self._fold(((c,), 1) for c in word)
 
-    def _letter_moves(self, c: int):
-        """The moves (see _moves) of c's letter table, made once per letter."""
-        moved = self._moved.get(c)
-        if moved is None:
-            moved = self._moved[c] = _moves(self.letter_table(c))
-        return moved
-
-    def _letter_runs(self, c: int) -> dict:
-        """The run cache (see splice) of c's letter table, one per letter."""
-        return self._runs.setdefault(c, {})
-
-    def _letters(self, word: Word):
-        """Table of a plain word: its first letter's table, then one
-        letter step per later letter."""
-        if not word:
-            return identity_table(self.g)
-        acc = self.letter_table(word[0])
-        for c in word[1:]:
-            acc = _step(acc, self._letter_moves(c))
-        return acc
+    def _record(self, c: int):
+        """(moves, run cache) of c's letter table: its moves (see _moves)
+        and the run cache splice fills, made once per letter."""
+        rec = self._records.get(c)
+        if rec is None:
+            rec = self._records[c] = (_moves(self.letter_table(c)), {})
+        return rec
 
     def _product(self, parts):
         parts = [(part, k) for part, k in parts if k]
-        if len(parts) > 1:
-            (first, j), (last, k) = parts[0], parts[-1]
-            if len(first) == 1 and abs(j) == 1:
-                c = first[0] * j
-                return splice(self._letter_moves(c), self._letter_runs(c), self._product(parts[1:]))
-            if len(last) == 1 and abs(k) == 1:
-                return _step(self._product(parts[:-1]), self._letter_moves(last[0] * k))
+        if len(parts) > 1 and len(parts[0][0]) == 1 and abs(parts[0][1]) == 1:
+            (first, j), rest = parts[0], parts[1:]
+            return splice(*self._record(first[0] * j), self._product(rest))
+        return self._fold(parts)
+
+    def _fold(self, parts):
+        """Table of the product of parts (part, k), k != 0, in order: a
+        one-letter part with k = +-1 is its letter's table, first, and a
+        letter step after the table so far, later; any other part's
+        cached power is composed after the table so far."""
         acc = None
         for part, k in parts:
-            t = self._power(part, k)
-            acc = t if acc is None else compose(acc, t)
+            if len(part) == 1 and abs(k) == 1:
+                c = part[0] * k
+                acc = self.letter_table(c) if acc is None else _step(acc, self._record(c)[0])
+            else:
+                t = self._power(part, k)
+                acc = t if acc is None else compose(acc, t)
         return identity_table(self.g) if acc is None else acc
 
     def _power(self, part, k: int):
@@ -360,7 +357,7 @@ class Evaluator:
             elif isinstance(part, Factored):
                 t = self._product(part.parts if k > 0 else [(p, -e) for p, e in part.parts[::-1]])
             else:
-                t = self._letters(part if k > 0 else inverse(part))
+                t = self.evaluate(part if k > 0 else inverse(part))
             self._parts[key] = t
         return t
 

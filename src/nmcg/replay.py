@@ -17,8 +17,8 @@ list of rewrite steps. The replayer executes the steps on a raw
   verify.verify_entry decides it, as an entry at that tier.
 
 Scripts may depend on other scripts ("uses"); a dependency is replayed
-first and its conclusion becomes available as the relation
-("script:<name>", ()). The conclusion must be a relation of the
+first and its conclusion, kept on its report, becomes available as the
+relation ("script:<name>", ()). The conclusion must be a relation of the
 script's group: a dependency of another genus is refused, and so is one
 that a (g,1) script cites from (g,0) or from tier 2, which holds only up
 to the boundary twist. A (g,0) script may cite any dependency of its
@@ -26,8 +26,8 @@ genus, since capping the boundary makes the twist trivial.
 
 A memo passed between scripts (replay_all and `nmcg replay` pass one)
 holds each replayed script's report under its name and each relation
-index under its (g, n), so a run builds each index once and every
-script extends a copy of it.
+index under its (g, n), so a run reads each script once, builds each
+index once, and every script extends a copy of it.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class ReplayReport:
     steps: int
     tier: int
     w_power: int  # the stated boundary-twist exponent at tier 2, else 0
+    conclusion: tuple  # (start, end), the relation a dependent script may cite
 
 
 def _licensed(match: Word, replace: Word, lhs: Word, rhs: Word) -> bool:
@@ -134,17 +135,17 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
                 f"dependency {dep!r} at ({rep.genus},{rep.boundary}) tier {rep.tier}"
                 f" is no relation of ({g},{n})",
             )
-        dd = load_script(dep)
-        index[(f"script:{dep}", ())] = (parse_raw(dd["start"]), parse_raw(dd["end"]))
-    word = list(parse_raw(data["start"]))
+        index[(f"script:{dep}", ())] = rep.conclusion
+    start = parse_raw(data["start"])
+    word = list(start)
     for i, step in enumerate(data["steps"]):
         word = _apply_step(name, i, word, step, index)
     last = len(data["steps"])
-    end = list(parse_raw(data["end"]))
-    if word != end:
+    end = parse_raw(data["end"])
+    if tuple(word) != end:
         raise StepMismatch(
             name, last,
-            f"final word {fmt(tuple(word))} != declared end {fmt(tuple(end))}",
+            f"final word {fmt(tuple(word))} != declared end {fmt(end)}",
         )
 
     tier = data["tier"]
@@ -155,10 +156,10 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         if "w_power" not in data:
             raise StepMismatch(name, last, "a tier-2 script must state its exponent w_power")
         k = data["w_power"]
-    if not verify_entry(Entry(name, (), g, n, parse_raw(data["start"]), tuple(end), tier, k)).ok:
+    if not verify_entry(Entry(name, (), g, n, start, end, tier, k)).ok:
         up_to = f" up to w^{k}" if tier == 2 else ""
         raise StepMismatch(name, last, f"endpoint fails tier-{tier} table equality{up_to}")
-    report = ReplayReport(name, g, n, last, tier, k)
+    report = ReplayReport(name, g, n, last, tier, k, (start, end))
     memo[name] = report
     stack.discard(name)
     return report

@@ -9,8 +9,8 @@ conjugation by w^k, w the boundary word and k the exponent the entry
 states (Entry.twist; tier 1 is k = 0). Each side keeps its
 words.Factored structure, so a shared factor's table is built once per
 surface. An entry whose letters include a b_j and no u_i is decided in
-the prefix basis q (pi1_action.Evaluator.q), where b_j tables are short,
-and w is written in that basis; every other entry in basis x.
+the prefix basis q (pi1_action.Evaluator.deciding), where b_j tables are
+short, and w is written in that basis; every other entry in basis x.
 Replay endpoints, entries at their script's tier, take this path too.
 Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
@@ -28,7 +28,7 @@ from . import pi1_action
 from .catalogue import catalogue
 from .one_relator import VERIFIED, find_inner_conjugator
 from .presentations import Entry, Presentation, nonorientable_mcg_presentation
-from .words import gen_of, lit
+from .words import lit
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,13 @@ class Verdict:
     detail: str
 
 
-def _basis(ev, e: Entry):
-    """The Evaluator that decides a tier-1 or tier-2 entry: ev's basis-q
-    sibling when the entry's letters include a b_j and no u_i, else ev.
-    A b_j table is short in basis q and long in basis x, while u_i moves
-    q_k for every odd k > i, so entries with u letters are faster in x.
-    Conjugation by sigma keeps table equality, so the verdict is the
-    same in either basis."""
-    fams = {gen_of(c).fam for c in {*map(abs, e.lhs), *map(abs, e.rhs)}}
-    return ev.q if "b" in fams and "u" not in fams else ev
-
-
 def verify_entry(e: Entry) -> Verdict:
     g = e.genus
     ev = pi1_action.evaluator(g)
 
     if e.tier in (1, 2):
         k = e.twist
-        ev = _basis(ev, e)
+        ev = ev.deciding(e.lhs, e.rhs)
         ok = ev.evaluate(e.lhs) == ev.boundary_conjugate(ev.evaluate(e.rhs), k)
         if not k:
             detail = "sides have equal tables" if ok else "sides differ in the punctured representation"

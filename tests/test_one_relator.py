@@ -2,6 +2,7 @@
 quotient equality, and the exact innerness decision."""
 
 from hypothesis import example, given, settings, strategies as st
+from reference import conjugation_table
 
 import nmcg.one_relator as one_relator
 from nmcg.catalogue import Entry, catalogue
@@ -14,12 +15,7 @@ from nmcg.one_relator import (
     equal_in_quotient,
     find_inner_conjugator,
 )
-from nmcg.pi1_action import (
-    boundary_word,
-    conjugation_table,
-    evaluate,
-    identity_table,
-)
+from nmcg.pi1_action import boundary_word, evaluate, identity_table
 from nmcg.verify import verify, verify_entry
 from nmcg.words import free_reduce, gen_of, inverse, mul, parse
 

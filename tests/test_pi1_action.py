@@ -4,15 +4,14 @@ boundary behaviour, and conjugation by powers of the boundary word."""
 from itertools import groupby
 
 from hypothesis import given, settings, strategies as st
+from reference import conjugation_table
 
 from nmcg.catalogue import catalogue
 from nmcg.pi1_action import (
     Evaluator,
     _moves,
-    _step,
     boundary_word,
     compose,
-    conjugation_table,
     curve_twist,
     evaluate,
     evaluator,
@@ -34,7 +33,7 @@ from nmcg.presentations import (
     u,
     urun,
 )
-from nmcg.words import Factored, free_reduce, gen, inverse, letter, lit, mul, named, parse, power
+from nmcg.words import Factored, free_reduce, gen, inverse, letter, lit, named, parse, power
 
 _G = 4
 _letters = st.builds(
@@ -107,13 +106,15 @@ def test_factored_sides_evaluate_to_their_flat_words():
 def test_product_splices_a_leading_letter(monkeypatch):
     # a leading one-letter part of exponent -1, one whose remaining parts
     # are all trivial, and one that is itself a one-letter Factored, and
-    # the same shapes at the end: each word's table is that of its flat
-    # letters, and, once the parts are cached, the splice runs once per
-    # letter that leads a product of further parts, and the letter step
-    # once per letter that ends one
+    # the same shapes later in the product: each word's table is that of
+    # its flat letters, and, once the parts are cached, the splice runs
+    # once per letter that leads a product of further parts, a letter
+    # step once per later one-letter part, and compose once per later
+    # part of more letters. compose is itself a step, so the steps that
+    # stand for letters are the _step calls less the composes
     import nmcg.pi1_action as pa
 
-    calls = {"splice": 0, "_step": 0}
+    calls = {"splice": 0, "_step": 0, "compose": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -126,18 +127,20 @@ def test_product_splices_a_leading_letter(monkeypatch):
         monkeypatch.setattr(pa, name, counting(name, getattr(pa, name)))
     g = 7
     d5 = delta_word(5)
-    for w, splices, steps in (
-        (Factored(((u(1), -1), (d5, 1))), 1, 0),
-        (Factored(((inverse(a(3)), -1), (d5, 2), (u(2), -1))), 1, 1),
-        (Factored(((u(2), 1), (d5, 0), (a(1), 0))), 0, 0),
-        (Factored(((Factored(((a(4), 1),)), 1), (r_word(g), 1))), 1, 0),
-        (Factored(((Factored(((u(3), -1),)), -1), (u(5), 1), (d5, -1))), 2, 0),
-        (Factored(((d5, 1), (a(2), 1))), 0, 1),
-        (Factored(((d5, -1), (u(4), -1))), 0, 1),
-        (Factored(((r_word(g), 2), (Factored(((u(3), -1),)), -1))), 0, 1),
-        (Factored(((d5, 1), (a(1), 1), (u(2), -1))), 0, 2),
-        (Factored(((u(1), 1), (d5, 1), (a(4), -1), (a(4), 0))), 1, 1),
-        (Factored(((a(1), 1), (u(2), 1))), 1, 0),
+    for w, splices, steps, composes in (
+        (Factored(((u(1), -1), (d5, 1))), 1, 0, 0),
+        (Factored(((inverse(a(3)), -1), (d5, 2), (u(2), -1))), 1, 1, 0),
+        (Factored(((u(2), 1), (d5, 0), (a(1), 0))), 0, 0, 0),
+        (Factored(((Factored(((a(4), 1),)), 1), (r_word(g), 1))), 1, 0, 0),
+        (Factored(((Factored(((u(3), -1),)), -1), (u(5), 1), (d5, -1))), 2, 0, 0),
+        (Factored(((d5, 1), (a(2), 1))), 0, 1, 0),
+        (Factored(((d5, -1), (u(4), -1))), 0, 1, 0),
+        (Factored(((r_word(g), 2), (Factored(((u(3), -1),)), -1))), 0, 1, 0),
+        (Factored(((d5, 1), (a(1), 1), (u(2), -1))), 0, 2, 0),
+        (Factored(((u(1), 1), (d5, 1), (a(4), -1), (a(4), 0))), 1, 1, 0),
+        (Factored(((a(1), 1), (u(2), 1))), 1, 0, 0),
+        (Factored(((d5, 1), (a(2), 1), (d5, -1))), 0, 1, 1),
+        (Factored(((u(1), 1), (d5, 2), (u(4), -1), (r_word(g), 1), (a(3), 1))), 1, 2, 1),
     ):
         flat = Evaluator(g).evaluate(tuple(w))
         ev = Evaluator(g)
@@ -146,7 +149,8 @@ def test_product_splices_a_leading_letter(monkeypatch):
                 ev._power(part, k)
         calls.update(dict.fromkeys(calls, 0))
         assert ev.evaluate(w) == flat, w.parts
-        assert (calls["splice"], calls["_step"]) == (splices, steps), w.parts
+        got = (calls["splice"], calls["_step"] - calls["compose"], calls["compose"])
+        assert got == (splices, steps, composes), w.parts
 
 
 def test_equal_parts_share_one_cached_table(monkeypatch):
@@ -253,16 +257,6 @@ def test_splice_is_compose(t1, t2):
     assert splice(_moves(t1), {}, t2) == compose(t1, t2)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tables, _tables)
-def test_letter_step_is_compose(t1, t2):
-    out = _step(t1, _moves(t2))
-    assert out == compose(t1, t2)
-    # an image t2 keeps is t1's image itself
-    for i, (im, new) in enumerate(zip(t1, out), 1):
-        assert new is im or t2[i - 1] != (i,)
-
-
 def _letter_tables_and_deltas():
     """(genus, Evaluator, every a/u/b letter of either sign, the tables
     T(Delta_k) for k = 2..g) in basis x and in basis q, g = 4..12."""
@@ -299,15 +293,16 @@ def test_splice_is_compose_for_every_letter_table():
 
 
 def test_splice_reuses_one_letter_run_cache():
-    # the Evaluator keeps one run cache per letter and basis, which holds
-    # each run's image under that letter's table alone: read back across
-    # T(Delta_k) for every k <= g, the identity and the letter's own
-    # inverse table, it gives compose each time, and a second round
-    # finds every run it needs cached
+    # the Evaluator keeps one record per letter and basis: the moves of
+    # that letter's table and a run cache, which holds each run's image
+    # under that table alone. Read back across T(Delta_k) for every
+    # k <= g, the identity and the letter's own inverse table, it gives
+    # compose each time, and a second round finds every run it needs cached
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
-            t1, moved, runs = ev.letter_table(c), ev._letter_moves(c), ev._letter_runs(c)
-            assert runs is ev._letter_runs(c), (g, c)
+            t1 = ev.letter_table(c)
+            moved, runs = ev._record(c)
+            assert ev._record(c)[1] is runs and moved == _moves(t1), (g, c)
             tables = deltas + [identity_table(g), ev.letter_table(-c)]
             for t2 in tables:
                 assert splice(moved, runs, t2) == compose(t1, t2), (g, c)
@@ -316,24 +311,6 @@ def test_splice_reuses_one_letter_run_cache():
                 assert splice(moved, runs, t2) == compose(t1, t2), (g, c)
             assert runs == known, (g, c)
             assert all(im == xsub(run, t1) for run, im in runs.items()), (g, c)
-
-
-def test_letter_step_is_compose_for_every_letter_table():
-    # each letter table applied by a letter step after T(Delta_k) for
-    # every k <= g, after the identity, and after the letter's own
-    # inverse table, where every moved image cancels to one letter; an
-    # image the letter does not move is kept as is
-    for g, ev, letters, deltas in _letter_tables_and_deltas():
-        for c in letters:
-            t2 = ev.letter_table(c)
-            moved = ev._letter_moves(c)
-            assert moved == _moves(t2) and moved is ev._letter_moves(c), (g, c)
-            for t1 in deltas + [identity_table(g), ev.letter_table(-c)]:
-                out = _step(t1, moved)
-                assert out == compose(t1, t2), (g, c)
-                for i, (im, new) in enumerate(zip(t1, out), 1):
-                    assert new is im or i in moved, (g, c, i)
-            assert _step(ev.letter_table(-c), moved) == identity_table(g), (g, c)
 
 
 def test_braid_relation_by_tables():
@@ -383,21 +360,23 @@ def test_all_generators_fix_boundary_g3_to_g5():
 
 
 def test_boundary_conjugate_follows_a_table_by_conjugation_by_w_k():
+    # against the table of conjugation by W^k composed after the table,
+    # in basis x and in basis q, where W is written in the q_k
     g = 4
-    w = boundary_word(g)
     ev = Evaluator(g)
-    a1 = evaluate(parse("a1"), g)
+    a1 = ev.letter_table(letter(gen("a", 1)))
+    a1q = ev.q.letter_table(letter(gen("a", 1)))
     assert ev.boundary_conjugate(a1, 0) is a1
     seen = set()
     for k in range(-3, 6):
-        wk = power(w, k)
-        assert ev.boundary_conjugate(identity_table(g), k) == conjugation_table(wk, g)
+        for e, t in ((ev, a1), (ev.q, a1q)):
+            conj = conjugation_table(power(e.boundary, k), g)
+            assert e.boundary_conjugate(identity_table(g), k) == conj, (e.boundary, k)
+            assert e.boundary_conjugate(t, k) == compose(conj, t), (e.boundary, k)
         t = ev.boundary_conjugate(a1, k)
-        assert t == tuple(mul(wk, im, inverse(wk)) for im in a1), f"wrong table at k = {k}"
         assert fixes_boundary(t, g)
         seen.add(t)
-        # in basis q it is the same map, conjugation by sigma^-1(w^k)
-        a1q = ev.q.letter_table(letter(gen("a", 1)))
+        # the same map in either basis
         assert ev.q.boundary_conjugate(a1q, k) == to_prefix_basis(t), f"basis q, k = {k}"
     # conjugation by w^k determines k, 5 included: there is no search bound
     assert len(seen) == 9

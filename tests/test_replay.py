@@ -35,6 +35,23 @@ def test_dependencies_replay_transitively():
     assert "g2" in deps
 
 
+def test_replay_all_reads_each_script_once(monkeypatch):
+    # a dependency's conclusion is kept on its report in the memo, so a
+    # script cited by several others, or replayed first as a dependency,
+    # is not read again
+    import nmcg.replay as replay_mod
+
+    reads = []
+    monkeypatch.setattr(replay_mod, "load_script", lambda name: reads.append(name) or load_script(name))
+    reports = replay_all()
+    assert sorted(reads) == available_scripts() == sorted(r.name for r in reports)
+    cited = {dep for name in reads for dep in load_script(name).get("uses", ())}
+    assert cited, "no script cites another"
+    for r in reports:
+        data = load_script(r.name)
+        assert r.conclusion == (parse_raw(data["start"]), parse_raw(data["end"])), r.name
+
+
 def test_licensing_accepts_rotations_and_inverses():
     lhs, rhs = parse("a1*u2*u1"), parse("u2*u1*a2")
     # the relation itself and its reverse reading

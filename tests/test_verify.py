@@ -99,7 +99,7 @@ def test_tier3_refutes_a_corrupted_word():
 def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     # conjugation by sigma keeps table equality, so deciding every entry
     # in basis x, and every entry in basis q, gives the verdicts of the rule
-    from nmcg.pi1_action import evaluator
+    from nmcg.pi1_action import Evaluator, evaluator
 
     entries, routed = [], 0
     for g in range(4, 13):
@@ -109,13 +109,13 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     for e in entries:
         ev = evaluator(e.genus)
         fams = {gen_of(c).fam for c in e.lhs + e.rhs}
-        chosen = verify_mod._basis(ev, e)
+        chosen = ev.deciding(e.lhs, e.rhs)
         assert chosen is (ev.q if "b" in fams and "u" not in fams else ev), e.label()
         routed += chosen is not ev
     # more than 250 before the H3-H6 entries that restate A3 and A4 were dropped
     assert routed >= 201, routed
-    for pick in (lambda ev, e: ev, lambda ev, e: ev.q):
-        monkeypatch.setattr(verify_mod, "_basis", pick)
+    for pick in (lambda ev, lhs, rhs: ev, lambda ev, lhs, rhs: ev.q):
+        monkeypatch.setattr(Evaluator, "deciding", pick)
         assert [verify_entry(e) for e in entries] == rule
     assert all(v.ok for v in rule)
 
@@ -123,7 +123,8 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
 def _cold_compose_count(monkeypatch, run):
     """pi1_action.compose, pi1_action.splice and letter-step calls made
     by run(); the caller starts from cold_evaluators, and run() must use
-    genera that no earlier count warmed."""
+    genera that no earlier count warmed. compose is itself one _step, so
+    the letter steps are the _step calls less the composes."""
     import nmcg.pi1_action as pa
 
     calls = {"compose": 0, "splice": 0, "_step": 0}
@@ -131,7 +132,7 @@ def _cold_compose_count(monkeypatch, run):
         monkeypatch.setattr(pa, name, _counting(calls, name, getattr(pa, name)))
     run()
     monkeypatch.undo()
-    return calls["compose"], calls["splice"], calls["_step"]
+    return calls["compose"], calls["splice"], calls["_step"] - calls["compose"]
 
 
 def _counting(calls, name, fn):
@@ -158,18 +159,21 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # A fold step after a single letter, and a trailing one-letter part,
     # is now a letter step, which rewrites only the images that letter
     # moves: (composes, splices, letter steps) went from (4134, 413, 0) to
-    # (275, 413, 3859), every compose after a letter table now a step
+    # (275, 413, 3859), every compose after a letter table now a step.
+    # boundary_conjugate conjugates each image instead of composing a
+    # conjugation table, which took (275, 413, 3859) to (273, 413, 3859):
+    # the two tier-2 entries at (20,1) with a nonzero twist
     def punctured():
         assert all(v.ok for v in verify(20, 1))
 
     counts = _cold_compose_count(monkeypatch, punctured)
-    assert counts == (275, 413, 3859), counts
+    assert counts == (273, 413, 3859), counts
     # the long one-sided closed powers (B3, B4, B4b, E6) are built by
     # squaring the run's table: that took (2921, 0) to (919, 0). E2a and
     # E5 (exponent 2, where squaring a dense table costs more than
     # folding sparse letter tables) and the two-sided entries (composing
     # two dense side tables costs more) are folded letter by letter, so
-    # letter steps took (919, 0, 0) to (24, 0, 895)
+    # letter steps took (919, 0, 0) to (24, 0, 895), unchanged since
     counts = _cold_compose_count(monkeypatch, lambda: list(verify(24, 0)))
     assert counts == (24, 0, 895), counts
 
@@ -363,6 +367,55 @@ def test_tier1_refutes_false_relations_on_the_splice_path(monkeypatch, cold_eval
     # 630 before B5(2,1) and E1(2,1) were dropped: 6 mutants each per genus;
     # 570 before B5(3,1) and B5(3,2), which restate B2(1), were dropped
     assert mutants == 540, mutants
+
+
+def _one_inversion_per_side(e, n):
+    """e with one a/u/b letter of one side inverted, for each side that
+    has one: the n-th such letter, counted cyclically, so that entry by
+    entry every position of a side is reached."""
+    for field in ("lhs", "rhs"):
+        w = getattr(e, field)
+        at = [i for i, c in enumerate(w) if gen_of(c).fam in "aub"]
+        if at:
+            i = at[n % len(at)]
+            yield dataclasses.replace(e, **{field: w[:i] + (-w[i],) + w[i + 1:]})
+
+
+def test_verdicts_match_the_reference_evaluator(cold_evaluators):
+    # every fast path (Factored parts, squaring, splice and its run
+    # caches, letter steps, the basis-q sibling, boundary_conjugate)
+    # against the plain definition: a flat word folded by xsub from the
+    # identity in basis x (tests/reference.py). The genera interleave,
+    # so a cache keyed without its genus would be read at the wrong one
+    from reference import reference_holds, reference_table
+
+    from nmcg.pi1_action import boundary_word, evaluator, xsub
+    from nmcg.words import lit
+
+    verdicts = mutants = tables = 0
+    for g in (4, 10, 5, 9, 6, 8, 7):
+        pres = nonorientable_mcg_presentation(g, 1)
+        w = boundary_word(g)
+        expected = [(r.label(), reference_holds(r.lhs, r.rhs, g, 0)) for r in pres.relators]
+        expected += [(x.label(), xsub(w, reference_table(lit(x), g)) == w) for x in pres.generators]
+        expected += [(e.label(), reference_holds(e.lhs, e.rhs, g, e.twist)) for e in catalogue(g, 1)]
+        got = [(v.label, v.ok) for v in verify(g, 1)]
+        assert got == expected, g
+        assert all(ok for _, ok in got), g
+        verdicts += len(got)
+        # the refute path: a false relation must be refuted by both
+        for n, e in enumerate([*pres.relators, *catalogue(g, 1)]):
+            for m in _one_inversion_per_side(e, n):
+                mutants += 1
+                ok = reference_holds(m.lhs, m.rhs, g, m.twist)
+                assert verify_entry(m).ok == ok and not ok, (g, e.label(), m.lhs, m.rhs)
+        # the table each tier-3 verdict decides on
+        for e in catalogue(g, 0):
+            if e.tier == 3:
+                tables += 1
+                table = evaluator(g).evaluate(e.word if e.rhs else e.lhs)
+                assert table == reference_table(e.word, g), (g, e.label())
+    assert (verdicts, mutants, tables) == (1318, 2407, 98), (verdicts, mutants, tables)
 
 
 def test_tier2_rejects_letter_mutants_and_wrong_twists():
