@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .pi1_action import boundary_word
-from .words import Word, exponent_matrix, free_reduce, inverse, mul, power
+from .words import Word, cyclic_reduce, exponent_matrix, free_reduce, inverse, mul, power
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
@@ -105,9 +105,9 @@ def cyclic_dehn_reduce(word, g: int) -> tuple:
     tables = _tables(g)
     q, w = [], dehn_reduce(word, g)
     while True:
-        while len(w) > 1 and w[0] == -w[-1]:
-            q.append(w[0])
-            w = w[1:-1]
+        core = cyclic_reduce(w)
+        q.extend(w[: (len(w) - len(core)) // 2])
+        w = core
         n, ww = len(w), w + w
         # Dehn-reduced w has no long subword inside it, only across its end
         pos = next((p for L in range(min(n, 2 * g), g, -1)

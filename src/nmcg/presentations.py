@@ -16,10 +16,13 @@ ascending params. The relations carrying the crosscap slide d at (3,1)
 and (4,0) are catalogue entries.
 
 The builders trust what they build: a, u and b return cached one-letter
-words (the runs read those letters), every side is made freely reduced
-by the word kernel, and each relator's record is made once, where it is
-built, with both sides as built. A test, not a re-scan here, checks
-that every relator and catalogue side is reduced.
+words (the runs read those letters), and every side is joined by mul,
+power or Factored from pieces that are already freely reduced (letters,
+runs, powers, inverses and other kernel output), so no side is
+re-scanned. Each relator's record is made once, where it is built, with
+both sides as built. A test, not a re-scan here, checks that every
+relator and catalogue side is reduced: a builder that passes an
+unreduced piece fails it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .words import (
     Factored,
     Gen,
     Word,
-    concat,
     fmt,
     gen,
     inverse,
@@ -95,34 +97,34 @@ def r_word(g: int) -> Factored:
 
 
 def y_word(i: int) -> Word:
-    return concat(a(i), u(i))
+    return mul(a(i), u(i))
 
 
 def v_word() -> Word:
-    return concat(arun_down(3, 1), urun(1, 3))
+    return mul(arun_down(3, 1), urun(1, 3))
 
 
 def c_word() -> Word:
     s = power(arun(1, 5), 2)
-    return concat(s, b(1), inverse(s))
+    return mul(s, b(1), inverse(s))
 
 
 def a8_word(i: int) -> Word:
     """Right side of relator A8(i), b_{i+1} = a8_word(i): a word over
     b_{i-1}, b_i and the a's."""
-    head = concat(b(i - 1), arun(2 * i, 2 * i + 3))
-    return concat(power(concat(head, b(i)), 5), power(head, -6))
+    head = mul(b(i - 1), arun(2 * i, 2 * i + 3))
+    return mul(power(mul(head, b(i)), 5), power(head, -6))
 
 
 def chain_word(i: int, which: int) -> Word:
     if which not in (1, 2):
         raise ValueError(f"chain word {which} is not 1 or 2")
     if which == 2:
-        return power(concat(b(i - 1), arun(2 * i, 2 * i + 3), b(i)), 5)
+        return power(mul(b(i - 1), arun(2 * i, 2 * i + 3), b(i)), 5)
     w = ()
     for top in range(2 * i + 3, 2 * i - 1, -1):
-        w = concat(w, b(i - 1), arun(2 * i, top) if top >= 2 * i else ())
-    return concat(w, b(i - 1))
+        w = mul(w, b(i - 1), arun(2 * i, top))
+    return mul(w, b(i - 1))
 
 
 def g3_slide_word() -> Word:
@@ -135,7 +137,7 @@ def g4_slide_word() -> Word:
 
 def lantern_d_word() -> Word:
     s = parse("a4 a3 a5 a4")
-    return concat(inverse(s), b(1), s)
+    return mul(inverse(s), b(1), s)
 
 
 def expansion_env(g: int, n: int) -> dict:
@@ -229,18 +231,18 @@ def _twist_relators(g: int, add) -> None:
     """A-family: relations among a_1..a_{g-1} and the b_j."""
     for i in range(1, g - 1):
         for j in range(i + 2, g):
-            add("A1", (i, j), concat(a(i), a(j)), concat(a(j), a(i)))
+            add("A1", (i, j), mul(a(i), a(j)), mul(a(j), a(i)))
     for i in range(1, g - 1):
-        add("A2", (i,), concat(a(i), a(i + 1), a(i)), concat(a(i + 1), a(i), a(i + 1)))
+        add("A2", (i,), mul(a(i), a(i + 1), a(i)), mul(a(i + 1), a(i), a(i + 1)))
     if g >= 4:
         for i in range(1, g):
             if i != 4:
-                add("A3", (i,), concat(a(i), b(1)), concat(b(1), a(i)))
+                add("A3", (i,), mul(a(i), b(1)), mul(b(1), a(i)))
     if g >= 5:
-        add("A4", (), concat(b(1), a(4), b(1)), concat(a(4), b(1), a(4)))
-        add("A5", (), power(concat(arun(2, 4), b(1)), 10), power(concat(arun(1, 4), b(1)), 6))
+        add("A4", (), mul(b(1), a(4), b(1)), mul(a(4), b(1), a(4)))
+        add("A5", (), power(mul(arun(2, 4), b(1)), 10), power(mul(arun(1, 4), b(1)), 6))
     if g >= 7:
-        add("A6", (), power(concat(arun(2, 6), b(1)), 12), power(concat(arun(1, 6), b(1)), 9))
+        add("A6", (), power(mul(arun(2, 6), b(1)), 12), power(mul(arun(1, 6), b(1)), 9))
     add("A7", (), b(0), a(1))
     i = 1
     while 2 * i <= g - 4:
@@ -248,17 +250,17 @@ def _twist_relators(g: int, add) -> None:
         i += 1
     if g >= 8 and g % 2 == 0:
         rho = (g - 2) // 2
-        add("A9a", (rho,), concat(b(rho), a(2 * rho - 3)), concat(a(2 * rho - 3), b(rho)))
+        add("A9a", (rho,), mul(b(rho), a(2 * rho - 3)), mul(a(2 * rho - 3), b(rho)))
     if g == 6:
-        add("A9b", (), concat(b(2), b(1)), concat(b(1), b(2)))
+        add("A9b", (), mul(b(2), b(1)), mul(b(1), b(2)))
 
 
 def _braid_relators(g: int, spherical: bool, add) -> None:
     for i in range(1, g - 1):
         for j in range(i + 2, g):
-            add("B1", (i, j), concat(u(i), u(j)), concat(u(j), u(i)))
+            add("B1", (i, j), mul(u(i), u(j)), mul(u(j), u(i)))
     for i in range(1, g - 1):
-        add("B2", (i,), concat(u(i), u(i + 1), u(i)), concat(u(i + 1), u(i), u(i + 1)))
+        add("B2", (i,), mul(u(i), u(i + 1), u(i)), mul(u(i + 1), u(i), u(i + 1)))
     if spherical:
         add("B3", (), power(urun(1, g - 1), g), tier=3)
         add("B4", (), power(urun(1, g - 2), g - 1), tier=3)
@@ -266,25 +268,20 @@ def _braid_relators(g: int, spherical: bool, add) -> None:
 
 def _crosscap_relators(g: int, add) -> None:
     for i in range(3, g):
-        add("C1", (i,), concat(a(1), u(i)), concat(u(i), a(1)))
+        add("C1", (i,), mul(a(1), u(i)), mul(u(i), a(1)))
     for i in range(1, g - 1):
-        add("C2", (i,), concat(a(i), u(i + 1), u(i)), concat(u(i + 1), u(i), a(i + 1)))
+        add("C2", (i,), mul(a(i), u(i + 1), u(i)), mul(u(i + 1), u(i), a(i + 1)))
     for i in range(1, g - 1):
-        add("C3", (i,), concat(a(i + 1), u(i), u(i + 1)), concat(u(i), u(i + 1), a(i)))
-    add("C4", (), concat(a(1), u(1), a(1)), u(1))
-    add("C5", (), concat(u(2), a(1), a(2), u(1)), concat(a(1), a(2)))
+        add("C3", (i,), mul(a(i + 1), u(i), u(i + 1)), mul(u(i), u(i + 1), a(i)))
+    add("C4", (), mul(a(1), u(1), a(1)), u(1))
+    add("C5", (), mul(u(2), a(1), a(2), u(1)), mul(a(1), a(2)))
     if g >= 4:
-        add(
-            "C6",
-            (),
-            power(concat(u(3), b(1)), 2),
-            concat(power(arun(1, 3), 2), power(urun(1, 3), 2)),
-        )
+        add("C6", (), power(mul(u(3), b(1)), 2), mul(power(arun(1, 3), 2), power(urun(1, 3), 2)))
     if g >= 6:
-        add("C7", (), concat(u(5), b(1)), concat(b(1), u(5)))
+        add("C7", (), mul(u(5), b(1)), mul(b(1), u(5)))
     if g >= 5:
-        mid = concat(arun_down(4, 1), urun(1, 4))
-        add("C8", (), concat(a(4), u(4), mid, b(1)), concat(b(1), a(4), u(4)))
+        mid = mul(arun_down(4, 1), urun(1, 4))
+        add("C8", (), mul(a(4), u(4), mid, b(1)), mul(b(1), a(4), u(4)))
 
 
 def braid_presentation(g: int, spherical: bool = False) -> Presentation:
@@ -307,17 +304,17 @@ def _small_genus(g: int, n: int) -> Presentation:
     if (g, n) == (2, 0):
         sg("1", power(a(1), 2))
         sg("2", power(lit(y1), 2))
-        sg("3", power(concat(a(1), lit(y1)), 2))
+        sg("3", power(mul(a(1), lit(y1)), 2))
         return Presentation(2, 0, (gen("a", 1), y1), tuple(rels))
     if (g, n) == (2, 1):
-        sg("1", concat(a(1), lit(y1), a(1)), lit(y1))
+        sg("1", mul(a(1), lit(y1), a(1)), lit(y1))
         return Presentation(2, 1, (gen("a", 1), y1), tuple(rels))
     if (g, n) == (3, 0):
-        sg("1", concat(a(1), a(2), a(1)), concat(a(2), a(1), a(2)))
+        sg("1", mul(a(1), a(2), a(1)), mul(a(2), a(1), a(2)))
         sg("2", power(lit(y2), 2))
-        sg("3", power(concat(a(1), lit(y2)), 2))
-        sg("4", power(concat(a(2), lit(y2)), 2))
-        sg("5", power(concat(a(1), a(2)), 6))
+        sg("3", power(mul(a(1), lit(y2)), 2))
+        sg("4", power(mul(a(2), lit(y2)), 2))
+        sg("5", power(mul(a(1), a(2)), 6))
         return Presentation(3, 0, (gen("a", 1), gen("a", 2), y2), tuple(rels))
     raise ValueError(f"no small-genus presentation for ({g},{n})")
 
@@ -339,8 +336,8 @@ def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
     _braid_relators(g, n == 0, add)
     _crosscap_relators(g, add)
     if n == 0:
-        mid = concat(arun(2, g - 1), urun_down(g - 1, 2))
-        add("D", (), concat(a(1), mid, a(1)), mid, tier=3)
+        mid = mul(arun(2, g - 1), urun_down(g - 1, 2))
+        add("D", (), mul(a(1), mid, a(1)), mid, tier=3)
     return Presentation(g, n, tuple(gens), tuple(rels))
 
 
@@ -357,7 +354,7 @@ def tietze_eliminate(pres: Presentation, victim: Gen) -> Presentation:
     pos = next(i for i, c in enumerate(w) if abs(c) == v)
     # w = p * victim^s * q = 1  =>  victim^s = p^-1 q^-1
     p, q = w[:pos], w[pos + 1 :]
-    img = concat(inverse(p), inverse(q))
+    img = mul(inverse(p), inverse(q))
     if w[pos] < 0:
         img = inverse(img)
     sub = {v: img}

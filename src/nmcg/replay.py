@@ -17,17 +17,19 @@ list of rewrite steps. The replayer executes the steps on a raw
   verify.verify_entry decides it, as an entry at that tier.
 
 Scripts may depend on other scripts ("uses"); a dependency is replayed
-first and its conclusion, kept on its report, becomes available as the
-relation ("script:<name>", ()). The conclusion must be a relation of the
-script's group: a dependency of another genus is refused, and so is one
-that a (g,1) script cites from (g,0) or from tier 2, which holds only up
-to the boundary twist. A (g,0) script may cite any dependency of its
-genus, since capping the boundary makes the twist trivial.
+first and its conclusion, start = end freely reduced and kept on its
+report, becomes available as the relation ("script:<name>", ()). One rule, catalogue.citable, says what a
+script may cite, dependency or relator or catalogue entry: a (g,0)
+script any relation of its genus, since capping the boundary makes the
+twist trivial; a (g,1) script only a relation of (g,1) whose tier is at
+most its own, since a tier-2 relation holds there only up to the
+boundary twist. A tier-2 script may cite one: the twist is central, and
+the endpoint check pins the exponent.
 
 A memo passed between scripts (replay_all and `nmcg replay` pass one)
 holds each replayed script's report under its name and each relation
-index under its (g, n), so a run reads each script once, builds each
-index once, and every script extends a copy of it.
+index under its (g, n, tier), so a run reads each script once, builds
+each index once, and every script extends a copy of it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .words import Word, parse_raw, fmt, free_reduce, inverse, concat, cyclic_canon
-from .catalogue import Entry, relation_index
+from .words import Word, parse_raw, fmt, free_reduce, inverse, mul, cyclic_canon
+from .catalogue import Entry, citable, relation_index
 from .verify import verify_entry
 
 SCRIPT_DIR = Path(__file__).parent / "fixtures" / "scripts"
@@ -58,14 +60,17 @@ class ReplayReport:
     steps: int
     tier: int
     w_power: int  # the stated boundary-twist exponent at tier 2, else 0
-    conclusion: tuple  # (start, end), the relation a dependent script may cite
+    conclusion: tuple  # (start, end) freely reduced, the relation a dependent script may cite
 
 
 def _licensed(match: Word, replace: Word, lhs: Word, rhs: Word) -> bool:
     """match -> replace is a consequence of the single relation lhs = rhs:
-    freely trivial, or a cyclic rotation of its relator or the inverse."""
-    s = cyclic_canon(concat(match, inverse(replace)))
-    return not s or s == cyclic_canon(concat(lhs, inverse(rhs)))
+    freely trivial, or a cyclic rotation of its relator or the inverse.
+    match and replace are script text, which may be unreduced, so their
+    quotient is reduced here; the sides are reduced (a builder's, or a
+    dependency's conclusion), so the relator is joined by mul."""
+    s = cyclic_canon(free_reduce(match + inverse(replace)))
+    return not s or s == cyclic_canon(mul(lhs, inverse(rhs)))
 
 
 def load_script(name: str) -> dict:
@@ -123,13 +128,13 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         raise StepMismatch(name, -1, "dependency cycle")
     stack.add(name)
     data = load_script(name)
-    g, n = data["genus"], data["boundary"]
-    if (g, n) not in memo:
-        memo[g, n] = relation_index(g, n)
-    index = dict(memo[g, n])
+    g, n, tier = data["genus"], data["boundary"], data["tier"]
+    if (g, n, tier) not in memo:
+        memo[g, n, tier] = relation_index(g, n, tier)
+    index = dict(memo[g, n, tier])
     for dep in data.get("uses", ()):
         rep = replay_script(dep, memo, stack)
-        if rep.genus != g or (n == 1 and (rep.boundary == 0 or rep.tier == 2)):
+        if not citable(rep, g, n, tier):
             raise StepMismatch(
                 name, -1,
                 f"dependency {dep!r} at ({rep.genus},{rep.boundary}) tier {rep.tier}"
@@ -148,7 +153,6 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
             f"final word {fmt(tuple(word))} != declared end {fmt(end)}",
         )
 
-    tier = data["tier"]
     if tier not in (1, 2):
         raise StepMismatch(name, last, f"unsupported tier {tier}")
     k = 0
@@ -159,7 +163,7 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
     if not verify_entry(Entry(name, (), g, n, start, end, tier, k)).ok:
         up_to = f" up to w^{k}" if tier == 2 else ""
         raise StepMismatch(name, last, f"endpoint fails tier-{tier} table equality{up_to}")
-    report = ReplayReport(name, g, n, last, tier, k, (start, end))
+    report = ReplayReport(name, g, n, last, tier, k, (free_reduce(start), free_reduce(end)))
     memo[name] = report
     stack.discard(name)
     return report

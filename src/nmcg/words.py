@@ -10,10 +10,12 @@ letters; nothing here mutates its input.
 
 The kernel is free_reduce, inverse, mul and power. Its contract: mul
 and power take freely reduced words and never re-scan them (only
-letters where two factors meet can cancel); free_reduce, concat and
-parse are the entry points that take any word. pi1_action and
-one_relator use it for their words in x_1..x_g, signed ints with +i for
-x_i, and one_relator keeps the contract: dehn_reduce and
+letters where two factors meet can cancel); free_reduce and parse are
+the entry points that take any word. Every product in the package, the
+presentations' and catalogue's sides included, is made by mul, power or
+Factored from pieces that are already reduced. pi1_action and
+one_relator use the kernel for their words in x_1..x_g, signed ints with
++i for x_i, and one_relator keeps the contract: dehn_reduce and
 equal_in_quotient take freely reduced words, like mul and power.
 
 A ``Factored`` word is a tuple of the same flat, freely reduced letters
@@ -34,7 +36,6 @@ denotes the empty word. A bare ``b`` normalizes to ``b1``.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 _FAMS = ("a", "u", "b")
@@ -184,11 +185,6 @@ def power(word: Word, k: int) -> Word:
 # ---- built on the kernel --------------------------------------------------
 
 
-def concat(*words: Word) -> Word:
-    """Freely reduced product of any words."""
-    return free_reduce(chain.from_iterable(words))
-
-
 class Factored(tuple):
     """The freely reduced word part_1^k_1 part_2^k_2 ..., built from
     parts = ((part, k), ...) and keeping them. The letters are computed
@@ -221,7 +217,8 @@ def cyclic_canon(word: Word) -> Word:
 
 def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
     """Apply the homomorphism sending each positive letter c to images[c]
-    (default: itself)."""
+    (default: itself) to a freely reduced word; each image must be freely
+    reduced too."""
 
     def piece(c):
         img = images.get(abs(c))
@@ -229,7 +226,7 @@ def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
             return (c,)
         return img if c > 0 else inverse(img)
 
-    return concat(*map(piece, word))
+    return mul(*map(piece, word))
 
 
 def exponent_matrix(equations, columns) -> list:

@@ -193,13 +193,13 @@ def test_h1_invariant_under_relator_shuffle():
 def test_h1_invariant_under_relator_inversion_and_conjugation():
     from dataclasses import replace
 
-    from nmcg.words import concat, inverse
+    from nmcg.words import free_reduce, inverse
 
     base = nonorientable_mcg_presentation(4, 1)
     expected = h1(base)
     conj = parse("a1*u2")
     rels = tuple(
-        replace(r, lhs=concat(conj, concat(r.lhs, inverse(conj))))
+        replace(r, lhs=free_reduce(conj + r.lhs + inverse(conj)))
         for r in base.relators
     )
     tweaked = Presentation(

@@ -2,7 +2,7 @@
 replayer rewrites against."""
 
 from nmcg.catalogue import catalogue, relation_index
-from nmcg.words import free_reduce, parse
+from nmcg.words import fmt, free_reduce, parse
 
 
 def test_no_tier1_entry_has_the_same_word_on_both_sides():
@@ -24,6 +24,23 @@ def _assert_reduced(word, where, seen):
     assert tuple(word) == free_reduce(word), f"{where}: unreduced word or part"
     for part, _ in getattr(word, "parts", ()):
         _assert_reduced(part, where, seen)
+
+
+def test_catalogue_words_match_their_golden_hash():
+    # present prints relators only, so this pins every catalogue record:
+    # label, both sides, tier and twist. sha256, first 16 hex digits; a
+    # change that alters these records on purpose updates the hash and
+    # says why
+    import hashlib
+
+    lines = []
+    for n, g0 in ((1, 1), (0, 4)):
+        for g in range(g0, 25):
+            lines.append(f"({g},{n})")
+            lines += [f"{e.label()}: {fmt(e.lhs)} = {fmt(e.rhs)} tier {e.tier} twist {e.twist}"
+                      for e in catalogue(g, n)]
+    assert len(lines) == 10469
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "eff0a5ae46b52aaf"
 
 
 def test_entries_carry_consistent_metadata():
@@ -87,7 +104,7 @@ def test_tier2_entries_are_the_boundary_words():
 
 
 def test_relation_index_contains_defining_and_derived_relations():
-    ri = relation_index(4, 1)
+    ri = relation_index(4, 1, 2)
     assert ("A7", ()) in ri
     assert ("C2", (1,)) in ri
     assert ("starstar", (2,)) in ri

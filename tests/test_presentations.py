@@ -22,14 +22,14 @@ from nmcg.presentations import (
     urun,
     urun_down,
 )
-from nmcg.words import Factored, concat, free_reduce, gen, gen_of, inverse, named, parse
+from nmcg.words import Factored, free_reduce, gen, gen_of, inverse, named, parse
 
 
 def test_delta_word_is_the_flat_half_twist_recursion():
     for k in range(21):
         flat = ()
         for m in range(k, 1, -1):
-            flat = concat(flat, urun(1, m - 1))
+            flat = free_reduce(flat + urun(1, m - 1))
         dk = delta_word(k)
         assert isinstance(dk, Factored) and dk == flat and len(dk) == k * (k - 1) // 2
         assert delta_word(k) is dk, "one shared object per k"
@@ -39,7 +39,7 @@ def test_r_word_is_a_shared_factored_part():
     for g in range(2, 21):
         rg = r_word(g)
         assert isinstance(rg, Factored) and r_word(g) is rg
-        assert rg == concat(arun(1, g - 1), urun_down(g - 1, 1))
+        assert rg == free_reduce(arun(1, g - 1) + urun_down(g - 1, 1))
 
 
 def test_generator_inventory_grows_with_genus():
@@ -106,7 +106,7 @@ def test_relator_word_is_built_once():
     for r in records:
         twin = Entry(r.tag, r.params, r.genus, r.boundary, r.lhs, r.rhs, r.tier, r.twist)
         assert r.word is r.word
-        assert r.word == concat(r.lhs, inverse(r.rhs))
+        assert r.word == free_reduce(r.lhs + inverse(r.rhs))
         # twin has not built its word: equality, hashing and text ignore it
         assert r == twin and hash(r) == hash(twin) and r.text() == twin.text()
         assert repr(r) == repr(twin)
@@ -180,7 +180,7 @@ def test_a8_compares_the_curve_built_twist_with_its_word(monkeypatch):
     start = time.perf_counter()
     for g in (8, 10, 12):
         assert failing(g) == [], g
-        monkeypatch.setattr(pres_mod, "a8_word", lambda i: concat(true_a8(i), a(2 * i + 1)))
+        monkeypatch.setattr(pres_mod, "a8_word", lambda i: free_reduce(true_a8(i) + a(2 * i + 1)))
         assert a8_labels(g) and failing(g) == a8_labels(g), g
         monkeypatch.setattr(pres_mod, "a8_word", true_a8)
     assert time.perf_counter() - start < 30

@@ -77,7 +77,7 @@ def test_licensing_rejects_unrelated_rewrites():
 
 
 def test_apply_step_checks_position_exactly():
-    index = dict(relation_index(4, 1))
+    index = dict(relation_index(4, 1, 1))
     word = list(parse_raw("a3*a1*u2*u1"))
     step = {"op": "apply", "at": 1, "rel": "C2", "params": [1], "dir": "LtoR"}
     key = ("C2", (1,))
@@ -91,7 +91,7 @@ def test_apply_step_checks_position_exactly():
 
 
 def test_apply_step_rejects_unlicensed_replace():
-    index = dict(relation_index(4, 1))
+    index = dict(relation_index(4, 1, 1))
     word = list(parse_raw("a1*u2*u1"))
     step = {
         "op": "apply",
@@ -113,7 +113,7 @@ def test_apply_step_rejects_unknown_relation():
 def test_apply_step_rejects_a_position_out_of_range():
     # B3 at (4,0) has an empty right side: read RtoL it matches the empty
     # subword, which must still sit inside the word, at 0..len(word)
-    index = dict(relation_index(4, 0))
+    index = dict(relation_index(4, 0, 1))
     word = list(parse_raw("a1*a2"))
     for at in (99, -1, 3):
         step = {"op": "apply", "at": at, "rel": "B3", "dir": "RtoL"}
@@ -124,7 +124,7 @@ def test_apply_step_rejects_a_position_out_of_range():
     # word runs off its end
     step = {"op": "apply", "at": 1, "rel": "C2", "params": [1], "dir": "LtoR"}
     with pytest.raises(StepMismatch, match="apply position 1 out of range"):
-        _apply_step("t", 0, list(parse_raw("a1*u2*u1")), step, dict(relation_index(4, 1)))
+        _apply_step("t", 0, list(parse_raw("a1*u2*u1")), step, dict(relation_index(4, 1, 1)))
 
 
 def test_insert_and_cancel_are_inverse():
@@ -227,6 +227,67 @@ def test_tier2_dependency_of_a_one_boundary_script_is_refused(tmp_path, monkeypa
     with pytest.raises(StepMismatch, match=r"dependency 'g2_open' at \(4,1\)"
                        r" tier 2 is no relation of \(4,1\)"):
         replay_script("user")
+
+
+def test_dependency_written_unreduced_is_cited_by_its_reduced_relation(tmp_path, monkeypatch):
+    # script text may be unreduced; the conclusion a dependent cites is not,
+    # so a rotation of the reduced relator a1 u1 a1 u1^-1 licenses a rewrite
+    dep = {"name": "dep", "genus": 4, "boundary": 1, "tier": 1,
+           "start": "a1*u1*u1^-1*u1*a1", "end": "u1",
+           "steps": [{"op": "cancel"}, {"op": "apply", "at": 0, "rel": "C4", "dir": "LtoR"}]}
+    user = {"name": "user", "genus": 4, "boundary": 1, "tier": 1, "uses": ["dep"],
+            "start": "u1*a1", "end": "a1^-1*u1",
+            "steps": [{"op": "apply", "at": 0, "rel": "script:dep",
+                       "match": "u1*a1", "replace": "a1^-1*u1"}]}
+    _scripts_with(tmp_path, monkeypatch, dep, user)
+    assert replay_script("dep").conclusion == (parse("a1*u1*a1"), parse("u1"))
+    assert replay_script("user").steps == 1
+
+
+def test_tier2_dependency_of_a_tier2_one_boundary_script_is_accepted(tmp_path, monkeypatch):
+    # the boundary twist is central, and the endpoint check pins its
+    # exponent, so a tier-2 script may cite a tier-2 relation of its group
+    twisted = {"name": "g2_open", "genus": 4, "boundary": 1, "tier": 2, "w_power": 1,
+               "start": "b1*u3*u2*u1*b1",
+               "end": "a1*a2*a3*a1*a2*a3*a1*a2*a3*u1^-1*u2^-1*u3^-1*a1*a2*a3*a1*a2*a3*a1*a2*a3",
+               "steps": [{"op": "apply", "at": 0, "rel": "G2", "dir": "LtoR"}]}
+    user = dict(_cites("g2_open", twisted["start"], 4, 1), tier=2, w_power=0)
+    _scripts_with(tmp_path, monkeypatch, twisted, user)
+    assert replay_script("user").steps == 2
+
+
+def test_tier2_entry_is_refused_to_a_tier1_one_boundary_script(tmp_path, monkeypatch):
+    # B3 at (4,1) holds only up to the boundary twist: a tier-1 script may
+    # not rewrite a1 to (u1u2u3)^4 a1 by it, even one that rewrites it
+    # back and whose endpoint a1 = a1 holds. A tier-2 script may
+    steps = [{"op": "apply", "at": 0, "rel": "B3", "dir": d} for d in ("RtoL", "LtoR")]
+    bogus = {"name": "bogus", "genus": 4, "boundary": 1, "tier": 1,
+             "start": "a1", "end": "a1", "steps": steps}
+    _scripts_with(tmp_path, monkeypatch, bogus)
+    with pytest.raises(StepMismatch, match=r"step 0: unknown relation \('B3', \(\)\)"):
+        replay_script("bogus")
+    assert ("B3", ()) not in relation_index(4, 1, 1)
+    _scripts_with(tmp_path, monkeypatch, dict(bogus, tier=2, w_power=0))
+    assert replay_script("bogus").steps == 2
+
+
+def test_shipped_scripts_cite_these_catalogue_entries():
+    # every other rewrite is licensed by a presentation relator or by a
+    # script that derives its relation
+    from nmcg.presentations import nonorientable_mcg_presentation
+
+    cited = set()
+    for name in available_scripts():
+        data = load_script(name)
+        pres = nonorientable_mcg_presentation(data["genus"], data["boundary"])
+        relators = {(r.tag, r.params) for r in pres.relators}
+        for step in data["steps"]:
+            if step["op"] != "apply" or step["rel"].startswith("script:"):
+                continue
+            key = (step["rel"], tuple(step.get("params", ())))
+            if key not in relators:
+                cited.add(f"{key[0]}({','.join(map(str, key[1]))})")
+    assert cited == {"C1a(3,1)", "starstar(2)", "E1(4,3)", "B5(4,1)", "B5(4,2)", "B5(4,3)", "B7(4)"}
 
 
 def test_scripts_declare_consistent_metadata():

@@ -3,7 +3,6 @@
 from hypothesis import given, strategies as st
 
 from nmcg.words import (
-    concat,
     cyclic_canon,
     cyclic_reduce,
     exponent_matrix,
@@ -69,8 +68,8 @@ def test_inverses_share_each_negated_letter():
 
 @given(_words)
 def test_word_times_inverse_cancels(w):
-    assert free_reduce(concat(w, inverse(w))) == ()
-    assert free_reduce(concat(inverse(w), w)) == ()
+    assert free_reduce(w + inverse(w)) == ()
+    assert free_reduce(inverse(w) + w) == ()
 
 
 @given(_words, st.integers(-4, 4))
@@ -79,7 +78,7 @@ def test_power_is_repeated_concat(w, k):
     expected = ()
     base = w if k >= 0 else inverse(w)
     for _ in range(abs(k)):
-        expected = concat(expected, base)
+        expected = free_reduce(expected + base)
     assert power(w, k) == expected
 
 
@@ -88,7 +87,7 @@ def test_cyclic_reduce_reassembles(w):
     r = free_reduce(w)
     core = cyclic_reduce(r)
     prefix = r[: (len(r) - len(core)) // 2]
-    assert free_reduce(concat(prefix, concat(core, inverse(prefix)))) == r
+    assert free_reduce(prefix + core + inverse(prefix)) == r
     if len(core) >= 2:
         assert not (core[0] == -core[-1]), (
             "core still has cancelling ends"
@@ -168,8 +167,8 @@ def test_mul_cancels_across_junctions_and_whole_factors(factors):
 def test_substitute_is_a_homomorphism():
     images = {letter(gen("a", 1)): parse("u1*u2"), letter(gen("u", 2)): parse("a1^-1")}
     v, w = parse("a1*u2"), parse("u2^-1*a1*x1")
-    left = substitute(concat(v, w), images)
-    right = free_reduce(concat(substitute(v, images), substitute(w, images)))
+    left = substitute(free_reduce(v + w), images)
+    right = free_reduce(substitute(v, images) + substitute(w, images))
     assert free_reduce(left) == right
     assert free_reduce(substitute(inverse(v), images)) == free_reduce(
         inverse(substitute(v, images))
