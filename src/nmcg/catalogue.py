@@ -227,10 +227,12 @@ def citable(record, g: int, n: int, tier: int) -> bool:
     return record.genus == g and (n == 0 or (record.boundary == 1 and record.tier <= tier))
 
 
-def relation_index(g: int, n: int, tier: int) -> dict:
-    """(tag, params) -> equation, over the presentation relators and
-    catalogue entries that a derivation at (g, n) and tier may cite; used
-    by the derivation replayer."""
+def relation_index(g: int, n: int) -> dict:
+    """(tag, params) -> record, over the presentation relators and the
+    catalogue entries of genus g that a derivation at (g, n) may name;
+    used by the derivation replayer, which asks citable of the record a
+    step cites, so that a relation the script's tier may not cite is
+    told apart from one the surface lacks."""
     records = list(nonorientable_mcg_presentation(g, n).relators)
     if g >= 3:
         records += punctured_entries(g)
@@ -238,6 +240,5 @@ def relation_index(g: int, n: int, tier: int) -> dict:
         records += closed_entries(g)
     idx = {}
     for e in records:
-        if citable(e, g, n, tier):
-            idx.setdefault((e.tag, e.params), (e.lhs, e.rhs))
+        idx.setdefault((e.tag, e.params), e)
     return idx

@@ -8,6 +8,16 @@ nonempty freely reduced word equal to 1 contains more than half of a
 cyclic shift of R or R^-1, and replacing it by the shorter complement
 strictly shrinks the word.
 
+The lookup is one table per genus: the 4g cyclic rotations of R and
+R^-1, keyed by their first two letters, which name the rotation (x_i x_i
+or x_i x_{i+1} in R, indices mod g, and their inverses in R^-1). A
+window is more than half of a relator iff it has more than g letters and
+is a prefix of the rotation its first two letters name, and it is
+rewritten to the inverse of the rest of that rotation. One scan,
+_longest_window, finds the window to rewrite, the longest first and the
+leftmost among equals: dehn_reduce scans the word, cyclic_dehn_reduce
+the cyclic word, where a long window can only lie across the end.
+
 A relation of the closed mapping class group, evaluated in the punctured
 representation, must act as an inner automorphism of G_g (the filling
 point-push). find_inner_conjugator() decides this exactly for a table
@@ -55,43 +65,47 @@ REFUTED = "Refuted"
 
 
 @lru_cache(maxsize=None)
-def _tables(g: int):
+def _rotations(g: int) -> dict:
+    """The 4g cyclic rotations of R = x_1^2...x_g^2 and of R^-1, keyed by
+    their first two letters: x_i x_i or x_i x_{i+1} (indices mod g) in R,
+    their inverses in R^-1, so no two rotations share a key."""
     if g < 4:
         raise ValueError(f"Dehn's algorithm needs C'(1/6), i.e. genus >= 4, not {g}")
     w = boundary_word(g)
-    by_len = {L: {} for L in range(g + 1, 2 * g + 1)}
-    for base in (w, inverse(w)):
-        for r in range(2 * g):
-            rot = base[r:] + base[:r]
-            for L in range(g + 1, 2 * g + 1):
-                by_len[L].setdefault(rot[:L], inverse(rot[L:]))
-    return by_len
+    rots = (base[r:] + base[:r] for base in (w, inverse(w)) for r in range(2 * g))
+    return {rot[:2]: rot for rot in rots}
+
+
+def _longest_window(w: Word, g: int, top: int):
+    """(pos, L, rot): the longest window w[pos:pos+L] that is more than
+    half of a relator, the leftmost among equals, with rot the rotation
+    it begins; None if there is none. Only windows of at most top
+    letters are scanned. The rotation is the one the window's first two
+    letters name, so the window is long iff it is a prefix of that
+    rotation."""
+    rots, m = _rotations(g), len(w)
+    for L in range(min(top, 2 * g), g, -1):
+        for pos in range(m - L + 1):
+            rot = rots.get(w[pos : pos + 2])
+            if rot is not None and w[pos + L - 1] == rot[L - 1] and w[pos : pos + L] == rot[:L]:
+                return pos, L, rot
+    return None
 
 
 def dehn_reduce(w: Word, g: int) -> Word:
     """The Dehn-reduced form of a freely reduced word: empty iff the word
     is trivial in G_g. Like words.mul, it takes a freely reduced word and
-    never re-scans it: each rewrite replaces a subword by its relator
+    never re-scans it: each rewrite replaces a window by its relator
     complement, a reduced word, so only the two junctions can cancel.
 
-    The rewrite order is fixed: the longest window first, the leftmost
-    among equals. Dehn-reduced forms of one element are not unique, so
-    the form returned, and with it every printed tier-3 conjugator,
-    depends on that order."""
-    tables = _tables(g)
-    changed = True
-    while changed:
-        changed = False
-        for L in range(min(len(w), 2 * g), g, -1):
-            tab = tables[L]
-            for pos in range(len(w) - L + 1):
-                repl = tab.get(w[pos : pos + L])
-                if repl is not None:
-                    w = mul(w[:pos], repl, w[pos + L :])
-                    changed = True
-                    break
-            if changed:
-                break
+    Each rewrite takes the window _longest_window finds: the longest
+    first, the leftmost among equals, looked up by its first two letters
+    in the table of relator rotations. Dehn-reduced forms of one element
+    are not unique, so the form returned, and with it every printed
+    tier-3 conjugator, depends on that order."""
+    while (hit := _longest_window(w, g, len(w))) is not None:
+        pos, L, rot = hit
+        w = mul(w[:pos], inverse(rot[L:]), w[pos + L :])
     return w
 
 
@@ -102,19 +116,18 @@ def equal_in_quotient(lhs: Word, rhs: Word, g: int) -> bool:
 
 def cyclic_dehn_reduce(word, g: int) -> tuple:
     """(q, c) with word = q c q^-1 in G_g and c cyclically Dehn-reduced."""
-    tables = _tables(g)
     q, w = [], dehn_reduce(word, g)
     while True:
         core = cyclic_reduce(w)
         q.extend(w[: (len(w) - len(core)) // 2])
         w = core
-        n, ww = len(w), w + w
-        # Dehn-reduced w has no long subword inside it, only across its end
-        pos = next((p for L in range(min(n, 2 * g), g, -1)
-                    for p in range(n - L + 1, n) if ww[p : p + L] in tables[L]),
-                   None)
-        if pos is None:
+        # scan the cyclic word w: the windows of w + w[:-1], no longer
+        # than w. Dehn-reduced w has no long window inside either copy,
+        # so the one found lies across its end
+        hit = _longest_window(w + w[:-1], g, len(w))
+        if hit is None:
             return free_reduce(q), w
+        pos = hit[0]
         q.extend(w[:pos])
         w = dehn_reduce(w[pos:] + w[:pos], g)
 

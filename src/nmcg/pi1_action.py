@@ -236,7 +236,7 @@ class Evaluator:
     with its record. The images of every T(Delta_k) share their runs, so
     each run's image is computed once per letter and basis.
 
-    The Evaluator works in basis x. Its sibling q, built on first use,
+    The Evaluator works in basis x. Its sibling q, built with it,
     runs the same code in basis q with its own caches: its letter table
     of c is to_prefix_basis(T) = sigma^-1 o T o sigma, two compositions
     with the basis-x letter table T, built once per letter. In basis q
@@ -250,7 +250,6 @@ class Evaluator:
         self.g = g
         self.words = {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
-        self._q = None if x is None else self
         self._cache = {}
         self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
         self._records = {}  # letter -> (the moves of its table, its run cache), for _step and splice
@@ -259,14 +258,8 @@ class Evaluator:
         self._b = frozenset(s * letter(Gen("b", j)) for j in range(g // 2) for s in (1, -1))
         w = boundary_word(g)
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
-
-    @property
-    def q(self) -> "Evaluator":
-        """The Evaluator of the same genus in basis q: the sibling, or
-        self if this one is in basis q already."""
-        if self._q is None:
-            self._q = Evaluator(self.g, x=self)
-        return self._q
+        # the Evaluator of the same genus in basis q: the sibling, or self
+        self.q = Evaluator(g, x=self) if x is None else self
 
     def deciding(self, lhs: Word, rhs: Word) -> "Evaluator":
         """The Evaluator that decides T(lhs) == C o T(rhs): the basis-q

@@ -18,18 +18,21 @@ list of rewrite steps. The replayer executes the steps on a raw
 
 Scripts may depend on other scripts ("uses"); a dependency is replayed
 first and its conclusion, start = end freely reduced and kept on its
-report, becomes available as the relation ("script:<name>", ()). One rule, catalogue.citable, says what a
-script may cite, dependency or relator or catalogue entry: a (g,0)
-script any relation of its genus, since capping the boundary makes the
-twist trivial; a (g,1) script only a relation of (g,1) whose tier is at
-most its own, since a tier-2 relation holds there only up to the
-boundary twist. A tier-2 script may cite one: the twist is central, and
-the endpoint check pins the exponent.
+report, becomes available as the relation ("script:<name>", ()). One
+rule, catalogue.citable, says what a script may cite, dependency or
+relator or catalogue entry: a (g,0) script any relation of its genus,
+since capping the boundary makes the twist trivial; a (g,1) script only
+a relation of (g,1) whose tier is at most its own, since a tier-2
+relation holds there only up to the boundary twist. A tier-2 script may
+cite one: the twist is central, and the endpoint check pins the
+exponent. The relation index holds every relation of the surface, and a
+step is refused either because its relation is unknown or because the
+script's tier may not cite it; the message says which.
 
 A memo passed between scripts (replay_all and `nmcg replay` pass one)
 holds each replayed script's report under its name and each relation
-index under its (g, n, tier), so a run reads each script once, builds
-each index once, and every script extends a copy of it.
+index under its (g, n), so a run reads each script once, builds each
+index once, and every script extends a copy of it.
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ def available_scripts() -> list:
     return sorted(p.stem for p in SCRIPT_DIR.glob("*.json"))
 
 
-def _apply_step(name, i, word, step, index):
+def _apply_step(name, i, word, step, index, scope):
+    """The word after step i; index maps (tag, params) to the records the
+    script may name, and scope is its (genus, boundary, tier)."""
     op = step["op"]
     if op == "cancel":
         return list(free_reduce(tuple(word)))
@@ -92,9 +97,16 @@ def _apply_step(name, i, word, step, index):
         match, replace = (), aux + inverse(aux)
     elif op == "apply":
         key = (step["rel"], tuple(step.get("params", ())))
-        if key not in index:
+        rec = index.get(key)
+        if rec is None:
             raise StepMismatch(name, i, f"unknown relation {key}")
-        lhs, rhs = index[key]
+        if not citable(rec, *scope):
+            raise StepMismatch(
+                name, i,
+                f"relation {rec.label()} is tier {rec.tier} at ({rec.genus},{rec.boundary});"
+                f" a tier-{scope[2]} script at ({scope[0]},{scope[1]}) may not cite it",
+            )
+        lhs, rhs = rec.lhs, rec.rhs
         if "dir" in step:
             match, replace = (lhs, rhs) if step["dir"] == "LtoR" else (rhs, lhs)
         else:
@@ -129,9 +141,9 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
     stack.add(name)
     data = load_script(name)
     g, n, tier = data["genus"], data["boundary"], data["tier"]
-    if (g, n, tier) not in memo:
-        memo[g, n, tier] = relation_index(g, n, tier)
-    index = dict(memo[g, n, tier])
+    if (g, n) not in memo:
+        memo[g, n] = relation_index(g, n)
+    index = dict(memo[g, n])
     for dep in data.get("uses", ()):
         rep = replay_script(dep, memo, stack)
         if not citable(rep, g, n, tier):
@@ -140,11 +152,12 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
                 f"dependency {dep!r} at ({rep.genus},{rep.boundary}) tier {rep.tier}"
                 f" is no relation of ({g},{n})",
             )
-        index[(f"script:{dep}", ())] = rep.conclusion
+        index[(f"script:{dep}", ())] = Entry(f"script:{dep}", (), rep.genus, rep.boundary,
+                                             *rep.conclusion, rep.tier)
     start = parse_raw(data["start"])
     word = list(start)
     for i, step in enumerate(data["steps"]):
-        word = _apply_step(name, i, word, step, index)
+        word = _apply_step(name, i, word, step, index, (g, n, tier))
     last = len(data["steps"])
     end = parse_raw(data["end"])
     if tuple(word) != end:

@@ -104,15 +104,15 @@ def test_tier2_entries_are_the_boundary_words():
 
 
 def test_relation_index_contains_defining_and_derived_relations():
-    ri = relation_index(4, 1, 2)
+    ri = relation_index(4, 1)
     assert ("A7", ()) in ri
     assert ("C2", (1,)) in ri
     assert ("starstar", (2,)) in ri
-    lhs, rhs = ri[("A7", ())]
-    assert lhs == parse("b0") and rhs == parse("a1")
-    for (tag, params), (lhs, rhs) in ri.items():
-        assert isinstance(tag, str) and isinstance(params, tuple)
-        assert lhs or rhs, f"{tag}{params}: both sides empty"
+    e = ri[("A7", ())]
+    assert e.lhs == parse("b0") and e.rhs == parse("a1")
+    for (tag, params), e in ri.items():
+        assert isinstance(tag, str) and isinstance(params, tuple) and (e.genus, e.boundary) == (4, 1)
+        assert e.lhs or e.rhs, f"{tag}{params}: both sides empty"
 
 
 def test_tier2_entries_state_a_twist_and_fixtures_hold_only_scripts():

@@ -2,14 +2,14 @@
 quotient equality, and the exact innerness decision."""
 
 from hypothesis import example, given, settings, strategies as st
-from reference import conjugation_table
+from reference import conjugation_table, rescanning_dehn_reduce, straddling_cyclic_dehn_reduce
 
 import nmcg.one_relator as one_relator
 from nmcg.catalogue import Entry, catalogue
 from nmcg.one_relator import (
     REFUTED,
     VERIFIED,
-    _tables,
+    _rotations,
     cyclic_dehn_reduce,
     dehn_reduce,
     equal_in_quotient,
@@ -100,35 +100,14 @@ def test_every_dehn_reduction_gets_a_freely_reduced_word(monkeypatch):
     assert not bad, f"{len(bad)} unreduced inputs, first {bad[0]}"
 
 
-def _rescanning_dehn_reduce(word, g):
-    """The reduction before dehn_reduce took reduced words: free_reduce
-    on entry and after every rewrite, the same rewrite order."""
-    tables = _tables(g)
-    w = free_reduce(word)
-    changed = True
-    while changed:
-        changed = False
-        for L in range(min(len(w), 2 * g), g, -1):
-            tab = tables[L]
-            for pos in range(len(w) - L + 1):
-                repl = tab.get(w[pos : pos + L])
-                if repl is not None:
-                    w = free_reduce(w[:pos] + repl + w[pos + L :])
-                    changed = True
-                    break
-            if changed:
-                break
-    return w
-
-
 @st.composite
 def _genus_and_word(draw):
-    """(g, w): g in 4..9 and w a freely reduced word in x_1..x_g, glued
+    """(g, w): g in 4..16 and w a freely reduced word in x_1..x_g, glued
     from random letters and rotated pieces of the relator x_1^2...x_g^2
     or its inverse, of length 1..2g+3 (so some wrap past a full turn).
     Some chunks are conjugated by a letter, so that the letters around a
     rewritten piece cancel once it is gone."""
-    g = draw(st.integers(4, 9))
+    g = draw(st.integers(4, 16))
     rel = boundary_word(g)
     letters = st.sampled_from((*range(1, g + 1), *range(-g, 0)))
     out = []
@@ -159,7 +138,33 @@ def test_dehn_reduce_keeps_the_rescanning_normal_form(gw):
     # printed tier-3 conjugators depend on the normal form reached, so
     # rewriting by mul must reach the same word as re-scanning did
     g, w = gw
-    assert dehn_reduce(w, g) == _rescanning_dehn_reduce(w, g)
+    assert dehn_reduce(w, g) == rescanning_dehn_reduce(w, g)
+
+
+# pinned: windows of 6 and 5 letters across the end, then two windows
+# of 7 letters across it, and the leftmost is rotated to the front
+@example((4, (-4, -4, -3, -3, -1, -1)), 0)
+@example((4, (2, 3, 3, 4, 1, 1, 2)), 0)
+@settings(max_examples=200, deadline=None)
+@given(_genus_and_word(), st.integers(0, 64))
+def test_cyclic_dehn_reduce_keeps_the_straddle_scan(gw, r):
+    # the conjugator q and core c, and so every printed tier-3
+    # conjugator, are those the per-length window tables gave; the word
+    # is rotated so that a long window may lie across its end
+    g, w = gw
+    r %= len(w) + 1
+    w = free_reduce(w[r:] + w[:r])
+    assert cyclic_dehn_reduce(w, g) == straddling_cyclic_dehn_reduce(w, g)
+
+
+def test_two_letters_name_each_rotation_of_the_relator():
+    for g in range(4, 97):
+        rel = boundary_word(g)
+        rots = {base[r:] + base[:r] for base in (rel, inverse(rel)) for r in range(2 * g)}
+        table = _rotations(g)
+        assert len(table) == len(rots) == 4 * g, g
+        assert set(table.values()) == rots, g
+        assert all(rot[:2] == key for key, rot in table.items()), g
 
 
 def test_cyclic_dehn_reduce_finds_a_piece_across_the_end():

@@ -77,21 +77,21 @@ def test_licensing_rejects_unrelated_rewrites():
 
 
 def test_apply_step_checks_position_exactly():
-    index = dict(relation_index(4, 1, 1))
+    index = dict(relation_index(4, 1))
     word = list(parse_raw("a3*a1*u2*u1"))
     step = {"op": "apply", "at": 1, "rel": "C2", "params": [1], "dir": "LtoR"}
     key = ("C2", (1,))
     if key not in index:
         pytest.skip("C2 spelled differently in the relation index")
-    out = _apply_step("t", 0, word, step, index)
+    out = _apply_step("t", 0, word, step, index, (4, 1, 1))
     assert tuple(out) == parse_raw("a3*u2*u1*a2")
     step_bad = dict(step, at=0)
     with pytest.raises(StepMismatch):
-        _apply_step("t", 0, word, step_bad, index)
+        _apply_step("t", 0, word, step_bad, index, (4, 1, 1))
 
 
 def test_apply_step_rejects_unlicensed_replace():
-    index = dict(relation_index(4, 1, 1))
+    index = dict(relation_index(4, 1))
     word = list(parse_raw("a1*u2*u1"))
     step = {
         "op": "apply",
@@ -102,39 +102,39 @@ def test_apply_step_rejects_unlicensed_replace():
         "replace": "u1*u2*a2",
     }
     with pytest.raises(StepMismatch, match="not a consequence"):
-        _apply_step("t", 0, word, step, index)
+        _apply_step("t", 0, word, step, index, (4, 1, 1))
 
 
 def test_apply_step_rejects_unknown_relation():
     with pytest.raises(StepMismatch, match="unknown relation"):
-        _apply_step("t", 0, [], {"op": "apply", "at": 0, "rel": "nope", "dir": "LtoR"}, {})
+        _apply_step("t", 0, [], {"op": "apply", "at": 0, "rel": "nope", "dir": "LtoR"}, {}, (4, 1, 1))
 
 
 def test_apply_step_rejects_a_position_out_of_range():
     # B3 at (4,0) has an empty right side: read RtoL it matches the empty
     # subword, which must still sit inside the word, at 0..len(word)
-    index = dict(relation_index(4, 0, 1))
+    index = dict(relation_index(4, 0))
     word = list(parse_raw("a1*a2"))
     for at in (99, -1, 3):
         step = {"op": "apply", "at": at, "rel": "B3", "dir": "RtoL"}
         with pytest.raises(StepMismatch, match=f"apply position {at} out of range"):
-            _apply_step("t", 0, word, step, index)
-    assert len(_apply_step("t", 0, word, dict(step, at=2), index)) > len(word)
+            _apply_step("t", 0, word, step, index, (4, 0, 1))
+    assert len(_apply_step("t", 0, word, dict(step, at=2), index, (4, 0, 1))) > len(word)
     # a nonempty match must fit whole: C2 at position 1 of a three-letter
     # word runs off its end
     step = {"op": "apply", "at": 1, "rel": "C2", "params": [1], "dir": "LtoR"}
     with pytest.raises(StepMismatch, match="apply position 1 out of range"):
-        _apply_step("t", 0, list(parse_raw("a1*u2*u1")), step, dict(relation_index(4, 1, 1)))
+        _apply_step("t", 0, list(parse_raw("a1*u2*u1")), step, dict(relation_index(4, 1)), (4, 1, 1))
 
 
 def test_insert_and_cancel_are_inverse():
     word = list(parse_raw("a1*u1"))
-    grown = _apply_step("t", 0, word, {"op": "insert", "at": 1, "aux": "b1*a2"}, {})
+    grown = _apply_step("t", 0, word, {"op": "insert", "at": 1, "aux": "b1*a2"}, {}, (4, 1, 1))
     assert len(grown) == 6
-    back = _apply_step("t", 1, grown, {"op": "cancel"}, {})
+    back = _apply_step("t", 1, grown, {"op": "cancel"}, {}, (4, 1, 1))
     assert back == word
     with pytest.raises(StepMismatch, match="out of range"):
-        _apply_step("t", 0, word, {"op": "insert", "at": 9, "aux": "b1"}, {})
+        _apply_step("t", 0, word, {"op": "insert", "at": 9, "aux": "b1"}, {}, (4, 1, 1))
 
 
 def test_tampered_endpoint_is_caught(tmp_path, monkeypatch):
@@ -259,14 +259,22 @@ def test_tier2_dependency_of_a_tier2_one_boundary_script_is_accepted(tmp_path, m
 def test_tier2_entry_is_refused_to_a_tier1_one_boundary_script(tmp_path, monkeypatch):
     # B3 at (4,1) holds only up to the boundary twist: a tier-1 script may
     # not rewrite a1 to (u1u2u3)^4 a1 by it, even one that rewrites it
-    # back and whose endpoint a1 = a1 holds. A tier-2 script may
+    # back and whose endpoint a1 = a1 holds. A tier-2 script may. The
+    # refusal names B3's tier; a relation (4,1) lacks, such as the
+    # closed-surface B4, is still unknown
     steps = [{"op": "apply", "at": 0, "rel": "B3", "dir": d} for d in ("RtoL", "LtoR")]
     bogus = {"name": "bogus", "genus": 4, "boundary": 1, "tier": 1,
              "start": "a1", "end": "a1", "steps": steps}
     _scripts_with(tmp_path, monkeypatch, bogus)
-    with pytest.raises(StepMismatch, match=r"step 0: unknown relation \('B3', \(\)\)"):
+    with pytest.raises(StepMismatch, match=r"step 0: relation B3 is tier 2 at \(4,1\);"
+                       r" a tier-1 script at \(4,1\) may not cite it"):
         replay_script("bogus")
-    assert ("B3", ()) not in relation_index(4, 1, 1)
+    assert relation_index(4, 1)[("B3", ())].tier == 2
+    closed = [{"op": "apply", "at": 0, "rel": "B4", "dir": "RtoL"}]
+    for tier in (1, 2):
+        _scripts_with(tmp_path, monkeypatch, dict(bogus, tier=tier, w_power=0, steps=closed))
+        with pytest.raises(StepMismatch, match=r"step 0: unknown relation \('B4', \(\)\)"):
+            replay_script("bogus")
     _scripts_with(tmp_path, monkeypatch, dict(bogus, tier=2, w_power=0))
     assert replay_script("bogus").steps == 2
 
