@@ -218,12 +218,13 @@ def catalogue(g: int, n: int) -> list:
     return closed_entries(g)
 
 
-def citable(record, g: int, n: int, tier: int) -> bool:
-    """A derivation at (g, n) and tier may cite record, an Entry or a
-    replayed script's report: at (g,0) any relation of genus g, since
-    capping the boundary makes the twist trivial; at (g,1) only a
-    relation of (g,1) of that tier or a lower one, since a tier-2
-    relation holds there only up to the boundary twist, which is central."""
+def citable(record: Entry, g: int, n: int, tier: int) -> bool:
+    """A derivation at (g, n) and tier may cite record, a relator, a
+    catalogue entry or a replayed script's conclusion: at (g,0) any
+    relation of genus g, since capping the boundary makes the twist
+    trivial; at (g,1) only a relation of (g,1) of that tier or a lower
+    one, since a tier-2 relation holds there only up to the boundary
+    twist, which is central."""
     return record.genus == g and (n == 0 or (record.boundary == 1 and record.tier <= tier))
 
 

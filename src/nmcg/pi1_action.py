@@ -11,34 +11,24 @@ whose entry i-1 is the image of x_i.
 Every twist generator, a_i and each b_j (b_0 included), is built by one
 rule, curve_twist, from the two-sided curve through its crosscaps: i, i+1
 for a_i and 1..2j+2 for b_j. The crosscap transposition u_i is written
-out directly. The shared Evaluator caches each letter's table, so each
-a_i, u_i and b_j table is built once per genus. Tests pin the tables of
-a_1, a_2, u_1 and b_1. The named letters (y1, y2, v, r_g, c, d)
-abbreviate words whose value depends on the genus alone, so one shared
-Evaluator per genus, evaluator(g), holds them all.
+out directly. Tests pin the tables of a_1, a_2, u_1 and b_1. The named
+letters (y1, y2, v, r_g, c, d) abbreviate words whose value depends on
+the genus alone, so one shared Evaluator per genus, evaluator(g), holds
+them all and builds each letter's table once.
 
 evaluate() composes generator tables in word order: the rightmost
 letter acts first, i.e. evaluate(g1 g2) = phi_g1 after phi_g2. There is
 one composition kernel, the letter step: t1 after t2 differs from t1
 only at the images t2 moves (two for a_i and u_i), so a step copies t1
 and rewrites those images alone, each by mul of t1's images of its
-letters; compose(t1, t2) is the step by every image t2 moves. A plain
-word is its first letter's table followed by one letter step per later
-letter. A words.Factored word is evaluated from its parts by the same
-fold: a one-letter part with exponent +-1 is a letter step, and any
-other part's table is raised to its power by repeated squaring (a
-negative power is the table of the inverse word) and composed. The
-table of every such part is cached on the Evaluator per (part,
-exponent), keyed on the part's letters: evaluation is a homomorphism,
-so equal words have equal tables, and a shared factor such as the
-half-twist Delta_k, and its square, is built once per genus whichever
-object holds it. The one special case is a leading one-letter part,
-such as u_{k-i} in u_{k-i} Delta_k (B5), which is spliced into the
-table of the rest: each image is cut only around the maximal runs of
-letters it moves whose image differs from the run. u_m and a_m^{+-1}
-map each run x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word,
-and its inverse, to itself, so most images of T(Delta_k) are kept as
-they are. The boundary twist acts by conjugation by W, an inner
+letters; compose(t1, t2) is the step by every image t2 moves. splice
+takes a table that moves few letters into one with long images: each
+image is cut only around the maximal runs of letters it moves whose
+image differs from the run. u_m and a_m^{+-1} map each run
+x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word, and its
+inverse, to itself, so most images of T(Delta_k) are kept as they are.
+The Evaluator docstring says how a word is folded by these kernels and
+what is cached. The boundary twist acts by conjugation by W, an inner
 automorphism, so boundary_conjugate conjugates each image by W^k.
 
 Words in x_1..x_g and words over the presentation generators share one
@@ -61,7 +51,7 @@ in CPython's free lists of even-length tuples.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, count
 
 from .presentations import expansion_env
@@ -85,13 +75,8 @@ def compose(t1, t2):
 
 
 def _moves(t):
-    """The images the table t moves, keyed +i for x_i, and their
-    inverses, keyed -i."""
-    moved = {}
-    for i, im in enumerate(t, 1):
-        if im != (i,):
-            moved[i], moved[-i] = im, inverse(im)
-    return moved
+    """The images the table t moves, keyed i for x_i."""
+    return {i: im for i, im in enumerate(t, 1) if im != (i,)}
 
 
 def _step(acc, moved):
@@ -103,17 +88,17 @@ def _step(acc, moved):
     out = list(acc)
     pieces = {}
     for i, im in moved.items():
-        if i > 0:
-            for c in im:
-                if c not in pieces:
-                    pieces[c] = acc[c - 1] if c > 0 else inverse(acc[-c - 1])
-            out[i - 1] = mul(*map(pieces.__getitem__, im)) if len(im) != 1 else pieces[im[0]]
+        for c in im:
+            if c not in pieces:
+                pieces[c] = acc[c - 1] if c > 0 else inverse(acc[-c - 1])
+        out[i - 1] = mul(*map(pieces.__getitem__, im)) if len(im) != 1 else pieces[im[0]]
     return tuple(out)
 
 
 def splice(moved, runs, t2):
     """T after t2, as compose, for the table T whose moves (see _moves)
-    are moved, when T moves few letters. Each image of t2 is split into
+    are in moved with the inverse of each image keyed -i (_Record.signed),
+    when T moves few letters. Each image of t2 is split into
     maximal runs of letters T moves and the slices between them. The
     image of a run under T is cached in runs, a dict kept per table T:
     a run T maps to itself, such as x_m x_m x_{m+1} x_{m+1} under u_m,
@@ -216,28 +201,32 @@ class Evaluator:
     crosscap_transposition; words maps each named element of genus g
     (y1, y2, v, r_g, c, d) to its defining word over a_i, u_i and b_j,
     the union of expansion_env(g, 0) and expansion_env(g, 1), which
-    agree on every name they share. Tables are cached per letter, and per
-    (part, exponent k) of a Factored word, keyed on the part's letters: a
-    part is meant to be a shared factor, such as Delta_k, u_1..u_m or
-    r_g, so part^k is built once, by squaring the cached part^(+-1), and
-    lives as long as the Evaluator. A Factored word evaluated whole is
-    not cached itself; it reuses the table of a cached part with its
-    letters.
+    agree on every name they share.
 
-    Each letter also has one record, made on first use per letter and
-    basis: the images its table moves, with their inverses (_moves), and
-    its run cache, which holds the image of each run of moved letters
-    that splice has met. A product of parts, and a plain word as the
-    product of its letters, is one fold (_fold): a one-letter part with
-    exponent +-1 is a letter step (_step) by its record, which rewrites
-    only the images that letter moves; any other part's cached power is
-    composed. The one special case is a leading one-letter part followed
-    by further parts, which splice takes into the product of the rest
-    with its record. The images of every T(Delta_k) share their runs, so
-    each run's image is computed once per letter and basis.
+    Every table the Evaluator builds is one record (_Record), made on
+    first use by _record(part, k) and kept in _records as long as the
+    Evaluator. A record is keyed by a letter c, or by (part, k) for any
+    other power part^k: a one-letter part with k = +-1 is its letter, and
+    a Factored part keys as its letters. Evaluation is a homomorphism, so
+    equal words have equal tables, and a shared factor such as Delta_k,
+    u_1..u_m or r_g, and each of its powers, is built once whichever
+    object holds it; |k| > 1 squares the table of part^(+-1). A record
+    also holds what _step and splice read of its table, made the first
+    time it is stepped or spliced (see _Record).
+
+    A plain word is the product of its letters, a Factored word that of
+    its parts, and a product is one fold (_fold): the first record's
+    table, then one letter step (_step) per later record, which rewrites
+    only the images that table moves. The one special case is a leading
+    one-letter part followed by further parts, such as u_{k-i} in
+    u_{k-i} Delta_k (B5), which splice takes into the product of the rest
+    with its record; the images of every T(Delta_k) share their runs, so
+    each run's image is computed once per letter and basis. A Factored
+    word evaluated whole is not cached itself; it reuses the record of a
+    part with its letters.
 
     The Evaluator works in basis x. Its sibling q, built with it,
-    runs the same code in basis q with its own caches: its letter table
+    runs the same code in basis q with its own records: its letter table
     of c is to_prefix_basis(T) = sigma^-1 o T o sigma, two compositions
     with the basis-x letter table T, built once per letter. In basis q
     the b_j curve is the two-letter word q_{2j+1} q_{2j+2}, so a b_j
@@ -250,9 +239,7 @@ class Evaluator:
         self.g = g
         self.words = {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
-        self._cache = {}
-        self._parts = {}  # (part, k) -> table of part^k; a Factored part keys as its letters
-        self._records = {}  # letter -> (the moves of its table, its run cache), for _step and splice
+        self._records = {}  # a letter, or (part, k) -> the _Record of its table
         # the letters u_i^+-1 and b_j^+-1 of genus g, for deciding
         self._u = frozenset(s * letter(Gen("u", i)) for i in range(1, g) for s in (1, -1))
         self._b = frozenset(s * letter(Gen("b", j)) for j in range(g // 2) for s in (1, -1))
@@ -270,26 +257,25 @@ class Evaluator:
         return self.q if letters.isdisjoint(self._u) and not letters.isdisjoint(self._b) else self
 
     def letter_table(self, c: int):
-        hit = self._cache.get(c)
-        if hit is not None:
-            return hit
+        return self._record((c,), 1).table
+
+    def _letter(self, c: int):
+        """The table of the letter c, built: in basis q from the basis-x
+        table, a_i and b_j by curve_twist, u_i by crosscap_transposition,
+        and a named letter from its word."""
         if self._x is not None:
-            t = self._cache[c] = to_prefix_basis(self._x.letter_table(c))
-            return t
+            return to_prefix_basis(self._x.letter_table(c))
         g, gen, sign = self.g, gen_of(c), 1 if c > 0 else -1
         if gen.fam == "a":
-            t = curve_twist(gen.idx, 2, g, sign)
-        elif gen.fam == "b":
-            t = curve_twist(1, 2 * gen.idx + 2, g, sign)
-        elif gen.fam == "u":
-            t = crosscap_transposition(gen.idx, g, sign)
-        else:
-            word = self.words.get(gen)
-            if word is None:
-                raise KeyError(f"no expansion for generator {gen.label()} at genus {g}")
-            t = self.evaluate(word if sign == 1 else inverse(word))
-        self._cache[c] = t
-        return t
+            return curve_twist(gen.idx, 2, g, sign)
+        if gen.fam == "b":
+            return curve_twist(1, 2 * gen.idx + 2, g, sign)
+        if gen.fam == "u":
+            return crosscap_transposition(gen.idx, g, sign)
+        word = self.words.get(gen)
+        if word is None:
+            raise KeyError(f"no expansion for generator {gen.label()} at genus {g}")
+        return self.evaluate(word if sign == 1 else inverse(word))
 
     def boundary_conjugate(self, table, k: int):
         """table followed by conjugation by W^k, W the boundary word:
@@ -304,55 +290,64 @@ class Evaluator:
 
     def evaluate(self, word: Word):
         if isinstance(word, Factored):
-            hit = self._parts.get((word, 1))
-            return hit if hit is not None else self._product(word.parts)
-        return self._fold(((c,), 1) for c in word)
+            # not cached itself, but a part with its letters may be
+            hit = self._records.get((word, 1))
+            return hit.table if hit is not None else self._product(word.parts)
+        return self._fold(self._record((c,), 1) for c in word)
 
-    def _record(self, c: int):
-        """(moves, run cache) of c's letter table: its moves (see _moves)
-        and the run cache splice fills, made once per letter."""
-        rec = self._records.get(c)
+    def _record(self, part, k: int):
+        """The record of part^k (k != 0), keyed as the class docstring
+        says and built if missing: a letter's table by _letter, |k| > 1 by
+        squaring the table of part^(+-1), and part^(+-1) as the product of
+        a Factored part's parts, or of a plain part's letters."""
+        key = part[0] * k if len(part) == 1 and abs(k) == 1 else (part, k)
+        rec = self._records.get(key)
         if rec is None:
-            rec = self._records[c] = (_moves(self.letter_table(c)), {})
+            if type(key) is int:
+                t = self._letter(key)
+            elif abs(k) > 1:
+                t = _table_power(self._record(part, 1 if k > 0 else -1).table, abs(k))
+            elif isinstance(part, Factored):
+                t = self._product(part.parts if k > 0 else [(p, -e) for p, e in part.parts[::-1]])
+            else:
+                t = self.evaluate(part if k > 0 else inverse(part))
+            rec = self._records[key] = _Record(t)
         return rec
 
     def _product(self, parts):
         parts = [(part, k) for part, k in parts if k]
         if len(parts) > 1 and len(parts[0][0]) == 1 and abs(parts[0][1]) == 1:
-            (first, j), rest = parts[0], parts[1:]
-            return splice(*self._record(first[0] * j), self._product(rest))
-        return self._fold(parts)
+            first = self._record(*parts[0])
+            return splice(first.signed, first.runs, self._product(parts[1:]))
+        return self._fold(self._record(part, k) for part, k in parts)
 
-    def _fold(self, parts):
-        """Table of the product of parts (part, k), k != 0, in order: a
-        one-letter part with k = +-1 is its letter's table, first, and a
-        letter step after the table so far, later; any other part's
-        cached power is composed after the table so far."""
+    def _fold(self, records):
+        """Table of the product of the records' tables, in order: the
+        first record's table, then one letter step per later record."""
         acc = None
-        for part, k in parts:
-            if len(part) == 1 and abs(k) == 1:
-                c = part[0] * k
-                acc = self.letter_table(c) if acc is None else _step(acc, self._record(c)[0])
-            else:
-                t = self._power(part, k)
-                acc = t if acc is None else compose(acc, t)
+        for rec in records:
+            acc = rec.table if acc is None else _step(acc, rec.moved)
         return identity_table(self.g) if acc is None else acc
 
-    def _power(self, part, k: int):
-        """Table of part^k (k != 0), cached per (letters of part, k):
-        |k| > 1 squares the cached part^(+-1); part^(+-1) is the product
-        of a Factored part's parts, or a plain part's letters."""
-        key = (part, k)
-        t = self._parts.get(key)
-        if t is None:
-            if abs(k) > 1:
-                t = _table_power(self._power(part, 1 if k > 0 else -1), abs(k))
-            elif isinstance(part, Factored):
-                t = self._product(part.parts if k > 0 else [(p, -e) for p, e in part.parts[::-1]])
-            else:
-                t = self.evaluate(part if k > 0 else inverse(part))
-            self._parts[key] = t
-        return t
+
+class _Record:
+    """A table of an Evaluator, with what _step and splice read of it,
+    each made on first use: its moves (see _moves) for _step, the same
+    with the inverse of each image keyed -i for splice, and its run
+    cache, which holds the image of each run of moved letters that splice
+    has met. Only letter tables are spliced, so a part's record never
+    holds the inverse images."""
+
+    def __init__(self, table):
+        self.table, self.runs = table, {}
+
+    @cached_property
+    def moved(self):
+        return _moves(self.table)
+
+    @cached_property
+    def signed(self):
+        return {**self.moved, **{-i: inverse(im) for i, im in self.moved.items()}}
 
 
 def _table_power(t, k: int):
@@ -369,9 +364,9 @@ def _table_power(t, k: int):
 
 @lru_cache(maxsize=8)
 def evaluator(g: int) -> Evaluator:
-    """The shared Evaluator of genus g, so the tables of named letters
-    and Factored parts, in basis x and in its sibling's basis q, are
-    built once across calls."""
+    """The shared Evaluator of genus g, so the records of letters and
+    Factored parts, in basis x and in its sibling's basis q, are built
+    once across calls."""
     return Evaluator(g)
 
 

@@ -199,7 +199,7 @@ class Presentation:
 
     def to_text(self) -> str:
         lines = [f"genus {self.genus}, boundary {self.boundary}"]
-        lines.append("generators: " + " ".join(self.generator_labels()))
+        lines.append(" ".join(["generators:", *self.generator_labels()]))
         lines.extend(r.text() for r in self.relators)
         return "\n".join(lines) + "\n"
 

@@ -17,9 +17,10 @@ list of rewrite steps. The replayer executes the steps on a raw
   verify.verify_entry decides it, as an entry at that tier.
 
 Scripts may depend on other scripts ("uses"); a dependency is replayed
-first and its conclusion, start = end freely reduced and kept on its
-report, becomes available as the relation ("script:<name>", ()). One
-rule, catalogue.citable, says what a script may cite, dependency or
+first and its conclusion, the Entry start = end freely reduced that its
+endpoint check verified, kept on its report, becomes available as the
+relation ("script:<name>", ()). One rule,
+catalogue.citable, says what a script may cite, dependency or
 relator or catalogue entry: a (g,0) script any relation of its genus,
 since capping the boundary makes the twist trivial; a (g,1) script only
 a relation of (g,1) whose tier is at most its own, since a tier-2
@@ -63,7 +64,7 @@ class ReplayReport:
     steps: int
     tier: int
     w_power: int  # the stated boundary-twist exponent at tier 2, else 0
-    conclusion: tuple  # (start, end) freely reduced, the relation a dependent script may cite
+    conclusion: Entry  # start = end freely reduced, checked at the endpoint; a dependent cites it
 
 
 def _licensed(match: Word, replace: Word, lhs: Word, rhs: Word) -> bool:
@@ -145,15 +146,14 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         memo[g, n] = relation_index(g, n)
     index = dict(memo[g, n])
     for dep in data.get("uses", ()):
-        rep = replay_script(dep, memo, stack)
-        if not citable(rep, g, n, tier):
+        rec = replay_script(dep, memo, stack).conclusion
+        if not citable(rec, g, n, tier):
             raise StepMismatch(
                 name, -1,
-                f"dependency {dep!r} at ({rep.genus},{rep.boundary}) tier {rep.tier}"
+                f"dependency {dep!r} at ({rec.genus},{rec.boundary}) tier {rec.tier}"
                 f" is no relation of ({g},{n})",
             )
-        index[(f"script:{dep}", ())] = Entry(f"script:{dep}", (), rep.genus, rep.boundary,
-                                             *rep.conclusion, rep.tier)
+        index[(rec.tag, rec.params)] = rec
     start = parse_raw(data["start"])
     word = list(start)
     for i, step in enumerate(data["steps"]):
@@ -173,10 +173,11 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         if "w_power" not in data:
             raise StepMismatch(name, last, "a tier-2 script must state its exponent w_power")
         k = data["w_power"]
-    if not verify_entry(Entry(name, (), g, n, start, end, tier, k)).ok:
+    conclusion = Entry(f"script:{name}", (), g, n, free_reduce(start), free_reduce(end), tier, k)
+    if not verify_entry(conclusion).ok:
         up_to = f" up to w^{k}" if tier == 2 else ""
         raise StepMismatch(name, last, f"endpoint fails tier-{tier} table equality{up_to}")
-    report = ReplayReport(name, g, n, last, tier, k, (free_reduce(start), free_reduce(end)))
+    report = ReplayReport(name, g, n, last, tier, k, conclusion)
     memo[name] = report
     stack.discard(name)
     return report

@@ -24,6 +24,18 @@ def test_present_json(capsys):
     assert doc["genus"] == 4 and doc["boundary"] == 0
 
 
+def test_present_lines_have_no_trailing_whitespace(capsys):
+    # (1,0) and (1,1) have no generators: their line reads "generators:"
+    for g in range(1, 9):
+        for n in ("0", "1"):
+            assert main(["present", "-g", str(g), "-n", n]) == 0
+            out = capsys.readouterr().out
+            bad = [line for line in out.splitlines() if line != line.rstrip()]
+            assert not bad, (g, n, bad)
+            if g == 1:
+                assert "\ngenerators:\n" in out, (g, n)
+
+
 def test_verify_tier1_passes(capsys):
     assert main(["verify", "-g", "3", "-n", "1", "--tier", "1"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from nmcg.catalogue import catalogue
 from nmcg.pi1_action import (
     Evaluator,
     _moves,
+    _Record,
     boundary_word,
     compose,
     curve_twist,
@@ -93,13 +94,13 @@ def test_factored_sides_evaluate_to_their_flat_words():
         if g > 8:
             continue
         # every cached part, at every exponent k in -3..4, is its flat power
-        parts = {part for part, _ in ev._parts}
+        parts = {key[0] for key in ev._records if isinstance(key, tuple)}
         assert len(parts) >= 2 * g - 3, g  # Delta_k, u_1..u_m, r_g
         for part in parts:
             for k in (-3, -2, -1, 1, 2, 3, 4):
-                t = ev._power(part, k)
-                assert ev._parts[(part, k)] is t is ev._power(part, k)
-                assert t == Evaluator(g).evaluate(power(part, k)), (g, k)
+                rec = ev._record(part, k)
+                assert ev._record(part, k) is rec
+                assert rec.table == Evaluator(g).evaluate(power(part, k)), (g, k)
     assert checked > 1000
 
 
@@ -109,9 +110,10 @@ def test_product_splices_a_leading_letter(monkeypatch):
     # the same shapes later in the product: each word's table is that of
     # its flat letters, and, once the parts are cached, the splice runs
     # once per letter that leads a product of further parts, a letter
-    # step once per later one-letter part, and compose once per later
-    # part of more letters. compose is itself a step, so the steps that
-    # stand for letters are the _step calls less the composes
+    # step once per later part, by that part's record, and compose never
+    # (it did once per later part of more letters, before every part had
+    # a record). compose is itself a step, so the steps that stand for
+    # letters are the _step calls less the composes
     import nmcg.pi1_action as pa
 
     calls = {"splice": 0, "_step": 0, "compose": 0}
@@ -139,14 +141,14 @@ def test_product_splices_a_leading_letter(monkeypatch):
         (Factored(((d5, 1), (a(1), 1), (u(2), -1))), 0, 2, 0),
         (Factored(((u(1), 1), (d5, 1), (a(4), -1), (a(4), 0))), 1, 1, 0),
         (Factored(((a(1), 1), (u(2), 1))), 1, 0, 0),
-        (Factored(((d5, 1), (a(2), 1), (d5, -1))), 0, 1, 1),
-        (Factored(((u(1), 1), (d5, 2), (u(4), -1), (r_word(g), 1), (a(3), 1))), 1, 2, 1),
+        (Factored(((d5, 1), (a(2), 1), (d5, -1))), 0, 2, 0),
+        (Factored(((u(1), 1), (d5, 2), (u(4), -1), (r_word(g), 1), (a(3), 1))), 1, 3, 0),
     ):
         flat = Evaluator(g).evaluate(tuple(w))
         ev = Evaluator(g)
         for part, k in w.parts:
             if k and len(part) > 1:
-                ev._power(part, k)
+                ev._record(part, k)
         calls.update(dict.fromkeys(calls, 0))
         assert ev.evaluate(w) == flat, w.parts
         got = (calls["splice"], calls["_step"] - calls["compose"], calls["compose"])
@@ -154,8 +156,8 @@ def test_product_splices_a_leading_letter(monkeypatch):
 
 
 def test_equal_parts_share_one_cached_table(monkeypatch):
-    # the part cache is keyed on letters: a second object with the same
-    # letters, Factored or plain, reuses the first one's tables
+    # a part's record is keyed on its letters: a second object with the
+    # same letters, Factored or plain, reuses the first one's tables
     import nmcg.pi1_action as pa
 
     g = 7
@@ -168,6 +170,47 @@ def test_equal_parts_share_one_cached_table(monkeypatch):
     again = [ev.evaluate(Factored(((p2, 3),))), ev.evaluate(Factored(((tuple(p1), 3),)))]
     assert not calls, f"{len(calls)} composes for a part already cached"
     assert all(a is t for a in again)
+
+
+def test_one_record_per_letter_and_part_power(monkeypatch):
+    # the Evaluator keeps one record per key, a letter or (part, k): each
+    # is built once however often it is read, letter_table reads a
+    # letter's record, a one-letter part with exponent +-1 is its letter,
+    # and moves are made only for a table that is stepped, and the
+    # inverse images only for one that is spliced
+    import nmcg.pi1_action as pa
+
+    built, record = [], pa._Record
+    monkeypatch.setattr(pa, "_Record", lambda t: built.append(t) or record(t))
+    g = 7
+    ev = Evaluator(g)
+    sides = [side for e in catalogue(g, 1) for side in (e.lhs, e.rhs)]
+    for _ in range(2):
+        for side in sides:
+            ev.evaluate(side)
+        assert len(built) == len(ev._records) + len(ev.q._records), len(built)
+    letters = [k for k in ev._records if isinstance(k, int)]
+    assert len(letters) >= 4 * (g - 1), letters
+    for c in letters:
+        assert ev.letter_table(c) is ev._records[c].table, c
+    u1 = letter(gen("u", 1))
+    d2 = delta_word(2)
+    assert isinstance(d2, Factored) and d2 == (u1,)
+    for k in (1, -1):
+        assert ev._record(d2, k) is ev._records[k * u1], k
+    assert ev._record(d2, 2) is ev._records[(d2, 2)]
+    # Delta_5^2 evaluated whole is read first: no moves, until a product
+    # steps by it; a part is never spliced, so it never holds the
+    # inverse images, and a letter does once it leads a product
+    ev = Evaluator(g)
+    d5 = delta_word(5)
+    ev.evaluate(Factored(((d5, 2),)))
+    rec = ev._records[(d5, 2)]
+    assert "moved" not in vars(rec) and "moved" not in vars(ev._records[(d5, 1)])
+    ev.evaluate(Factored(((urun(1, 4), 1), (d5, 2))))
+    assert rec.moved == _moves(rec.table) and "signed" not in vars(rec)
+    ev.evaluate(Factored(((u(1), 1), (d5, 2))))
+    assert "signed" in vars(ev._records[u1]) and "signed" not in vars(rec)
 
 
 def test_factored_negative_and_nested_powers():
@@ -254,7 +297,7 @@ def test_compose_is_substitution_of_every_image(t1, t2):
 @settings(max_examples=300, deadline=None)
 @given(_tables, _tables)
 def test_splice_is_compose(t1, t2):
-    assert splice(_moves(t1), {}, t2) == compose(t1, t2)
+    assert splice(_Record(t1).signed, {}, t2) == compose(t1, t2)
 
 
 def _letter_tables_and_deltas():
@@ -282,7 +325,7 @@ def test_splice_is_compose_for_every_letter_table():
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
             t1 = ev.letter_table(c)
-            moved = _moves(t1)
+            moved = _Record(t1).signed
             for t2 in deltas + [identity_table(g), ev.letter_table(-c)]:
                 out = splice(moved, {}, t2)
                 assert out == compose(t1, t2), (g, c)
@@ -301,8 +344,9 @@ def test_splice_reuses_one_letter_run_cache():
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
             t1 = ev.letter_table(c)
-            moved, runs = ev._record(c)
-            assert ev._record(c)[1] is runs and moved == _moves(t1), (g, c)
+            rec = ev._record((c,), 1)
+            moved, runs = rec.signed, rec.runs
+            assert ev._record((c,), 1).runs is runs and moved == _Record(t1).signed, (g, c)
             tables = deltas + [identity_table(g), ev.letter_table(-c)]
             for t2 in tables:
                 assert splice(moved, runs, t2) == compose(t1, t2), (g, c)

@@ -4,6 +4,7 @@ match/replace steps, and the endpoint cross-check."""
 import pytest
 
 from nmcg.catalogue import relation_index
+from nmcg.presentations import Entry
 from nmcg.replay import (
     StepMismatch,
     _apply_step,
@@ -38,18 +39,24 @@ def test_dependencies_replay_transitively():
 def test_replay_all_reads_each_script_once(monkeypatch):
     # a dependency's conclusion is kept on its report in the memo, so a
     # script cited by several others, or replayed first as a dependency,
-    # is not read again
+    # is not read again; the conclusion is the Entry its endpoint check
+    # verified
     import nmcg.replay as replay_mod
 
-    reads = []
+    reads, checked = [], []
     monkeypatch.setattr(replay_mod, "load_script", lambda name: reads.append(name) or load_script(name))
+    verify_entry = replay_mod.verify_entry
+    monkeypatch.setattr(replay_mod, "verify_entry", lambda e: checked.append(e) or verify_entry(e))
     reports = replay_all()
     assert sorted(reads) == available_scripts() == sorted(r.name for r in reports)
     cited = {dep for name in reads for dep in load_script(name).get("uses", ())}
     assert cited, "no script cites another"
     for r in reports:
         data = load_script(r.name)
-        assert r.conclusion == (parse_raw(data["start"]), parse_raw(data["end"])), r.name
+        start, end = parse_raw(data["start"]), parse_raw(data["end"])
+        assert r.conclusion == Entry(f"script:{r.name}", (), r.genus, r.boundary,
+                                     start, end, r.tier, r.w_power), r.name
+    assert sorted(map(id, checked)) == sorted(id(r.conclusion) for r in reports)
 
 
 def test_licensing_accepts_rotations_and_inverses():
@@ -240,7 +247,7 @@ def test_dependency_written_unreduced_is_cited_by_its_reduced_relation(tmp_path,
             "steps": [{"op": "apply", "at": 0, "rel": "script:dep",
                        "match": "u1*a1", "replace": "a1^-1*u1"}]}
     _scripts_with(tmp_path, monkeypatch, dep, user)
-    assert replay_script("dep").conclusion == (parse("a1*u1*a1"), parse("u1"))
+    assert replay_script("dep").conclusion == Entry("script:dep", (), 4, 1, parse("a1*u1*a1"), parse("u1"), 1)
     assert replay_script("user").steps == 1
 
 
