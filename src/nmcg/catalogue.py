@@ -35,6 +35,8 @@ from .presentations import (
     arun_down,
     b,
     c_word,
+    chain_head,
+    chain_power,
     chain_word,
     delta_word,
     lantern_d_word,
@@ -111,10 +113,9 @@ def punctured_entries(g: int) -> list:
         add("E4", (i,), Factored(((u(i), 1), (rg, 1), (u(i), 1))), rg)
     for rho in (2, 3):
         if g >= 2 * rho + 2:
-            c1 = chain_word(rho - 1, 1)
-            head6 = power(mul(b(rho - 2), arun(2 * rho - 2, 2 * rho + 1)), 6)
-            add("A8a", (rho, "power"), power(c1, 2), head6)
-            add("A8a", (rho, "cokernel"), chain_word(rho - 1, 2), mul(power(c1, 2), b(rho)))
+            c1 = chain_word(rho - 1)
+            add("A8a", (rho, "power"), power(c1, 2), power(chain_head(rho - 1), 6))
+            add("A8a", (rho, "cokernel"), chain_power(rho - 1), mul(power(c1, 2), b(rho)))
     # the relations of b_{rho-2} (H5, H6 at rho = 2) and b_{rho-1} (H3, H4
     # at rho = 3) with a_1..a_{2rho+1}: the others, with b_1, are A3 and
     # A4, and those among the a_i (H1, H2) are A1 and A2
@@ -230,13 +231,12 @@ def citable(record: Entry, g: int, n: int, tier: int) -> bool:
 
 def relation_index(g: int, n: int) -> dict:
     """(tag, params) -> record, over the presentation relators and the
-    catalogue entries of genus g that a derivation at (g, n) may name;
+    catalogue entries of genus g that a derivation at (g, n) may name,
+    every record that verify(g, n) decides among them;
     used by the derivation replayer, which asks citable of the record a
     step cites, so that a relation the script's tier may not cite is
     told apart from one the surface lacks."""
-    records = list(nonorientable_mcg_presentation(g, n).relators)
-    if g >= 3:
-        records += punctured_entries(g)
+    records = [*nonorientable_mcg_presentation(g, n).relators, *punctured_entries(g)]
     if n == 0 and g >= 4:
         records += closed_entries(g)
     idx = {}

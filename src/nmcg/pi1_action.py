@@ -54,7 +54,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import compress, count
 
-from .presentations import expansion_env
+from .presentations import expansion_env, generators
 from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, power
 
 
@@ -393,8 +393,8 @@ def fixes_boundary(table, g: int) -> bool:
 
 
 def format_tables(g: int) -> str:
-    """Printable dump of the generator tables that verify uses at genus g:
-    a_i, u_i and b_j for j = 0..(g-2)//2."""
+    """Printable dump of the tables of presentations.generators(g), the
+    a_i, u_i and b_j that verify uses at genus g."""
 
     def show(name, t):
         ims = ", ".join(
@@ -404,7 +404,5 @@ def format_tables(g: int) -> str:
         )
         return f"{name}: {ims or 'identity'}"
 
-    gens = [Gen(f, i) for f in "au" for i in range(1, g)]
-    gens += [Gen("b", j) for j in range((g - 2) // 2 + 1)]
     ev = evaluator(g)
-    return "".join(show(x.label(), ev.letter_table(letter(x))) + "\n" for x in gens)
+    return "".join(show(x.label(), ev.letter_table(letter(x))) + "\n" for x in generators(g))

@@ -109,22 +109,31 @@ def c_word() -> Word:
     return mul(s, b(1), inverse(s))
 
 
+def chain_head(i: int) -> Word:
+    """b_{i-1} a_{2i} a_{2i+1} a_{2i+2} a_{2i+3}, the head of the chain
+    b_{i-1}, a_{2i}, ..., a_{2i+3}, b_i that relator A8(i) and the A8a
+    entries use."""
+    return mul(b(i - 1), arun(2 * i, 2 * i + 3))
+
+
+def chain_power(i: int) -> Word:
+    """(b_{i-1} a_{2i} ... a_{2i+3} b_i)^5, the fifth power of the whole
+    chain: chain_head(i) b_i, five times."""
+    return power(mul(chain_head(i), b(i)), 5)
+
+
+def chain_word(i: int) -> Word:
+    """chain_head(i) followed by each of its nonempty proper prefixes,
+    longest first: b_{i-1} a_{2i}..a_{2i+3} b_{i-1} a_{2i}..a_{2i+2} ... b_{i-1} a_{2i}
+    b_{i-1}."""
+    head = chain_head(i)
+    return mul(*(head[:k] for k in range(len(head), 0, -1)))
+
+
 def a8_word(i: int) -> Word:
-    """Right side of relator A8(i), b_{i+1} = a8_word(i): a word over
-    b_{i-1}, b_i and the a's."""
-    head = mul(b(i - 1), arun(2 * i, 2 * i + 3))
-    return mul(power(mul(head, b(i)), 5), power(head, -6))
-
-
-def chain_word(i: int, which: int) -> Word:
-    if which not in (1, 2):
-        raise ValueError(f"chain word {which} is not 1 or 2")
-    if which == 2:
-        return power(mul(b(i - 1), arun(2 * i, 2 * i + 3), b(i)), 5)
-    w = ()
-    for top in range(2 * i + 3, 2 * i - 1, -1):
-        w = mul(w, b(i - 1), arun(2 * i, top))
-    return mul(w, b(i - 1))
+    """Right side of relator A8(i), b_{i+1} = a8_word(i): chain_power(i)
+    chain_head(i)^-6, a word over b_{i-1}, b_i and the a's."""
+    return mul(chain_power(i), power(chain_head(i), -6))
 
 
 def g3_slide_word() -> Word:
@@ -319,6 +328,13 @@ def _small_genus(g: int, n: int) -> Presentation:
     raise ValueError(f"no small-genus presentation for ({g},{n})")
 
 
+def generators(g: int) -> tuple:
+    """a_1..a_{g-1}, u_1..u_{g-1} and b_0..b_{g//2-1}: the generators of
+    the presentations of (g,1) and, from g = 4, of (g,0), in the order
+    they are printed, and the ones whose tables verify uses at genus g."""
+    return (*(gen(f, i) for f in "au" for i in range(1, g)), *(gen("b", j) for j in range(g // 2)))
+
+
 def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
     """Presentation of the mapping class group of the nonorientable
     surface of genus g with n boundary components (n in {0, 1})."""
@@ -328,9 +344,6 @@ def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
         raise ValueError(f"genus must be >= 1, not {g}")
     if g <= 2 or (g, n) == (3, 0):
         return _small_genus(g, n)
-    gens = [gen("a", i) for i in range(1, g)]
-    gens += [gen("u", i) for i in range(1, g)]
-    gens += [gen("b", j) for j in range(0, (g - 2) // 2 + 1)]
     rels, add = _records(g, n)
     _twist_relators(g, add)
     _braid_relators(g, n == 0, add)
@@ -338,7 +351,7 @@ def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
     if n == 0:
         mid = mul(arun(2, g - 1), urun_down(g - 1, 2))
         add("D", (), mul(a(1), mid, a(1)), mid, tier=3)
-    return Presentation(g, n, tuple(gens), tuple(rels))
+    return Presentation(g, n, generators(g), tuple(rels))
 
 
 def tietze_eliminate(pres: Presentation, victim: Gen) -> Presentation:

@@ -1,8 +1,10 @@
 """Step-by-step replay of recorded relation derivations.
 
 A script is a JSON fixture holding a start word, an end word, and a
-list of rewrite steps. The replayer executes the steps on a raw
-(unreduced) letter sequence and checks three things:
+list of rewrite steps. The replayer first checks the script's metadata,
+before any step: its tier is 1 or 2, and a tier-2 script states its
+exponent w_power. It then executes the steps on a raw (unreduced)
+letter sequence and checks three things:
 
 * each applied rewrite matches the current word letter-for-letter at
   the stated position, which lies inside the word;
@@ -42,7 +44,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .words import Word, parse_raw, fmt, free_reduce, inverse, mul, cyclic_canon
+from .words import Word, parse_raw, fmt, free_reduce, inverse, cyclic_canon
 from .catalogue import Entry, citable, relation_index
 from .verify import verify_entry
 
@@ -52,8 +54,6 @@ SCRIPT_DIR = Path(__file__).parent / "fixtures" / "scripts"
 class StepMismatch(Exception):
     def __init__(self, script: str, step: int, message: str):
         super().__init__(f"script {script!r} step {step}: {message}")
-        self.script = script
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,14 @@ class ReplayReport:
     conclusion: Entry  # start = end freely reduced, checked at the endpoint; a dependent cites it
 
 
-def _licensed(match: Word, replace: Word, lhs: Word, rhs: Word) -> bool:
-    """match -> replace is a consequence of the single relation lhs = rhs:
-    freely trivial, or a cyclic rotation of its relator or the inverse.
-    match and replace are script text, which may be unreduced, so their
-    quotient is reduced here; the sides are reduced (a builder's, or a
-    dependency's conclusion), so the relator is joined by mul."""
+def _licensed(match: Word, replace: Word, relator: Word) -> bool:
+    """match -> replace is a consequence of the single relation whose
+    freely reduced relator lhs * rhs^-1 is relator (the cited Entry's
+    word): freely trivial, or a cyclic rotation of the relator or its
+    inverse. match and replace are script text, which may be unreduced,
+    so their quotient is reduced here."""
     s = cyclic_canon(free_reduce(match + inverse(replace)))
-    return not s or s == cyclic_canon(mul(lhs, inverse(rhs)))
+    return not s or s == cyclic_canon(relator)
 
 
 def load_script(name: str) -> dict:
@@ -107,12 +107,11 @@ def _apply_step(name, i, word, step, index, scope):
                 f"relation {rec.label()} is tier {rec.tier} at ({rec.genus},{rec.boundary});"
                 f" a tier-{scope[2]} script at ({scope[0]},{scope[1]}) may not cite it",
             )
-        lhs, rhs = rec.lhs, rec.rhs
         if "dir" in step:
-            match, replace = (lhs, rhs) if step["dir"] == "LtoR" else (rhs, lhs)
+            match, replace = (rec.lhs, rec.rhs) if step["dir"] == "LtoR" else (rec.rhs, rec.lhs)
         else:
             match, replace = parse_raw(step["match"]), parse_raw(step["replace"])
-            if not _licensed(match, replace, lhs, rhs):
+            if not _licensed(match, replace, rec.word):
                 raise StepMismatch(
                     name, i,
                     f"rewrite {fmt(match)} -> {fmt(replace)} is not a"
@@ -142,6 +141,11 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
     stack.add(name)
     data = load_script(name)
     g, n, tier = data["genus"], data["boundary"], data["tier"]
+    if tier not in (1, 2):
+        raise StepMismatch(name, -1, f"unsupported tier {tier}")
+    if tier == 2 and "w_power" not in data:
+        raise StepMismatch(name, -1, "a tier-2 script must state its exponent w_power")
+    k = data["w_power"] if tier == 2 else 0
     if (g, n) not in memo:
         memo[g, n] = relation_index(g, n)
     index = dict(memo[g, n])
@@ -165,14 +169,6 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
             name, last,
             f"final word {fmt(tuple(word))} != declared end {fmt(end)}",
         )
-
-    if tier not in (1, 2):
-        raise StepMismatch(name, last, f"unsupported tier {tier}")
-    k = 0
-    if tier == 2:
-        if "w_power" not in data:
-            raise StepMismatch(name, last, "a tier-2 script must state its exponent w_power")
-        k = data["w_power"]
     conclusion = Entry(f"script:{name}", (), g, n, free_reduce(start), free_reduce(end), tier, k)
     if not verify_entry(conclusion).ok:
         up_to = f" up to w^{k}" if tier == 2 else ""

@@ -115,6 +115,21 @@ def test_relation_index_contains_defining_and_derived_relations():
         assert e.lhs or e.rhs, f"{tag}{params}: both sides empty"
 
 
+def test_relation_index_holds_every_record_verify_decides():
+    # verify(g, n) decides the (g,1) relators at n = 1 and the catalogue
+    # of (g, n): a derivation at (g, n) may cite each of them by its
+    # (tag, params), at every genus, (2,1) included
+    from nmcg.presentations import nonorientable_mcg_presentation
+
+    for g, n in [(g, 1) for g in range(1, 11)] + [(g, 0) for g in range(4, 11)]:
+        ri = relation_index(g, n)
+        decided = list(catalogue(g, n))
+        if n == 1:
+            decided += nonorientable_mcg_presentation(g, 1).relators
+        for e in decided:
+            assert ri.get((e.tag, e.params)) == e, f"({g},{n}) {e.label()}"
+
+
 def test_tier2_entries_state_a_twist_and_fixtures_hold_only_scripts():
     from nmcg.replay import SCRIPT_DIR
 

@@ -158,6 +158,10 @@ GOLDEN = {
     "verify -g 2 -n 1": "48d5f99051f35b1a",
     "verify -g 20 -n 1": "84d553d2772cb6ad",
     "replay": "4ed9b0ca51aae1e3",
+    "tables -g 2": "61caf55f97689fb0",
+    "tables -g 8": "563f915b4ac09b9a",
+    "abelianize -g 2 -n 1": "694d4a2ed2ee79e9",
+    "abelianize -g 7 -n 0": "0216cf2e7ade1f36",
 }
 
 

@@ -60,27 +60,27 @@ def test_replay_all_reads_each_script_once(monkeypatch):
 
 
 def test_licensing_accepts_rotations_and_inverses():
-    lhs, rhs = parse("a1*u2*u1"), parse("u2*u1*a2")
+    rel = Entry("C2", (1,), 4, 1, parse("a1*u2*u1"), parse("u2*u1*a2")).word
     # the relation itself and its reverse reading
-    assert _licensed(parse_raw("a1*u2*u1"), parse_raw("u2*u1*a2"), lhs, rhs)
-    assert _licensed(parse_raw("u2*u1*a2"), parse_raw("a1*u2*u1"), lhs, rhs)
+    assert _licensed(parse_raw("a1*u2*u1"), parse_raw("u2*u1*a2"), rel)
+    assert _licensed(parse_raw("u2*u1*a2"), parse_raw("a1*u2*u1"), rel)
     # a rotated reading: the quotient word is a cyclic shift of the relation
     assert _licensed(
-        parse_raw("u2*u1"), parse_raw("a1^-1*u2*u1*a2"), lhs, rhs
+        parse_raw("u2*u1"), parse_raw("a1^-1*u2*u1*a2"), rel
     )
     # an inverse-rotated reading
     assert _licensed(
-        parse_raw("a2"), parse_raw("u1^-1*u2^-1*a1*u2*u1"), lhs, rhs
+        parse_raw("a2"), parse_raw("u1^-1*u2^-1*a1*u2*u1"), rel
     )
     # trivial rewrites are always licensed
-    assert _licensed(parse_raw("a1*a1^-1"), (), lhs, rhs)
+    assert _licensed(parse_raw("a1*a1^-1"), (), rel)
 
 
 def test_licensing_rejects_unrelated_rewrites():
-    lhs, rhs = parse("a1*u2*u1"), parse("u2*u1*a2")
-    assert not _licensed(parse_raw("a1"), parse_raw("a2"), lhs, rhs)
-    assert not _licensed(parse_raw("a1*u2*u1"), parse_raw("u2*u1*a3"), lhs, rhs)
-    assert not _licensed((), parse_raw("a1*a1"), lhs, rhs)
+    rel = Entry("C2", (1,), 4, 1, parse("a1*u2*u1"), parse("u2*u1*a2")).word
+    assert not _licensed(parse_raw("a1"), parse_raw("a2"), rel)
+    assert not _licensed(parse_raw("a1*u2*u1"), parse_raw("u2*u1*a3"), rel)
+    assert not _licensed((), parse_raw("a1*a1"), rel)
 
 
 def test_apply_step_checks_position_exactly():
@@ -284,6 +284,22 @@ def test_tier2_entry_is_refused_to_a_tier1_one_boundary_script(tmp_path, monkeyp
             replay_script("bogus")
     _scripts_with(tmp_path, monkeypatch, dict(bogus, tier=2, w_power=0))
     assert replay_script("bogus").steps == 2
+
+
+def test_script_metadata_is_checked_before_any_step(tmp_path, monkeypatch):
+    # tier 3 would let step 0 cite the tier-2 B3 at (4,1): the script is
+    # refused for its tier before a step is replayed
+    import nmcg.replay as replay_mod
+
+    steps = [{"op": "apply", "at": 0, "rel": "B3", "dir": "RtoL"}]
+    tier3 = {"name": "tier3", "genus": 4, "boundary": 1, "tier": 3,
+             "start": "a1", "end": "a1", "steps": steps}
+    _scripts_with(tmp_path, monkeypatch, tier3)
+    applied = []
+    monkeypatch.setattr(replay_mod, "_apply_step", lambda *args: applied.append(args))
+    with pytest.raises(StepMismatch, match=r"script 'tier3' step -1: unsupported tier 3"):
+        replay_script("tier3")
+    assert applied == []
 
 
 def test_shipped_scripts_cite_these_catalogue_entries():

@@ -465,7 +465,7 @@ from nmcg.catalogue import Entry, catalogue
 from nmcg.cosets import group_order
 from nmcg.homology_action import f2_matrix
 from nmcg.pi1_action import crosscap_transposition, curve_twist
-from nmcg.presentations import Presentation, chain_word, nonorientable_mcg_presentation
+from nmcg.presentations import Presentation, nonorientable_mcg_presentation
 from nmcg.verify import verify_entry
 from nmcg.words import gen, gen_of, named, parse
 
@@ -487,7 +487,6 @@ for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z",
                   ("u4", lambda: crosscap_transposition(4, 4)),
                   ("curve", lambda: curve_twist(1, 6, 4)),
                   ("f2u0", lambda: f2_matrix(parse("u0"), 4)),
-                  ("chain", lambda: chain_word(1, 3)),
                   ("boundary2", lambda: nonorientable_mcg_presentation(4, 2)),
                   ("ragged", lambda: smith_diagonal([[1, 2], [3]], 2)),
                   ("foreign", lambda: group_order(foreign))):
@@ -516,7 +515,6 @@ print(json.dumps(out))
     assert out["u4"][0] == "ValueError" and "u_4" in out["u4"][1]
     assert out["curve"][0] == "ValueError" and "1..6" in out["curve"][1]
     assert out["f2u0"][0] == "ValueError" and "u_0" in out["f2u0"][1]
-    assert out["chain"][0] == "ValueError" and "3" in out["chain"][1]
     assert out["boundary2"][0] == "ValueError" and "boundary" in out["boundary2"][1]
     assert out["ragged"][0] == "ValueError" and "ragged" in out["ragged"][1]
     assert out["foreign"][0] == "ValueError" and "a2" in out["foreign"][1]
