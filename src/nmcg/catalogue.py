@@ -27,7 +27,7 @@ only once the boundary is capped, and 1 for every other relator.
 
 from __future__ import annotations
 
-from .words import Factored, Word, inverse, lit, mul, named, power
+from .words import Factored, Word, inverse, letters, lit, mul, named, power
 from .presentations import (
     Entry,
     a,
@@ -50,7 +50,7 @@ from .presentations import (
 
 
 def _chain3_rhs_delta() -> Word:
-    d4 = delta_word(4)
+    d4 = letters(delta_word(4))
     return mul(d4, inverse(b(1)), inverse(d4))
 
 
@@ -163,7 +163,8 @@ def punctured_entries(g: int) -> list:
 def closed_entries(g: int) -> list:
     """Tier-3 entries: relations of the closed mapping class group.
     B3, B4, B4b and E6, the long one-sided powers, are one-part Factored
-    powers, which verify builds by squaring; every other side is flat."""
+    powers, which verify builds by squaring; every other side is a plain
+    word, r_g and Delta_4 in it taken by their letters."""
     E = []
 
     def add(tag, params, lhs, rhs=(), tier=3):
@@ -171,7 +172,7 @@ def closed_entries(g: int) -> list:
 
     if g < 4:
         raise ValueError(f"closed verification needs genus >= 4 (small cancellation), not {g}")
-    rg = r_word(g)
+    rg = letters(r_word(g))
     add("B3", (), Factored(((urun(1, g - 1), g),)))
     add("B4", (), Factored(((urun(1, g - 2), g - 1),)))
     add("B4a", (), mul(urun_down(g - 1, 1), urun(1, g - 1)))

@@ -201,18 +201,19 @@ class Evaluator:
     crosscap_transposition; words maps each named element of genus g
     (y1, y2, v, r_g, c, d) to its defining word over a_i, u_i and b_j,
     the union of expansion_env(g, 0) and expansion_env(g, 1), which
-    agree on every name they share.
+    agree on every name they share. It is built on first read: the
+    tables verify decides at (g,1) name none of them.
 
     Every table the Evaluator builds is one record (_Record), made on
     first use by _record(part, k) and kept in _records as long as the
     Evaluator. A record is keyed by a letter c, or by (part, k) for any
-    other power part^k: a one-letter part with k = +-1 is its letter, and
-    a Factored part keys as its letters. Evaluation is a homomorphism, so
-    equal words have equal tables, and a shared factor such as Delta_k,
-    u_1..u_m or r_g, and each of its powers, is built once whichever
-    object holds it; |k| > 1 squares the table of part^(+-1). A record
-    also holds what _step and splice read of its table, made the first
-    time it is stepped or spliced (see _Record).
+    other power part^k: a plain one-letter part with k = +-1 is its
+    letter, and a Factored part keys as itself, by its parts, never by
+    its flat letters, which are never built. So a shared factor such as
+    Delta_k, u_1..u_m or r_g, and each of its powers, is built once
+    whichever equal object holds it; |k| > 1 squares the table of
+    part^(+-1). A record also holds what _step and splice read of its
+    table, made the first time it is stepped or spliced (see _Record).
 
     A plain word is the product of its letters, a Factored word that of
     its parts, and a product is one fold (_fold): the first record's
@@ -222,8 +223,8 @@ class Evaluator:
     u_{k-i} Delta_k (B5), which splice takes into the product of the rest
     with its record; the images of every T(Delta_k) share their runs, so
     each run's image is computed once per letter and basis. A Factored
-    word evaluated whole is not cached itself; it reuses the record of a
-    part with its letters.
+    word evaluated whole is not cached itself; it reuses the record of an
+    equal Factored part.
 
     The Evaluator works in basis x. Its sibling q, built with it,
     runs the same code in basis q with its own records: its letter table
@@ -237,7 +238,6 @@ class Evaluator:
 
     def __init__(self, g: int, x=None):
         self.g = g
-        self.words = {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
         self._records = {}  # a letter, or (part, k) -> the _Record of its table
         # the letters u_i^+-1 and b_j^+-1 of genus g, for deciding
@@ -248,13 +248,24 @@ class Evaluator:
         # the Evaluator of the same genus in basis q: the sibling, or self
         self.q = Evaluator(g, x=self) if x is None else self
 
+    @cached_property
+    def words(self):
+        g, x = self.g, self._x
+        return {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
+
     def deciding(self, lhs: Word, rhs: Word) -> "Evaluator":
         """The Evaluator that decides T(lhs) == C o T(rhs): the basis-q
         sibling when lhs and rhs have a b_j letter and no u_i letter (b_j
         tables are short in basis q, and u_i moves q_k for every odd
-        k > i), else self. Either basis gives the same verdict."""
-        letters = {*lhs, *rhs}
-        return self.q if letters.isdisjoint(self._u) and not letters.isdisjoint(self._b) else self
+        k > i), else self. Either basis gives the same verdict. The
+        sides are read piece by piece (_pieces), never flattened, and
+        the first u_i letter ends the read."""
+        b = False
+        for w in _pieces(lhs, rhs):
+            if not self._u.isdisjoint(w):
+                return self
+            b = b or not self._b.isdisjoint(w)
+        return self.q if b else self
 
     def letter_table(self, c: int):
         return self._record((c,), 1).table
@@ -290,17 +301,19 @@ class Evaluator:
 
     def evaluate(self, word: Word):
         if isinstance(word, Factored):
-            # not cached itself, but a part with its letters may be
+            # not cached itself, but an equal Factored part may be
             hit = self._records.get((word, 1))
             return hit.table if hit is not None else self._product(word.parts)
-        return self._fold(self._record((c,), 1) for c in word)
+        get = self._records.get  # a letter's record is keyed by the letter
+        return self._fold(get(c) or self._record((c,), 1) for c in word)
 
     def _record(self, part, k: int):
         """The record of part^k (k != 0), keyed as the class docstring
         says and built if missing: a letter's table by _letter, |k| > 1 by
         squaring the table of part^(+-1), and part^(+-1) as the product of
         a Factored part's parts, or of a plain part's letters."""
-        key = part[0] * k if len(part) == 1 and abs(k) == 1 else (part, k)
+        letter_key = abs(k) == 1 and type(part) is not Factored and len(part) == 1
+        key = part[0] * k if letter_key else (part, k)
         rec = self._records.get(key)
         if rec is None:
             if type(key) is int:
@@ -316,8 +329,9 @@ class Evaluator:
 
     def _product(self, parts):
         parts = [(part, k) for part, k in parts if k]
-        if len(parts) > 1 and len(parts[0][0]) == 1 and abs(parts[0][1]) == 1:
-            first = self._record(*parts[0])
+        lead, k = parts[0] if parts else ((), 0)
+        if len(parts) > 1 and abs(k) == 1 and type(lead) is not Factored and len(lead) == 1:
+            first = self._record(lead, k)
             return splice(first.signed, first.runs, self._product(parts[1:]))
         return self._fold(self._record(part, k) for part, k in parts)
 
@@ -328,6 +342,16 @@ class Evaluator:
         for rec in records:
             acc = rec.table if acc is None else _step(acc, rec.moved)
         return identity_table(self.g) if acc is None else acc
+
+
+def _pieces(*words):
+    """The plain words that make up the words, in order: a Factored
+    word's parts of nonzero exponent, recursively, once per occurrence."""
+    for w in words:
+        if type(w) is Factored:
+            yield from _pieces(*(p for p, k in w.parts if k))
+        else:
+            yield w
 
 
 class _Record:

@@ -39,6 +39,7 @@ from .words import (
     gen,
     inverse,
     letter,
+    letters,
     lit,
     mul,
     named,
@@ -82,11 +83,12 @@ def urun_down(i: int, j: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def delta_word(k: int) -> Factored:
-    """Half-twist Delta_k = (u_1..u_{k-1}) * Delta_{k-1}, empty for k <= 1.
-    Cached so that the recursion builds each Delta_k once."""
-    if k <= 1:
-        return Factored(())
+def delta_word(k: int) -> Word:
+    """Half-twist Delta_k = (u_1..u_{k-1}) * Delta_{k-1}, a Factored word
+    from k = 3; Delta_1 and Delta_2 are the plain words 1 and u_1. Cached
+    so that the recursion builds each Delta_k once."""
+    if k <= 2:
+        return urun(1, k - 1)
     return Factored(((urun(1, k - 1), 1), (delta_word(k - 1), 1)))
 
 
@@ -159,7 +161,7 @@ def expansion_env(g: int, n: int) -> dict:
         env[named("y2")] = y_word(2)
     if g >= 4:
         env[named("v")] = v_word()
-        env[named(f"r{g}")] = r_word(g)
+        env[named(f"r{g}")] = letters(r_word(g))
     if g >= 6:
         env[named("c")] = c_word()
     if (g, n) == (3, 1):
@@ -186,7 +188,7 @@ class Entry:
 
     @cached_property  # writes __dict__ directly, so frozen does not stop it
     def word(self) -> Word:
-        return mul(self.lhs, inverse(self.rhs))
+        return mul(letters(self.lhs), inverse(letters(self.rhs)))
 
     def label(self) -> str:
         p = ",".join(map(str, self.params))

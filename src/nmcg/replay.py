@@ -1,10 +1,11 @@
 """Step-by-step replay of recorded relation derivations.
 
 A script is a JSON fixture holding a start word, an end word, and a
-list of rewrite steps. The replayer first checks the script's metadata,
-before any step: its tier is 1 or 2, and a tier-2 script states its
-exponent w_power. It then executes the steps on a raw (unreduced)
-letter sequence and checks three things:
+list of rewrite steps. The replayer first checks the script's shape
+(_check_shape: every key it reads is there, and each op and dir is one
+it knows), then its metadata, before any step: its tier is 1 or 2, and
+a tier-2 script states its exponent w_power. It then executes the steps
+on a raw (unreduced) letter sequence and checks three things:
 
 * each applied rewrite matches the current word letter-for-letter at
   the stated position, which lies inside the word;
@@ -44,7 +45,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .words import Word, parse_raw, fmt, free_reduce, inverse, cyclic_canon
+from .words import Word, parse_raw, fmt, free_reduce, inverse, cyclic_canon, letters
 from .catalogue import Entry, citable, relation_index
 from .verify import verify_entry
 
@@ -87,16 +88,44 @@ def available_scripts() -> list:
     return sorted(p.stem for p in SCRIPT_DIR.glob("*.json"))
 
 
+_STEP_KEYS = {"cancel": (), "insert": ("at", "aux"), "apply": ("at", "rel")}
+
+
+def _check_shape(name: str, data: dict) -> None:
+    """Refuse a script that lacks a key the replayer reads, or whose step
+    has an unknown op or dir, naming the step (-1 for the script) and
+    the key. An apply step states either dir or both match and replace."""
+
+    def need(i, obj, *keys):
+        for key in keys:
+            if key not in obj:
+                raise StepMismatch(name, i, f"missing key {key!r}")
+
+    need(-1, data, "genus", "boundary", "tier", "start", "end", "steps")
+    for i, step in enumerate(data["steps"]):
+        need(i, step, "op")
+        if step["op"] not in _STEP_KEYS:
+            raise StepMismatch(name, i, f"unknown op {step['op']!r}")
+        need(i, step, *_STEP_KEYS[step["op"]])
+        if step["op"] != "apply":
+            continue
+        if "dir" not in step:
+            need(i, step, "match", "replace")
+        elif step["dir"] not in ("LtoR", "RtoL"):
+            raise StepMismatch(name, i, f"key 'dir' is {step['dir']!r}, not 'LtoR' or 'RtoL'")
+
+
 def _apply_step(name, i, word, step, index, scope):
-    """The word after step i; index maps (tag, params) to the records the
-    script may name, and scope is its (genus, boundary, tier)."""
+    """The word after step i, a step of a shape _check_shape accepts;
+    index maps (tag, params) to the records the script may name, and
+    scope is its (genus, boundary, tier)."""
     op = step["op"]
     if op == "cancel":
         return list(free_reduce(tuple(word)))
     if op == "insert":  # a rewrite of the empty subword at `at`
         aux = parse_raw(step["aux"])
         match, replace = (), aux + inverse(aux)
-    elif op == "apply":
+    else:
         key = (step["rel"], tuple(step.get("params", ())))
         rec = index.get(key)
         if rec is None:
@@ -108,7 +137,8 @@ def _apply_step(name, i, word, step, index, scope):
                 f" a tier-{scope[2]} script at ({scope[0]},{scope[1]}) may not cite it",
             )
         if "dir" in step:
-            match, replace = (rec.lhs, rec.rhs) if step["dir"] == "LtoR" else (rec.rhs, rec.lhs)
+            sides = (rec.lhs, rec.rhs) if step["dir"] == "LtoR" else (rec.rhs, rec.lhs)
+            match, replace = map(letters, sides)
         else:
             match, replace = parse_raw(step["match"]), parse_raw(step["replace"])
             if not _licensed(match, replace, rec.word):
@@ -117,8 +147,6 @@ def _apply_step(name, i, word, step, index, scope):
                     f"rewrite {fmt(match)} -> {fmt(replace)} is not a"
                     f" consequence of {key}",
                 )
-    else:
-        raise StepMismatch(name, i, f"unknown op {op!r}")
     at = step["at"]
     if not 0 <= at <= len(word) - len(match):
         raise StepMismatch(name, i, f"{op} position {at} out of range")
@@ -140,6 +168,7 @@ def replay_script(name: str, _memo=None, _stack=None) -> ReplayReport:
         raise StepMismatch(name, -1, "dependency cycle")
     stack.add(name)
     data = load_script(name)
+    _check_shape(name, data)
     g, n, tier = data["genus"], data["boundary"], data["tier"]
     if tier not in (1, 2):
         raise StepMismatch(name, -1, f"unsupported tier {tier}")

@@ -18,14 +18,16 @@ one_relator use the kernel for their words in x_1..x_g, signed ints with
 +i for x_i, and one_relator keeps the contract: dehn_reduce and
 equal_in_quotient take freely reduced words, like mul and power.
 
-A ``Factored`` word is a tuple of the same flat, freely reduced letters
-that also keeps how it was built: ``parts = ((part, k), ...)``, the
-product of part^k in order, each part a word or a ``Factored``. It is a
-straight-line program in the sense of Lohrey, *The Compressed Word
-Problem for Groups* (2014). Every function here sees only the flat
-letters; ``pi1_action.Evaluator`` reads ``parts`` to build the table of a
-shared factor (such as the half-twist ``presentations.delta_word(k)``)
-once and to take powers by squaring.
+A ``Factored`` word keeps only how it is built: ``parts = ((part, k),
+...)``, the product of part^k in order, each part a freely reduced word
+or a ``Factored``. It is a straight-line program in the sense of Lohrey,
+*The Compressed Word Problem for Groups* (2014), and holds no flat
+letters. ``letters`` is the one function that flattens it, where a word
+is printed or matched; fmt prints a ``Factored`` word by its letters,
+and every other function here takes plain words only.
+``pi1_action.Evaluator`` reads ``parts`` to build the table of a shared
+factor (such as the half-twist ``presentations.delta_word(k)``) once and
+to take powers by squaring.
 
 Text syntax: letters like ``a3``, ``u2``, ``b0``, or a bare name (``d``,
 ``y1``, ``r4``, ``c``, ``v``), separated by ``*`` or whitespace,
@@ -121,8 +123,9 @@ def parse(text: str) -> Word:
 
 
 def fmt(word: Word) -> str:
-    """Deterministic inverse of parse (up to free reduction)."""
-    return "*".join(gen_of(c).label() + ("" if c > 0 else "^-1") for c in word) or "1"
+    """Deterministic inverse of parse (up to free reduction); a Factored
+    word prints as its letters."""
+    return "*".join(gen_of(c).label() + ("" if c > 0 else "^-1") for c in letters(word)) or "1"
 
 
 # ---- the word kernel ------------------------------------------------------
@@ -185,17 +188,31 @@ def power(word: Word, k: int) -> Word:
 # ---- built on the kernel --------------------------------------------------
 
 
-class Factored(tuple):
-    """The freely reduced word part_1^k_1 part_2^k_2 ..., built from
-    parts = ((part, k), ...) and keeping them. The letters are computed
-    here from parts, so the flat word and its structure cannot disagree.
-    Slices, products and inverses of it are plain words."""
+class Factored:
+    """The word part_1^k_1 part_2^k_2 ..., kept as parts = ((part, k), ...)
+    and nothing else. Equality and hash are those of parts, the hash
+    computed once. It has no len and cannot be iterated, so a flat read
+    fails instead of expanding it: letters(w) gives its letters."""
 
-    def __new__(cls, parts):
-        parts = tuple(parts)
-        self = super().__new__(cls, mul(*(power(p, k) for p, k in parts)))
-        self.parts = parts
-        return self
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self._hash = hash(self.parts)
+
+    def __eq__(self, other):
+        return type(other) is Factored and self._hash == other._hash and self.parts == other.parts
+
+    def __hash__(self):
+        return self._hash
+
+
+def letters(word) -> Word:
+    """The flat, freely reduced letters of a plain word (itself) or of a
+    Factored word (the product of its parts' powers)."""
+    if type(word) is Factored:
+        return mul(*(power(letters(p), k) for p, k in word.parts))
+    return word
 
 
 def cyclic_reduce(word: Word) -> Word:

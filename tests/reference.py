@@ -15,7 +15,7 @@ relator or its inverse, and a full re-scan after each rewrite."""
 
 from nmcg.pi1_action import boundary_word, crosscap_transposition, curve_twist, identity_table, xsub
 from nmcg.presentations import expansion_env
-from nmcg.words import cyclic_reduce, free_reduce, gen_of, inverse, mul, power
+from nmcg.words import cyclic_reduce, free_reduce, gen_of, inverse, letters, mul, power
 
 
 def conjugation_table(w, g):
@@ -50,7 +50,7 @@ def reference_table(word, g):
     letter c in turn, every image of T(c) substituted by xsub."""
     words = {**expansion_env(g, 0), **expansion_env(g, 1)}
     acc = identity_table(g)
-    for c in _expand(tuple(word), words):
+    for c in _expand(letters(word), words):
         acc = tuple(xsub(im, acc) for im in _generator_table(c, g))
     return acc
 

@@ -302,6 +302,56 @@ def test_script_metadata_is_checked_before_any_step(tmp_path, monkeypatch):
     assert applied == []
 
 
+def _malformed():
+    """(name, script, step, key): a well-formed (4,1) script, b0 -> a1 by
+    A7, then an inserted and cancelled u1 u1^-1, with one key taken out
+    or spoiled, and the step (-1 for the script) and key replay names."""
+    base = {"genus": 4, "boundary": 1, "tier": 1, "start": "b0", "end": "a1",
+            "steps": [{"op": "apply", "at": 0, "rel": "A7", "dir": "LtoR"},
+                      {"op": "insert", "at": 0, "aux": "u1"}, {"op": "cancel"}]}
+    yield "ok", base, None, None
+    for key in ("genus", "boundary", "tier", "start", "end", "steps"):
+        yield f"no_{key}", {k: v for k, v in base.items() if k != key}, -1, key
+
+    def step_edit(name, i, key, edit):
+        steps = [dict(step) for step in base["steps"]]
+        edit(steps[i])
+        return name, dict(base, steps=steps), i, key
+
+    for key in ("op", "at", "rel"):
+        yield step_edit(f"apply_no_{key}", 0, key, lambda step: step.pop(key))
+    # with no dir, an apply step needs both match and replace
+    yield step_edit("apply_no_dir", 0, "match", lambda step: step.pop("dir"))
+    yield step_edit("apply_no_replace", 0, "replace",
+                    lambda step: step.pop("dir") and step.update(match="b0"))
+    yield step_edit("apply_bad_dir", 0, "dir", lambda step: step.update(dir="LR"))
+    yield step_edit("insert_no_aux", 1, "aux", lambda step: step.pop("aux"))
+
+
+def test_malformed_scripts_are_refused_by_step_and_key(tmp_path, monkeypatch, capsys):
+    # the shape check runs before the metadata check and before any step:
+    # a missing key is named, never a KeyError, and a dir other than LtoR
+    # or RtoL is refused, not read as RtoL; nmcg replay reports each
+    from nmcg.cli import main
+
+    cases = [dict(data, name=name) for name, data, _, _ in _malformed()]
+    _scripts_with(tmp_path, monkeypatch, *cases)
+    for name, _, step, key in _malformed():
+        if key is None:
+            assert replay_script(name).steps == 3
+            continue
+        with pytest.raises(StepMismatch, match=rf"^script '{name}' step {step}: .*'{key}'"):
+            replay_script(name)
+        assert main(["replay", name]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {name}: script '{name}' step {step}: ") and f"'{key}'" in out, out
+    # a tier-3 script that lacks "end" is refused for the key, not the tier
+    no_end = next(data for data in cases if data["name"] == "no_end")
+    _scripts_with(tmp_path, monkeypatch, dict(no_end, name="t3", tier=3))
+    with pytest.raises(StepMismatch, match=r"step -1: missing key 'end'"):
+        replay_script("t3")
+
+
 def test_shipped_scripts_cite_these_catalogue_entries():
     # every other rewrite is licensed by a presentation relator or by a
     # script that derives its relation

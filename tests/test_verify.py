@@ -10,7 +10,7 @@ import nmcg.verify as verify_mod
 from nmcg.catalogue import Entry, catalogue
 from nmcg.presentations import delta_word, nonorientable_mcg_presentation, urun
 from nmcg.verify import Verdict, boundary_fixation, verify, verify_entry
-from nmcg.words import Factored, cyclic_canon, gen_of, letter, power
+from nmcg.words import Factored, cyclic_canon, gen_of, letter, letters, power
 
 
 def _entry(g, n, label):
@@ -108,7 +108,7 @@ def test_tier1_and_tier2_verdicts_do_not_depend_on_the_basis(monkeypatch):
     rule = [verify_entry(e) for e in entries]
     for e in entries:
         ev = evaluator(e.genus)
-        fams = {gen_of(c).fam for c in e.lhs + e.rhs}
+        fams = {gen_of(c).fam for c in letters(e.lhs) + letters(e.rhs)}
         chosen = ev.deciding(e.lhs, e.rhs)
         assert chosen is (ev.q if "b" in fams and "u" not in fams else ev), e.label()
         routed += chosen is not ev
@@ -180,6 +180,39 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # letter steps took (919, 0, 0) to (24, 0, 895), unchanged since
     counts = _cold_compose_count(monkeypatch, lambda: list(verify(24, 0)))
     assert counts == (24, 0, 895), counts
+
+
+def test_verify_never_flattens_a_factored_side(monkeypatch, cold_evaluators):
+    # a Factored side holds only its parts; its flat letters, O(k^2) for
+    # Delta_k times a letter, are built only by words.letters, and only
+    # to print or match. A cold verify at (16,1), the one-boundary
+    # Evaluator built inside it, must decide every entry without them
+    import importlib
+    import pkgutil
+
+    import pytest
+
+    import nmcg
+    from nmcg.words import fmt
+
+    names = [m.name for m in pkgutil.iter_modules(nmcg.__path__)]
+    modules = [importlib.import_module(f"nmcg.{name}") for name in names]
+    real = letters
+
+    def plain_only(word):
+        if isinstance(word, Factored):
+            raise AssertionError("a Factored word was flattened")
+        return real(word)
+
+    binders = [m for m in modules if getattr(m, "letters", None) is real]
+    assert {m.__name__ for m in binders} >= {"nmcg.words", "nmcg.presentations",
+                                              "nmcg.catalogue", "nmcg.replay"}
+    for m in binders:
+        monkeypatch.setattr(m, "letters", plain_only)
+    with pytest.raises(AssertionError, match="flattened"):
+        fmt(delta_word(5))
+    verdicts = list(verify(16, 1))
+    assert len(verdicts) > 500 and all(v.ok for v in verdicts)
 
 
 def test_verify_catalogue_tier_filter():
@@ -292,7 +325,7 @@ def _side_mutants(e):
     faithful, so each mutant side is another mapping class and the
     mutated relation is false at the entry's stated exponent."""
     for field in ("lhs", "rhs"):
-        w = getattr(e, field)
+        w = letters(getattr(e, field))
         for i, c in enumerate(w):
             if gen_of(c).fam in "aub":
                 for repl in ((-c,), ()):
@@ -338,7 +371,8 @@ def _leading_letter_mutants(e):
     reaches the splice of its leading letter."""
     for field in ("lhs", "rhs"):
         side = getattr(e, field)
-        if not isinstance(side, Factored) or len(side.parts[0][0]) != 1:
+        lead = side.parts[0][0] if isinstance(side, Factored) else None
+        if not isinstance(lead, tuple) or len(lead) != 1:
             continue
         ((c,), k), rest = side.parts[0], side.parts[1:]
         x = gen_of(c)
@@ -378,7 +412,7 @@ def _one_inversion_per_side(e, n):
     has one: the n-th such letter, counted cyclically, so that entry by
     entry every position of a side is reached."""
     for field in ("lhs", "rhs"):
-        w = getattr(e, field)
+        w = letters(getattr(e, field))
         at = [i for i, c in enumerate(w) if gen_of(c).fam in "aub"]
         if at:
             i = at[n % len(at)]
