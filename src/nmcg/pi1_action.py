@@ -201,8 +201,7 @@ class Evaluator:
     crosscap_transposition; words maps each named element of genus g
     (y1, y2, v, r_g, c, d) to its defining word over a_i, u_i and b_j,
     the union of expansion_env(g, 0) and expansion_env(g, 1), which
-    agree on every name they share. It is built on first read: the
-    tables verify decides at (g,1) name none of them.
+    agree on every name they share.
 
     Every table the Evaluator builds is one record (_Record), made on
     first use by _record(part, k) and kept in _records as long as the
@@ -238,6 +237,7 @@ class Evaluator:
 
     def __init__(self, g: int, x=None):
         self.g = g
+        self.words = {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
         self._x = x  # the basis-x Evaluator whose letter tables this one rewrites
         self._records = {}  # a letter, or (part, k) -> the _Record of its table
         # the letters u_i^+-1 and b_j^+-1 of genus g, for deciding
@@ -247,11 +247,6 @@ class Evaluator:
         self.boundary = w if x is None else xsub(w, prefix_basis_inverse(g))
         # the Evaluator of the same genus in basis q: the sibling, or self
         self.q = Evaluator(g, x=self) if x is None else self
-
-    @cached_property
-    def words(self):
-        g, x = self.g, self._x
-        return {**expansion_env(g, 0), **expansion_env(g, 1)} if x is None else x.words
 
     def deciding(self, lhs: Word, rhs: Word) -> "Evaluator":
         """The Evaluator that decides T(lhs) == C o T(rhs): the basis-q

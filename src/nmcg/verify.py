@@ -56,7 +56,7 @@ def verify_entry(e: Entry) -> Verdict:
         else:
             detail = f"lhs = rhs*w^{k}" if ok else f"lhs != rhs*w^{k} for the stated twist k = {k}"
     elif e.tier == 3:
-        res = find_inner_conjugator(ev.evaluate(e.word if e.rhs else e.lhs), g)
+        res = find_inner_conjugator(ev.evaluate(e.lhs if e.rhs == () else e.word), g)
         ok = res.status == VERIFIED
         if ok:
             detail = f"inner in the quotient, conjugator {list(res.conjugator)}"

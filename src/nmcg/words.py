@@ -191,8 +191,11 @@ def power(word: Word, k: int) -> Word:
 class Factored:
     """The word part_1^k_1 part_2^k_2 ..., kept as parts = ((part, k), ...)
     and nothing else. Equality and hash are those of parts, the hash
-    computed once. It has no len and cannot be iterated, so a flat read
-    fails instead of expanding it: letters(w) gives its letters."""
+    computed once. It cannot be iterated, so a flat read fails instead
+    of expanding it: letters(w) gives its letters. Its len, and so its
+    truth value, is that of letters(w), built for the call and dropped,
+    for a caller that counts letters by len (bench/tracing.py); the
+    package takes no len of a Factored."""
 
     __slots__ = ("parts", "_hash")
 
@@ -206,13 +209,29 @@ class Factored:
     def __hash__(self):
         return self._hash
 
+    def __len__(self):
+        return len(letters(self))
+
 
 def letters(word) -> Word:
     """The flat, freely reduced letters of a plain word (itself) or of a
-    Factored word (the product of its parts' powers)."""
-    if type(word) is Factored:
-        return mul(*(power(letters(p), k) for p, k in word.parts))
-    return word
+    Factored word (the product of its parts' powers). One walk lists the
+    plain parts in order and one mul joins them, so the cost is the
+    length of the unreduced product, and nothing is kept after it."""
+    if type(word) is not Factored:
+        return word
+    pieces = []
+
+    def walk(w, k):
+        if type(w) is not Factored:
+            pieces.extend([w if k > 0 else inverse(w)] * abs(k))
+            return
+        parts = w.parts if k > 0 else [(p, -e) for p, e in reversed(w.parts)]
+        for p, e in parts * abs(k):
+            walk(p, e)
+
+    walk(word, 1)
+    return mul(*pieces)
 
 
 def cyclic_reduce(word: Word) -> Word:

@@ -185,14 +185,16 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
 def test_verify_never_flattens_a_factored_side(monkeypatch, cold_evaluators):
     # a Factored side holds only its parts; its flat letters, O(k^2) for
     # Delta_k times a letter, are built only by words.letters, and only
-    # to print or match. A cold verify at (16,1), the one-boundary
-    # Evaluator built inside it, must decide every entry without them
+    # to print or match. A verify at (16,1) from a cold Evaluator, whose
+    # named words (r_g among them, by its letters) are built before the
+    # patch, must decide every entry without them
     import importlib
     import pkgutil
 
     import pytest
 
     import nmcg
+    from nmcg.pi1_action import evaluator
     from nmcg.words import fmt
 
     names = [m.name for m in pkgutil.iter_modules(nmcg.__path__)]
@@ -204,13 +206,15 @@ def test_verify_never_flattens_a_factored_side(monkeypatch, cold_evaluators):
             raise AssertionError("a Factored word was flattened")
         return real(word)
 
+    evaluator(16)
     binders = [m for m in modules if getattr(m, "letters", None) is real]
     assert {m.__name__ for m in binders} >= {"nmcg.words", "nmcg.presentations",
                                               "nmcg.catalogue", "nmcg.replay"}
     for m in binders:
         monkeypatch.setattr(m, "letters", plain_only)
-    with pytest.raises(AssertionError, match="flattened"):
-        fmt(delta_word(5))
+    for read in (fmt, len, bool):
+        with pytest.raises(AssertionError, match="flattened"):
+            read(delta_word(5))
     verdicts = list(verify(16, 1))
     assert len(verdicts) > 500 and all(v.ok for v in verdicts)
 
@@ -451,7 +455,7 @@ def test_verdicts_match_the_reference_evaluator(cold_evaluators):
         for e in catalogue(g, 0):
             if e.tier == 3:
                 tables += 1
-                table = evaluator(g).evaluate(e.word if e.rhs else e.lhs)
+                table = evaluator(g).evaluate(e.lhs if e.rhs == () else e.word)
                 assert table == reference_table(e.word, g), (g, e.label())
     assert (verdicts, mutants, tables) == (1318, 2407, 98), (verdicts, mutants, tables)
 

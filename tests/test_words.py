@@ -1,8 +1,11 @@
 """Free-group word layer: reduction, parsing, and the algebra helpers."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+import pytest
 
 from nmcg.words import (
+    Factored,
     cyclic_canon,
     cyclic_reduce,
     exponent_matrix,
@@ -12,6 +15,7 @@ from nmcg.words import (
     gen_of,
     inverse,
     letter,
+    letters,
     lit,
     mul,
     named,
@@ -189,3 +193,39 @@ def test_lit_sign():
 def test_named_roundtrip():
     d = named("d")
     assert d.name == "d" and parse(fmt(lit(d))) == lit(d)
+
+
+def _naive_letters(w, k=1):
+    # the unreduced letters of w^k, a Factored word expanded part by part
+    if not isinstance(w, Factored):
+        return tuple(w if k > 0 else inverse(w)) * abs(k)
+    once = sum((_naive_letters(p, e) for p, e in w.parts), ())
+    return (once if k > 0 else tuple(-c for c in reversed(once))) * abs(k)
+
+
+_factored = st.recursive(
+    _words.map(free_reduce),
+    lambda parts: st.lists(st.tuples(parts, st.integers(-3, 3)), max_size=4).map(Factored),
+    max_leaves=12,
+)
+
+
+_d = (letter(gen("a", 1)), letter(gen("u", 2)))
+
+
+@given(_factored)
+@example(Factored(((_d, 2), (Factored(((_d, 1),)), -2))))
+def test_letters_is_the_reduced_expansion_of_the_parts(w):
+    # nested parts, negative and zero exponents, and parts that cancel
+    # across their junctions or whole (the example has no letters): letters
+    # is the free reduction of the expansion, and len and truth value of
+    # a Factored are its letters'
+    flat = letters(w)
+    assert flat == _naive_reduce(_naive_letters(w))
+    if isinstance(w, Factored):
+        assert len(w) == len(flat) and bool(w) == bool(flat)
+        assert fmt(w) == fmt(flat)
+        with pytest.raises(TypeError):
+            iter(w)
+    else:
+        assert flat is w
