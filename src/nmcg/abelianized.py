@@ -14,9 +14,9 @@ from .presentations import Presentation
 
 
 def relation_matrix(pres: Presentation):
-    """Rows indexed by relators, columns by pres.generators."""
-    return exponent_matrix([(r.lhs, r.rhs) for r in pres.relators],
-                           [letter(x) for x in pres.generators])
+    """The nonzero sparse rows of exponent_matrix, a column per generator."""
+    return [row for row in exponent_matrix([(r.lhs, r.rhs) for r in pres.relators],
+                                           [letter(x) for x in pres.generators]) if row]
 
 
 def _nearest(a, d):
@@ -34,55 +34,52 @@ def _add(row, k, x):
 
 
 def smith_diagonal(rows, ncols) -> tuple:
-    """Invariant factors d_1 | d_2 | ... (positive, 1s included).
+    """Invariant factors d_1 | d_2 | ... (positive, 1s included) of the
+    matrix with the sparse rows {col: value} (no zero value, col in
+    0..ncols-1) that relation_matrix builds; the rows are not changed.
 
-    One sparse loop: each nonzero row is a {col: value} dict; zero rows,
-    most of a relation matrix, are dropped before any dict is built. A
-    round pivots on the first entry d = +-1 in row order, and only when
-    no unit is left on the entry d of least |d| (ties: shortest row). A
-    unit is a least entry, so both rules take a pivot of least |d|. The
-    round clears the pivot's column by row operations and its row by
-    column operations, each with the nearest-integer quotient, so every
-    remainder has |r| <= |d|/2 (0 for a unit, whose row and column are
-    then removed whole). With both clear, |d| is emitted if it divides
-    every remaining entry; otherwise an offending row is added to the
-    pivot row, reduced mod d. So each round emits or leaves a nonzero
+    One loop. A round pivots on the first entry d = +-1 in row order, or,
+    with no unit left, on the entry d of least |d| (ties: shortest row),
+    and clears its column by row operations with the nearest-integer
+    quotient, so every remainder has |r| <= |d|/2. A unit leaves none and
+    divides every entry, so 1 is emitted and its row dropped whole: the
+    column operations that would clear it touch no other row. Otherwise
+    column operations clear the row likewise, and |d| is emitted if it
+    divides every remaining entry; if not, an offending row is added to
+    the pivot row, reduced mod d. So each round emits or leaves a nonzero
     entry of at most |d|/2: the loop ends, and the entries stay bounded
     where elimination without small remainders lets them explode (Kannan
     and Bachem, SIAM J. Comput. 8, 1979).
     """
-    if any(len(r) != ncols for r in rows):
-        raise ValueError(f"ragged relation matrix: a row does not have {ncols} entries")
-    m = [{j: v for j, v in enumerate(row) if v} for row in rows if any(row)]
+    m = [dict(r) for r in rows]
+    if not set().union(*m) <= set(range(ncols)) or not all(map(all, map(dict.values, m))):
+        raise ValueError(f"bad relation row: a zero value or a column outside 0..{ncols - 1}")
     diag = []
-    while m:
-        ij = next(((i, j) for i, r in enumerate(m) for j, v in r.items() if v in (1, -1)), None)
-        if ij is None:
-            _, _, *ij = min((abs(v), len(r), i, j) for i, r in enumerate(m) for j, v in r.items())
-        i, j = ij
-        piv = m[i]
+    while m := [r for r in m if r]:
+        piv, j = next(((r, j) for r in m for j, v in r.items() if v in (1, -1)), (None, None))
+        if piv is None:
+            _, _, i, j = min((abs(v), len(r), i, j) for i, r in enumerate(m) for j, v in r.items())
+            piv = m[i]
         d = piv[j]
-        for r in m:
-            if r is not piv and j in r:
-                q = _nearest(r[j], d)
-                for k, v in piv.items():
-                    _add(r, k, -q * v)
-        col = [r for r in m if j in r]
-        for k in [k for k in piv if k != j]:
-            q = _nearest(piv[k], d)
-            for r in col:
-                _add(r, k, -q * r[j])
-        if len(col) == 1 and len(piv) == 1:
-            # a unit divides every entry, so only |d| > 1 needs the scan
-            bad = None if abs(d) == 1 else next(
-                (r for r in m if any(v % d for v in r.values())), None)
-            if bad is None:
-                diag.append(abs(d))
-                piv.clear()
-            else:
+        for r in [r for r in m if j in r and r is not piv]:
+            q = _nearest(r[j], d)
+            for k, v in piv.items():
+                _add(r, k, -q * v)
+        if d not in (1, -1):
+            col = [r for r in m if j in r]
+            for k in [k for k in piv if k != j]:
+                q = _nearest(piv[k], d)
+                for r in col:
+                    _add(r, k, -q * r[j])
+            if len(col) > 1 or len(piv) > 1:
+                continue
+            bad = next((r for r in m if any(v % d for v in r.values())), None)
+            if bad is not None:
                 for k, v in bad.items():
                     _add(piv, k, v - _nearest(v, d) * d)
-        m = [r for r in m if r]
+                continue
+        diag.append(abs(d))
+        piv.clear()
     return tuple(diag)
 
 
@@ -103,7 +100,4 @@ class H1Result:
 
 def h1(pres: Presentation) -> H1Result:
     diag = smith_diagonal(relation_matrix(pres), len(pres.generators))
-    return H1Result(
-        free_rank=len(pres.generators) - len(diag),
-        torsion=tuple(d for d in diag if d > 1),
-    )
+    return H1Result(len(pres.generators) - len(diag), tuple(d for d in diag if d > 1))

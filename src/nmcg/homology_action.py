@@ -95,7 +95,8 @@ def preserves_mod2_form(M) -> bool:
 
 def z_matrix_of_table(table, g: int):
     """Column i-1 is the exponent vector of the image of x_i."""
-    return [list(row) for row in zip(*exponent_matrix([(im, ()) for im in table], range(1, g + 1)))]
+    cols = exponent_matrix([(im, ()) for im in table], range(1, g + 1))
+    return [[col.get(r, 0) for col in cols] for r in range(g)]
 
 
 def z_matrix(word: Word, g: int, env=None):

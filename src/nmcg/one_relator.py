@@ -135,10 +135,10 @@ def cyclic_dehn_reduce(word, g: int) -> tuple:
 def _x1_exponent(q2: Word, g: int):
     """k with q2 = x_1^k x_2^m in G_g, or None when no such k, m exist."""
     sums = exponent_matrix([(q2, ())], range(1, g + 1))[0]
-    t2 = sums[2]
-    if t2 % 2 or any(s != t2 for s in sums[3:]):
+    t2 = sums.get(2, 0)
+    if t2 % 2 or any(sums.get(i, 0) != t2 for i in range(3, g)):
         return None
-    k, m = sums[0] - t2, sums[1] - t2
+    k, m = sums.get(0, 0) - t2, sums.get(1, 0) - t2
     return k if equal_in_quotient(q2, mul(power((1,), k), power((2,), m)), g) else None
 
 

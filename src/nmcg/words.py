@@ -266,21 +266,26 @@ def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
 
 
 def exponent_matrix(equations, columns) -> list:
-    """One exponent-sum row of lhs rhs^-1 per equation (lhs, rhs), with a
-    column for each positive letter in columns; the letter-to-(column,
-    sign) map is built once. Free reduction does not change exponent
-    sums, so lhs rhs^-1 itself is never built."""
+    """One sparse exponent-sum row {column: sum} of lhs rhs^-1 per equation
+    (lhs, rhs), with no zero sum ({} if all vanish, as when rhs is lhs
+    reversed, a commutation); column i is the positive letter columns[i].
+    The sums gather in one reused list; lhs rhs^-1 is never built."""
     pos = {}
     for i, c in enumerate(columns):
         pos[c], pos[-c] = (i, 1), (i, -1)
-    rows = []
+    rows, acc = [], [0] * len(columns)
     for lhs, rhs in equations:
-        row = [0] * len(columns)
-        for c in lhs:
-            i, s = pos[c]
-            row[i] += s
-        for c in rhs:
-            i, s = pos[c]
-            row[i] -= s
+        row = {}
+        if lhs != rhs[::-1]:
+            for c in lhs:
+                i, s = pos[c]
+                acc[i] += s
+            for c in rhs:
+                i, s = pos[c]
+                acc[i] -= s
+            for c in lhs + rhs:  # read and reset the columns touched
+                i = pos[c][0]
+                if acc[i]:
+                    row[i], acc[i] = acc[i], 0
         rows.append(row)
     return rows

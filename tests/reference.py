@@ -11,7 +11,10 @@ uses, which other tests pin.
 dehn_windows and the two Dehn reductions below are the rewrite order of
 one_relator spelled out by plain table lookups: a dict per window length
 L = g+1..2g, keyed by every window of that length of a rotation of the
-relator or its inverse, and a full re-scan after each rewrite."""
+relator or its inverse, and a full re-scan after each rewrite.
+
+sparse_rows writes a dense integer matrix as the {column: value} rows,
+with no zero value, that smith_diagonal takes."""
 
 from nmcg.pi1_action import boundary_word, crosscap_transposition, curve_twist, identity_table, xsub
 from nmcg.presentations import expansion_env
@@ -107,3 +110,8 @@ def straddling_cyclic_dehn_reduce(word, g):
             return free_reduce(q), w
         q.extend(w[:pos])
         w = rescanning_dehn_reduce(w[pos:] + w[:pos], g)
+
+
+def sparse_rows(m):
+    """The rows of the dense matrix m as {column: value} dicts, zeros left out."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m]

@@ -8,6 +8,7 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import sparse_rows
 
 from nmcg.abelianized import h1, relation_matrix, smith_diagonal
 from nmcg.presentations import (
@@ -27,13 +28,13 @@ def _toy(relator_texts, gens="a1 a2"):
 
 
 def test_smith_diagonal_known_matrices():
-    assert tuple(smith_diagonal([[2, 4], [6, 8]], 2)) == (2, 4)
-    assert tuple(smith_diagonal([[1, 0], [0, 1]], 2)) == (1, 1)
-    assert tuple(smith_diagonal([[0, 0], [0, 0]], 2)) == (), (
+    assert tuple(smith_diagonal(sparse_rows([[2, 4], [6, 8]]), 2)) == (2, 4)
+    assert tuple(smith_diagonal(sparse_rows([[1, 0], [0, 1]]), 2)) == (1, 1)
+    assert tuple(smith_diagonal(sparse_rows([[0, 0], [0, 0]]), 2)) == (), (
         "zero rows contribute no invariant factors"
     )
-    assert tuple(smith_diagonal([[6]], 1)) == (6,)
-    assert tuple(smith_diagonal([[2, 0], [0, 3]], 2)) == (1, 6), (
+    assert tuple(smith_diagonal(sparse_rows([[6]]), 1)) == (6,)
+    assert tuple(smith_diagonal(sparse_rows([[2, 0], [0, 3]]), 2)) == (1, 6), (
         "diagonal must be put in divisibility order"
     )
 
@@ -87,7 +88,7 @@ def _small_matrices(draw):
 @given(_small_matrices())
 def test_smith_diagonal_matches_determinantal_divisors(case):
     m, nc = case
-    diag = smith_diagonal(m, nc)
+    diag = smith_diagonal(sparse_rows(m), nc)
     assert diag == _determinantal_factors(m, nc)
     assert _is_chain(diag)
 
@@ -106,7 +107,7 @@ def _relation_like_matrices(draw):
 @given(_relation_like_matrices())
 def test_smith_diagonal_of_relation_like_matrices(case):
     m, nc = case
-    diag = smith_diagonal(m, nc)
+    diag = smith_diagonal(sparse_rows(m), nc)
     assert diag == _determinantal_factors(m, nc)
     assert _is_chain(diag)
 
@@ -118,7 +119,7 @@ def test_smith_diagonal_bounds_its_entries():
          [1, 0, 4, 1, -9, -2, 0], [-1, 6, 2, 0, 1, 0, 3], [0, 3, 0, 0, 2, 2, 0],
          [0, 0, 3, 0, 4, 0, -2]]
     t0 = time.perf_counter()
-    diag = smith_diagonal(m, 7)
+    diag = smith_diagonal(sparse_rows(m), 7)
     dt = time.perf_counter() - t0
     assert diag == _determinantal_factors(m, 7)
     assert dt < 1.0, f"7x7 Smith normal form exceeded its 1s budget: {dt:.2f}s"
@@ -127,8 +128,9 @@ def test_smith_diagonal_bounds_its_entries():
 def test_smith_diagonal_dense_12x12_batch():
     rng = random.Random(12)
     mats = [[[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)] for _ in range(50)]
+    rows = [sparse_rows(m) for m in mats]
     t0 = time.perf_counter()
-    diags = [smith_diagonal(m, 12) for m in mats]
+    diags = [smith_diagonal(r, 12) for r in rows]
     dt = time.perf_counter() - t0
     for m, diag in zip(mats, diags):
         assert _is_chain(diag)
@@ -163,15 +165,20 @@ def test_h1_labels():
 
 
 def test_relation_matrix_shape():
-    # rows come from lhs and rhs; they must match the reduced relator word
-    for g, n in ((4, 1), (7, 0), (12, 1)):
+    # rows come from lhs and rhs; they must match the sparse exponent sums
+    # of the reduced relator word, and exactly the zero-sum relators drop
+    for g, n in ((4, 1), (7, 0), (12, 1), (24, 0)):
         pres = nonorientable_mcg_presentation(g, n)
         m = relation_matrix(pres)
-        assert len(m) == len(pres.relators)
-        assert all(len(row) == len(pres.generators) for row in m)
         order = [letter(x) for x in pres.generators]
-        for row, r in zip(m, pres.relators):
-            assert row == exponent_matrix([(r.word, ())], order)[0], f"({g},{n}) {r.text()}"
+        sums = [(exponent_matrix([(r.word, ())], order)[0], r) for r in pres.relators]
+        kept = [(row, r) for row, r in sums if row]
+        assert len(m) == len(kept), f"({g},{n})"
+        for row, (want, r) in zip(m, kept):
+            assert row == want, f"({g},{n}) {r.text()}"
+            assert 0 not in row.values() and all(0 <= j < len(order) for j in row)
+        if (g, n) == (24, 0):
+            assert (len(pres.relators), len(sums) - len(kept)) == (616, 507)
 
 
 def test_h1_invariant_under_relator_shuffle():

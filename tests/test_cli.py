@@ -162,6 +162,9 @@ GOLDEN = {
     "tables -g 8": "563f915b4ac09b9a",
     "abelianize -g 2 -n 1": "694d4a2ed2ee79e9",
     "abelianize -g 7 -n 0": "0216cf2e7ade1f36",
+    "abelianize -g 24 -n 0": "0216cf2e7ade1f36",
+    "abelianize -g 48 -n 1": "0216cf2e7ade1f36",
+    "abelianize -g 96 -n 0": "0216cf2e7ade1f36",
 }
 
 

@@ -526,7 +526,7 @@ for key, call in (("closed3", lambda: catalogue(3, 0)), ("gen", lambda: gen("z",
                   ("curve", lambda: curve_twist(1, 6, 4)),
                   ("f2u0", lambda: f2_matrix(parse("u0"), 4)),
                   ("boundary2", lambda: nonorientable_mcg_presentation(4, 2)),
-                  ("ragged", lambda: smith_diagonal([[1, 2], [3]], 2)),
+                  ("column", lambda: smith_diagonal([{0: 1, 1: 2}, {2: 3}], 2)),
                   ("foreign", lambda: group_order(foreign))):
     try:
         out[key] = ["returned", repr(call())]
@@ -554,7 +554,7 @@ print(json.dumps(out))
     assert out["curve"][0] == "ValueError" and "1..6" in out["curve"][1]
     assert out["f2u0"][0] == "ValueError" and "u_0" in out["f2u0"][1]
     assert out["boundary2"][0] == "ValueError" and "boundary" in out["boundary2"][1]
-    assert out["ragged"][0] == "ValueError" and "ragged" in out["ragged"][1]
+    assert out["column"][0] == "ValueError" and "outside 0..1" in out["column"][1]
     assert out["foreign"][0] == "ValueError" and "a2" in out["foreign"][1]
 
 

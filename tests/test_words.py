@@ -181,8 +181,12 @@ def test_substitute_is_a_homomorphism():
 
 def test_exponent_sums_counts_signs():
     order = [letter(gen("a", 1)), letter(gen("u", 2))]
-    assert exponent_matrix([(parse("a1*a1*u2^-1"), ())], order)[0] == [2, -1]
-    assert exponent_matrix([((), ())], order)[0] == [0, 0]
+    assert exponent_matrix([(parse("a1*a1*u2^-1"), ())], order)[0] == {0: 2, 1: -1}
+    assert exponent_matrix([((), ())], order)[0] == {}
+    # a commutation (rhs is lhs reversed) has zero sums, a braid relation not
+    pairs = [(parse("a1*u2"), parse("u2*a1")), (parse("a1*u2*a1"), parse("u2*a1*u2")),
+             (parse("a1*a1*u2"), parse("a1*u2*a1"))]
+    assert exponent_matrix(pairs, order) == [{}, {0: 1, 1: -1}, {}]
 
 
 def test_lit_sign():
