@@ -114,7 +114,7 @@ def punctured_entries(g: int) -> list:
     for rho in (2, 3):
         if g >= 2 * rho + 2:
             c1 = chain_word(rho - 1)
-            add("A8a", (rho, "power"), power(c1, 2), power(chain_head(rho - 1), 6))
+            add("A8a", (rho, "power"), power(c1, 2), Factored(((chain_head(rho - 1), 6),)))
             add("A8a", (rho, "cokernel"), chain_power(rho - 1), mul(power(c1, 2), b(rho)))
     # the relations of b_{rho-2} (H5, H6 at rho = 2) and b_{rho-1} (H3, H4
     # at rho = 3) with a_1..a_{2rho+1}: the others, with b_1, are A3 and
@@ -140,7 +140,7 @@ def punctured_entries(g: int) -> list:
         sg("iii", mul(d, a(1), d), mul(a(1), d, a(1)))
         sg("v", mul(u(2), a(1), inverse(u(2))), mul(a(1), inverse(d), inverse(a(1))))
         sg("vi", power(mul(d, u(2)), 2), power(mul(u(2), d), 2))
-        sg("vii", power(mul(d, u(2)), 2), power(mul(a(2), d, d, a(1)), 3))
+        sg("vii", power(mul(d, u(2)), 2), Factored(((mul(a(2), d, d, a(1)), 3),)))
     # tier 2: relations of the capped surface, which hold at (g,1) up to
     # the stated power of the boundary twist. B4 is not one: it twists
     # about the curve around crosscaps 1..g-1, which bounds a Moebius
@@ -162,9 +162,10 @@ def punctured_entries(g: int) -> list:
 
 def closed_entries(g: int) -> list:
     """Tier-3 entries: relations of the closed mapping class group.
-    B3, B4, B4b and E6, the long one-sided powers, are one-part Factored
-    powers, which verify builds by squaring; every other side is a plain
-    word, r_g and Delta_4 in it taken by their letters."""
+    Every power p^k with k >= 3, B3, B4, B4b, E6 and at g = 4 smallgenus
+    viii, is a one-part Factored power, which verify builds by squaring;
+    every other side is a plain word, r_g and Delta_4 in it taken by
+    their letters."""
     E = []
 
     def add(tag, params, lhs, rhs=(), tier=3):
@@ -203,7 +204,7 @@ def closed_entries(g: int) -> list:
         sg("v", 3, power(mul(u(3), d), 2))
         sg("vi", 1, mul(d, a(3)), mul(a(3), d))
         sg("vii", 1, mul(d, a(2), d), mul(a(2), d, a(2)))
-        sg("viii", 3, power(mul(d, a(2), a(3)), 4))
+        sg("viii", 3, Factored(((mul(d, a(2), a(3)), 4),)))
         sg("ix", 3, mul(u(3), d, inverse(u(3))), mul(u(1), d, inverse(u(1))))
     if g == 6:
         d = lantern_d_word()

@@ -212,7 +212,7 @@ class Evaluator:
     Delta_k, u_1..u_m or r_g, and each of its powers, is built once
     whichever equal object holds it; |k| > 1 squares the table of
     part^(+-1). A record also holds what _step and splice read of its
-    table, made the first time it is stepped or spliced (see _Record).
+    table (see _Record).
 
     A plain word is the product of its letters, a Factored word that of
     its parts, and a product is one fold (_fold): the first record's
@@ -350,19 +350,16 @@ def _pieces(*words):
 
 
 class _Record:
-    """A table of an Evaluator, with what _step and splice read of it,
-    each made on first use: its moves (see _moves) for _step, the same
-    with the inverse of each image keyed -i for splice, and its run
-    cache, which holds the image of each run of moved letters that splice
-    has met. Only letter tables are spliced, so a part's record never
-    holds the inverse images."""
+    """A table of an Evaluator, with what _step and splice read of it:
+    its moves (see _moves) for _step, made with the record, since _fold
+    reads them once per letter step; the same with the inverse of each
+    image keyed -i for splice, made on first use; and its run cache,
+    which holds the image of each run of moved letters that splice has
+    met. Only letter tables are spliced, so a part's record never holds
+    the inverse images."""
 
     def __init__(self, table):
-        self.table, self.runs = table, {}
-
-    @cached_property
-    def moved(self):
-        return _moves(self.table)
+        self.table, self.moved, self.runs = table, _moves(table), {}
 
     @cached_property
     def signed(self):

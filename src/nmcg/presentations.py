@@ -19,10 +19,13 @@ The builders trust what they build: a, u and b return cached one-letter
 words (the runs read those letters), and every side is joined by mul,
 power or Factored from pieces that are already freely reduced (letters,
 runs, powers, inverses and other kernel output), so no side is
-re-scanned. Each relator's record is made once, where it is built, with
-both sides as built. A test, not a re-scan here, checks that every
-relator and catalogue side is reduced: a builder that passes an
-unreduced piece fails it.
+re-scanned. A side that is a power p^k with k >= 3 (A5, A6, B3, B4 and
+the sixth power of (3,0)) is the one-part Factored power ((p, k),),
+whose table verify builds by squaring; A8's right side, a product of
+two powers, and the exponent-2 sides stay plain. Each relator's record
+is made once, where it is built, with both sides as built. A test, not
+a re-scan here, checks that every relator and catalogue side is
+reduced: a builder that passes an unreduced piece fails it.
 """
 
 from __future__ import annotations
@@ -118,10 +121,10 @@ def chain_head(i: int) -> Word:
     return mul(b(i - 1), arun(2 * i, 2 * i + 3))
 
 
-def chain_power(i: int) -> Word:
+def chain_power(i: int) -> Factored:
     """(b_{i-1} a_{2i} ... a_{2i+3} b_i)^5, the fifth power of the whole
-    chain: chain_head(i) b_i, five times."""
-    return power(mul(chain_head(i), b(i)), 5)
+    chain chain_head(i) b_i, as its one part."""
+    return Factored(((mul(chain_head(i), b(i)), 5),))
 
 
 def chain_word(i: int) -> Word:
@@ -134,8 +137,8 @@ def chain_word(i: int) -> Word:
 
 def a8_word(i: int) -> Word:
     """Right side of relator A8(i), b_{i+1} = a8_word(i): chain_power(i)
-    chain_head(i)^-6, a word over b_{i-1}, b_i and the a's."""
-    return mul(chain_power(i), power(chain_head(i), -6))
+    chain_head(i)^-6, a plain word over b_{i-1}, b_i and the a's."""
+    return mul(power(*chain_power(i).parts[0]), power(chain_head(i), -6))
 
 
 def g3_slide_word() -> Word:
@@ -251,9 +254,11 @@ def _twist_relators(g: int, add) -> None:
                 add("A3", (i,), mul(a(i), b(1)), mul(b(1), a(i)))
     if g >= 5:
         add("A4", (), mul(b(1), a(4), b(1)), mul(a(4), b(1), a(4)))
-        add("A5", (), power(mul(arun(2, 4), b(1)), 10), power(mul(arun(1, 4), b(1)), 6))
+        add("A5", (), Factored(((mul(arun(2, 4), b(1)), 10),)),
+            Factored(((mul(arun(1, 4), b(1)), 6),)))
     if g >= 7:
-        add("A6", (), power(mul(arun(2, 6), b(1)), 12), power(mul(arun(1, 6), b(1)), 9))
+        add("A6", (), Factored(((mul(arun(2, 6), b(1)), 12),)),
+            Factored(((mul(arun(1, 6), b(1)), 9),)))
     add("A7", (), b(0), a(1))
     i = 1
     while 2 * i <= g - 4:
@@ -273,8 +278,8 @@ def _braid_relators(g: int, spherical: bool, add) -> None:
     for i in range(1, g - 1):
         add("B2", (i,), mul(u(i), u(i + 1), u(i)), mul(u(i + 1), u(i), u(i + 1)))
     if spherical:
-        add("B3", (), power(urun(1, g - 1), g), tier=3)
-        add("B4", (), power(urun(1, g - 2), g - 1), tier=3)
+        add("B3", (), Factored(((urun(1, g - 1), g),)), tier=3)
+        add("B4", (), Factored(((urun(1, g - 2), g - 1),)), tier=3)
 
 
 def _crosscap_relators(g: int, add) -> None:
@@ -325,7 +330,7 @@ def _small_genus(g: int, n: int) -> Presentation:
         sg("2", power(lit(y2), 2))
         sg("3", power(mul(a(1), lit(y2)), 2))
         sg("4", power(mul(a(2), lit(y2)), 2))
-        sg("5", power(mul(a(1), a(2)), 6))
+        sg("5", Factored(((mul(a(1), a(2)), 6),)))
         return Presentation(3, 0, (gen("a", 1), gen("a", 2), y2), tuple(rels))
     raise ValueError(f"no small-genus presentation for ({g},{n})")
 
@@ -358,7 +363,8 @@ def nonorientable_mcg_presentation(g: int, n: int) -> Presentation:
 
 def tietze_eliminate(pres: Presentation, victim: Gen) -> Presentation:
     """Remove a generator using the first relator in which it occurs
-    exactly once."""
+    exactly once. Each side is substituted in by its letters, so the
+    relators of the result have plain sides."""
     v = letter(victim)
     for relator_index, rel in enumerate(pres.relators):
         if sum(1 for c in rel.word if abs(c) == v) == 1:
@@ -375,7 +381,7 @@ def tietze_eliminate(pres: Presentation, victim: Gen) -> Presentation:
     sub = {v: img}
     gens = tuple(gn for gn in pres.generators if gn != victim)
     rels = tuple(
-        replace(r, lhs=substitute(r.lhs, sub), rhs=substitute(r.rhs, sub))
+        replace(r, lhs=substitute(letters(r.lhs), sub), rhs=substitute(letters(r.rhs), sub))
         for i, r in enumerate(pres.relators)
         if i != relator_index
     )

@@ -8,18 +8,20 @@ Tiers 1 and 2 are one decision, T(lhs) == C o T(rhs), with C the
 conjugation by w^k, w the boundary word and k the exponent the entry
 states (Entry.twist; tier 1 is k = 0). A words.Factored side holds
 only its parts and is evaluated from them, never flattened, so a shared
-factor's table is built once per surface. An entry whose letters
-include a b_j and no u_i is decided in the prefix basis q
-(pi1_action.Evaluator.deciding), where b_j tables are short, and w is
-written in that basis; every other entry in basis x.
+factor's table is built once per surface, and a one-part power p^k
+(A5, A6, A8a's chain powers) squares the table of p once per genus and
+basis. An entry whose letters include a b_j and no u_i is decided in
+the prefix basis q (pi1_action.Evaluator.deciding), where b_j tables
+are short, and w is written in that basis; every other entry in basis
+x.
 Replay endpoints, entries at their script's tier, take this path too.
 Tier 3 is one exact route: it decides innerness of the relator's
 table in the one-relator quotient (one_relator.find_inner_conjugator),
 Verified with the conjugator, or Refuted naming the generator whose
 image fails. The relator's table is that of lhs when rhs is empty, so
-a Factored power (B3, B4, B4b, E6 at (g,0)) is built by squaring; an
-entry with both sides is folded letter by letter from its flat word,
-Entry.word.
+a Factored power (B3, B4, B4b, E6 and the (4,0) viii at (g,0)) is
+built by squaring; an entry with both sides is folded letter by letter
+from its flat word, Entry.word.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ or a ``Factored``. It is a straight-line program in the sense of Lohrey,
 *The Compressed Word Problem for Groups* (2014), and holds no flat
 letters. ``letters`` is the one function that flattens it, where a word
 is printed or matched; fmt prints a ``Factored`` word by its letters,
-and every other function here takes plain words only.
+exponent_matrix reads it by its parts, and every other function here
+takes plain words only.
 ``pi1_action.Evaluator`` reads ``parts`` to build the table of a shared
 factor (such as the half-twist ``presentations.delta_word(k)``) once and
 to take powers by squaring.
@@ -265,18 +266,40 @@ def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
     return mul(*map(piece, word))
 
 
+def _scaled(word, k) -> list:
+    """The plain pieces of word^k, each with its exponent, in order:
+    [(word, k)] for a plain word, and a Factored word's parts, scaled."""
+    if type(word) is not Factored:
+        return [(word, k)]
+    return [q for p, e in word.parts for q in _scaled(p, k * e)]
+
+
 def exponent_matrix(equations, columns) -> list:
     """One sparse exponent-sum row {column: sum} of lhs rhs^-1 per equation
     (lhs, rhs), with no zero sum ({} if all vanish, as when rhs is lhs
     reversed, a commutation); column i is the positive letter columns[i].
-    The sums gather in one reused list; lhs rhs^-1 is never built."""
+    The sums gather in one reused list; lhs rhs^-1 is never built. An
+    equation with a Factored side is read by its parts, each plain piece
+    p of exponent k adding k times the sums of p, and is never flattened;
+    one with plain sides, the common case, is read letter by letter."""
     pos = {}
     for i, c in enumerate(columns):
         pos[c], pos[-c] = (i, 1), (i, -1)
     rows, acc = [], [0] * len(columns)
     for lhs, rhs in equations:
         row = {}
-        if lhs != rhs[::-1]:
+        if type(lhs) is Factored or type(rhs) is Factored:
+            pieces = _scaled(lhs, 1) + _scaled(rhs, -1)
+            for w, k in pieces:
+                for c in w:
+                    i, s = pos[c]
+                    acc[i] += k * s
+            for w, _ in pieces:  # read and reset the columns touched
+                for c in w:
+                    i = pos[c][0]
+                    if acc[i]:
+                        row[i], acc[i] = acc[i], 0
+        elif lhs != rhs[::-1]:
             for c in lhs:
                 i, s = pos[c]
                 acc[i] += s

@@ -146,6 +146,7 @@ GOLDEN = {
     "present -g 3 -n 0": "4d9ee3537c81dee7",
     "present -g 3 -n 1": "81450d7178600ef8",
     "present -g 8 -n 0": "9164c2e07675d5f9",
+    "present -g 8 -n 1 --format json": "02b0e696585cd5ec",
     "present -g 24 -n 1": "d5adef754cbd6d33",
     "present -g 24 -n 0 --format json": "0e824385b572aa54",
     "verify -g 8 -n 1": "75e7d58f1259d182",
@@ -162,6 +163,7 @@ GOLDEN = {
     "tables -g 8": "563f915b4ac09b9a",
     "abelianize -g 2 -n 1": "694d4a2ed2ee79e9",
     "abelianize -g 7 -n 0": "0216cf2e7ade1f36",
+    "abelianize -g 7 -n 1": "0216cf2e7ade1f36",
     "abelianize -g 24 -n 0": "0216cf2e7ade1f36",
     "abelianize -g 48 -n 1": "0216cf2e7ade1f36",
     "abelianize -g 96 -n 0": "0216cf2e7ade1f36",

@@ -177,8 +177,8 @@ def test_one_record_per_letter_and_part_power(monkeypatch):
     # the Evaluator keeps one record per key, a letter or (part, k): each
     # is built once however often it is read, letter_table reads a
     # letter's record, a one-letter part with exponent +-1 is its letter,
-    # and moves are made only for a table that is stepped, and the
-    # inverse images only for one that is spliced
+    # every record holds its moves, and the inverse images are made
+    # only for a table that is spliced
     import nmcg.pi1_action as pa
 
     built, record = [], pa._Record
@@ -200,16 +200,17 @@ def test_one_record_per_letter_and_part_power(monkeypatch):
     for k in (1, -1):
         assert ev._record(d2, k) is ev._records[k * u1], k
     assert ev._record(d2, 2) is ev._records[(d2, 2)]
-    # Delta_5^2 evaluated whole is read first: no moves, until a product
-    # steps by it; a part is never spliced, so it never holds the
+    # the moves are made with the record, since _fold reads them once
+    # per letter step; a part is never spliced, so it never holds the
     # inverse images, and a letter does once it leads a product
     ev = Evaluator(g)
     d5 = delta_word(5)
     ev.evaluate(Factored(((d5, 2),)))
     rec = ev._records[(d5, 2)]
-    assert "moved" not in vars(rec) and "moved" not in vars(ev._records[(d5, 1)])
+    for r in (rec, ev._records[(d5, 1)]):
+        assert r.moved == _moves(r.table) and "signed" not in vars(r)
     ev.evaluate(Factored(((urun(1, 4), 1), (d5, 2))))
-    assert rec.moved == _moves(rec.table) and "signed" not in vars(rec)
+    assert "signed" not in vars(rec)
     ev.evaluate(Factored(((u(1), 1), (d5, 2))))
     assert "signed" in vars(ev._records[u1]) and "signed" not in vars(rec)
 

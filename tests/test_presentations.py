@@ -22,7 +22,17 @@ from nmcg.presentations import (
     urun,
     urun_down,
 )
-from nmcg.words import Factored, free_reduce, gen, gen_of, inverse, letters, named, parse
+from nmcg.words import (
+    Factored,
+    cyclic_reduce,
+    free_reduce,
+    gen,
+    gen_of,
+    inverse,
+    letters,
+    named,
+    parse,
+)
 
 
 def test_delta_word_is_the_flat_half_twist_recursion():
@@ -86,20 +96,58 @@ def test_relator_counts_are_stable():
 
 def test_relator_sides_parse_and_reduce():
     # each relator's record holds both sides as built, so this is the
-    # check that the builders emit freely reduced words. Below g = 3 the spherical braid
-    # relators are powers of the empty run u_1..u_{g-2}, so they start at 3
+    # check that the builders emit freely reduced words: a plain side is
+    # reduced, and a Factored one has reduced parts and reduced letters.
+    # Below g = 3 the spherical braid relators are powers of the empty
+    # run u_1..u_{g-2}, so they start at 3
     pres = [nonorientable_mcg_presentation(g, n) for g in range(1, 25) for n in (0, 1)]
     pres += [braid_presentation(g, spherical=True) for g in range(3, 25)]
     tags = set()
+    reduced = lambda w: type(w) is tuple and w == free_reduce(w)
     for p in pres:
         for r in p.relators:
             where = f"({p.genus},{p.boundary}) {r.tag}{r.params}"
             tags.add(r.tag)
             for side in (r.lhs, r.rhs, r.word):
-                assert type(side) is tuple and side == free_reduce(side), f"{where}: unreduced side"
+                if isinstance(side, Factored):
+                    assert all(reduced(p) for p, _ in side.parts), f"{where}: unreduced part"
+                    side = letters(side)
+                assert reduced(side), f"{where}: unreduced side"
             assert r.word, f"{where}: empty relator"
             assert ":" in r.text() and "=" in r.text()
     assert {"A7", "B3", "D", "smallgenus"} <= tags
+
+
+def _proper_power_exponent(w):
+    """The largest k with w = p^k for some word p."""
+    n = len(w)
+    return next((k for k in range(n, 1, -1) if n % k == 0 and w == w[:n // k] * k), 1)
+
+
+def test_every_power_of_exponent_three_or_more_is_one_factored_part():
+    # a side p^k with k >= 3 is Factored(((p, k),)), which verify builds
+    # by squaring the table of p, a plain word, once per genus and basis;
+    # spelt out flat, it would be folded letter by letter at every
+    # verdict. Exponent-2 sides stay flat, squaring a dense table costing
+    # more than the fold, but for the squares of the shared Factored
+    # parts Delta_k and r_g
+    records = [r for g in range(1, 25) for n in (0, 1)
+               for r in nonorientable_mcg_presentation(g, n).relators]
+    records += [r for g in range(3, 25) for r in braid_presentation(g, spherical=True).relators]
+    records += [e for g in range(1, 25) for e in catalogue(g, 1)]
+    records += [e for g in range(4, 25) for e in catalogue(g, 0)]
+    powers = 0
+    for r in records:
+        where = f"({r.genus},{r.boundary}) {r.label()}"
+        for side in (r.lhs, r.rhs):
+            if not isinstance(side, Factored):
+                k = _proper_power_exponent(cyclic_reduce(side))
+                assert k < 3, f"{where}: a plain side whose core is a {k}th power"
+            elif len(side.parts) == 1 and abs(side.parts[0][1]) >= 3:
+                ((p, k),) = side.parts
+                assert type(p) is tuple and p and p == free_reduce(p), f"{where}: part {p}"
+                powers += 1
+    assert powers > 200, powers
 
 
 def test_relator_word_is_built_once():

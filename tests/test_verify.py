@@ -166,12 +166,16 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     # table, letter or part power, took (273, 413, 3859) to (203, 412, 3929):
     # each later part of a product is a letter step by its record, not a
     # compose, and Delta_2 = u_1 keys as u_1's letter record, so B8(3)
-    # squares that table and the splice of u_1 into the identity is gone
+    # squares that table and the splice of u_1 into the identity is gone.
+    # Every side p^k with k >= 3 (A5, A6, A8a's chain powers) is one
+    # Factored part, whose table squares that of p: (203, 412, 3929) to
+    # (230, 412, 3648), the squarings adding composes and removing the
+    # letter steps that folded the flat powers
     def punctured():
         assert all(v.ok for v in verify(20, 1))
 
     counts = _cold_compose_count(monkeypatch, punctured)
-    assert counts == (203, 412, 3929), counts
+    assert counts == (230, 412, 3648), counts
     # the long one-sided closed powers (B3, B4, B4b, E6) are built by
     # squaring the run's table: that took (2921, 0) to (919, 0). E2a and
     # E5 (exponent 2, where squaring a dense table costs more than
@@ -272,8 +276,9 @@ def test_tier3_rejects_every_single_letter_inversion():
 def test_tier3_refutes_wrong_exponents_on_the_squaring_path(monkeypatch, cold_evaluators):
     # the letter inversions above go through the flat relator, which the
     # Evaluator folds letter by letter; these keep the one-part Factored
-    # power run^k of B3, B4, B4b and E6 and change k to k - 1 or k + 1,
-    # so a false relation reaches the squaring of the run's table
+    # power run^k of B3, B4, B4b, E6 and, at g = 4, smallgenus viii, and
+    # change k to k - 1 or k + 1, so a false relation reaches the
+    # squaring of the run's table
     import re
 
     import nmcg.pi1_action as pa
@@ -295,7 +300,43 @@ def test_tier3_refutes_wrong_exponents_on_the_squaring_path(monkeypatch, cold_ev
                     survivors.append(f"({g},0) {e.label()} exponent {j}: {v.detail}, "
                                      f"squared to {calls}")
     assert not survivors, "mutants not refuted on the squaring path:\n" + "\n".join(survivors)
-    assert mutants == 48, mutants
+    # 48 before smallgenus viii at (4,0) was a one-part power
+    assert mutants == 50, mutants
+
+
+def test_tier1_refutes_wrong_exponents_on_the_squaring_path(monkeypatch, cold_evaluators):
+    # each one-part power p^k of a tier-1 side (A5, A6, the A8a chain
+    # powers and smallgenus vii at (3,1)) with k changed to k - 1 or
+    # k + 1: the (g,1) group is torsion-free and the punctured
+    # representation faithful, so p^(k+-1) = p^(+-1) p^k is another
+    # mapping class, and the squaring of p's table must refute it
+    import nmcg.pi1_action as pa
+
+    calls, table_power = [], pa._table_power
+    monkeypatch.setattr(pa, "_table_power", lambda t, k: calls.append(k) or table_power(t, k))
+    mutants, tags, survivors = 0, set(), []
+    for g in range(3, 10):
+        for e in [*nonorientable_mcg_presentation(g, 1).relators, *catalogue(g, 1)]:
+            for field in ("lhs", "rhs"):
+                side = getattr(e, field)
+                if e.tag not in ("A5", "A6", "A8a", "smallgenus") or not isinstance(side, Factored):
+                    continue
+                ((part, k),) = side.parts
+                assert e.tier == 1 and k >= 3, e.label()
+                tags.add(e.tag)
+                for j in (k - 1, k + 1):
+                    calls.clear()
+                    v = verify_entry(dataclasses.replace(e, **{field: Factored(((part, j),))}))
+                    mutants += 1
+                    refuted = v.detail == "sides differ in the punctured representation"
+                    if v.ok or not refuted or j not in calls:
+                        survivors.append(f"({g},1) {e.label()} {field} exponent {j}: "
+                                         f"{v.detail}, squared to {calls}")
+    assert not survivors, "mutants not refuted on the squaring path:\n" + "\n".join(survivors)
+    assert tags == {"A5", "A6", "A8a", "smallgenus"}, tags
+    # A5 at g = 5..9, A6 at 7..9: 4 a genus; A8a at rho = 2 from g = 6
+    # and rho = 3 from g = 8: 4 each; vii at (3,1): 2
+    assert mutants == 58, mutants
 
 
 def test_tier1_rejects_an_extra_half_twist_on_a_factored_side():
