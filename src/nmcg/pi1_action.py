@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 from itertools import compress, count
 
 from .presentations import expansion_env, generators
-from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, power
+from .words import Factored, Gen, Word, gen_of, inverse, letter, mul, pieces, power
 
 
 def xsub(w: Word, table) -> Word:
@@ -253,13 +253,14 @@ class Evaluator:
         sibling when lhs and rhs have a b_j letter and no u_i letter (b_j
         tables are short in basis q, and u_i moves q_k for every odd
         k > i), else self. Either basis gives the same verdict. The
-        sides are read piece by piece (_pieces), never flattened, and
-        the first u_i letter ends the read."""
+        sides are read lazily by words.pieces, never flattened, and the
+        first piece with a u_i letter ends the read."""
         b = False
-        for w in _pieces(lhs, rhs):
-            if not self._u.isdisjoint(w):
-                return self
-            b = b or not self._b.isdisjoint(w)
+        for side in (lhs, rhs):
+            for w, _ in pieces(side):
+                if not self._u.isdisjoint(w):
+                    return self
+                b = b or not self._b.isdisjoint(w)
         return self.q if b else self
 
     def letter_table(self, c: int):
@@ -337,16 +338,6 @@ class Evaluator:
         for rec in records:
             acc = rec.table if acc is None else _step(acc, rec.moved)
         return identity_table(self.g) if acc is None else acc
-
-
-def _pieces(*words):
-    """The plain words that make up the words, in order: a Factored
-    word's parts of nonzero exponent, recursively, once per occurrence."""
-    for w in words:
-        if type(w) is Factored:
-            yield from _pieces(*(p for p, k in w.parts if k))
-        else:
-            yield w
 
 
 class _Record:

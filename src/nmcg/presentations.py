@@ -138,7 +138,7 @@ def chain_word(i: int) -> Word:
 def a8_word(i: int) -> Word:
     """Right side of relator A8(i), b_{i+1} = a8_word(i): chain_power(i)
     chain_head(i)^-6, a plain word over b_{i-1}, b_i and the a's."""
-    return mul(power(*chain_power(i).parts[0]), power(chain_head(i), -6))
+    return mul(letters(chain_power(i)), power(chain_head(i), -6))
 
 
 def g3_slide_word() -> Word:

@@ -22,13 +22,14 @@ A ``Factored`` word keeps only how it is built: ``parts = ((part, k),
 ...)``, the product of part^k in order, each part a freely reduced word
 or a ``Factored``. It is a straight-line program in the sense of Lohrey,
 *The Compressed Word Problem for Groups* (2014), and holds no flat
-letters. ``letters`` is the one function that flattens it, where a word
-is printed or matched; fmt prints a ``Factored`` word by its letters,
-exponent_matrix reads it by its parts, and every other function here
-takes plain words only.
-``pi1_action.Evaluator`` reads ``parts`` to build the table of a shared
-factor (such as the half-twist ``presentations.delta_word(k)``) once and
-to take powers by squaring.
+letters. ``pieces`` is the one walk of it into its plain pieces, in
+order, each with its exponent: ``letters`` joins them where a word is
+printed or matched, fmt prints a ``Factored`` word by its letters,
+exponent_matrix adds up their exponent sums, and every other function
+here takes plain words only. Outside this module only
+``pi1_action.Evaluator`` reads ``parts``, one level at a time, to build
+the table of a shared factor (such as the half-twist
+``presentations.delta_word(k)``) once and to take powers by squaring.
 
 Text syntax: letters like ``a3``, ``u2``, ``b0``, or a bare name (``d``,
 ``y1``, ``r4``, ``c``, ``v``), separated by ``*`` or whitespace,
@@ -193,10 +194,10 @@ class Factored:
     """The word part_1^k_1 part_2^k_2 ..., kept as parts = ((part, k), ...)
     and nothing else. Equality and hash are those of parts, the hash
     computed once. It cannot be iterated, so a flat read fails instead
-    of expanding it: letters(w) gives its letters. Its len, and so its
-    truth value, is that of letters(w), built for the call and dropped,
-    for a caller that counts letters by len (bench/tracing.py); the
-    package takes no len of a Factored."""
+    of expanding it: pieces(w) gives its plain pieces and letters(w) its
+    letters. Its len, and so its truth value, is that of letters(w),
+    built for the call and dropped, for a caller that counts letters by
+    len (bench/tracing.py); the package takes no len of a Factored."""
 
     __slots__ = ("parts", "_hash")
 
@@ -214,25 +215,38 @@ class Factored:
         return len(letters(self))
 
 
+def pieces(word, k: int = 1):
+    """The plain words whose product is word^k, in order, each with its
+    nonzero exponent: (word, k) for a plain word, else the parts' pieces,
+    the parts reversed and negated when k < 0 and walked |k| times. It is
+    the one walk of a Factored word, and lazy, so a reader may stop early;
+    one iterator per open level on a stack keeps a piece's cost flat at
+    any depth (Delta_k nests k - 2 deep)."""
+    if type(word) is not Factored:
+        if k:
+            yield word, k
+        return
+    stack = [iter(((word, k),))]
+    while stack:
+        for w, e in stack[-1]:
+            if type(w) is Factored:
+                parts = w.parts if e > 0 else [(p, -x) for p, x in reversed(w.parts)]
+                stack.append(iter(parts * abs(e)))
+                break
+            if e:
+                yield w, e
+        else:
+            stack.pop()
+
+
 def letters(word) -> Word:
     """The flat, freely reduced letters of a plain word (itself) or of a
-    Factored word (the product of its parts' powers). One walk lists the
-    plain parts in order and one mul joins them, so the cost is the
-    length of the unreduced product, and nothing is kept after it."""
+    Factored word: its pieces, each repeated |k| times (inverted when
+    k < 0), joined by one mul, so the cost is the length of the
+    unreduced product, and nothing is kept after it."""
     if type(word) is not Factored:
         return word
-    pieces = []
-
-    def walk(w, k):
-        if type(w) is not Factored:
-            pieces.extend([w if k > 0 else inverse(w)] * abs(k))
-            return
-        parts = w.parts if k > 0 else [(p, -e) for p, e in reversed(w.parts)]
-        for p, e in parts * abs(k):
-            walk(p, e)
-
-    walk(word, 1)
-    return mul(*pieces)
+    return mul(*[q for w, k in pieces(word) for q in [w if k > 0 else inverse(w)] * abs(k)])
 
 
 def cyclic_reduce(word: Word) -> Word:
@@ -266,22 +280,15 @@ def substitute(word: Word, images: Mapping[Letter, Word]) -> Word:
     return mul(*map(piece, word))
 
 
-def _scaled(word, k) -> list:
-    """The plain pieces of word^k, each with its exponent, in order:
-    [(word, k)] for a plain word, and a Factored word's parts, scaled."""
-    if type(word) is not Factored:
-        return [(word, k)]
-    return [q for p, e in word.parts for q in _scaled(p, k * e)]
-
-
 def exponent_matrix(equations, columns) -> list:
     """One sparse exponent-sum row {column: sum} of lhs rhs^-1 per equation
     (lhs, rhs), with no zero sum ({} if all vanish, as when rhs is lhs
     reversed, a commutation); column i is the positive letter columns[i].
     The sums gather in one reused list; lhs rhs^-1 is never built. An
-    equation with a Factored side is read by its parts, each plain piece
-    p of exponent k adding k times the sums of p, and is never flattened;
-    one with plain sides, the common case, is read letter by letter."""
+    equation with a Factored side is read by pieces(lhs) and
+    pieces(rhs, -1), each piece p of exponent k adding k times the sums
+    of p, and is never flattened; one with plain sides, the common case,
+    is read letter by letter, and a commutation is skipped unread."""
     pos = {}
     for i, c in enumerate(columns):
         pos[c], pos[-c] = (i, 1), (i, -1)
@@ -289,12 +296,12 @@ def exponent_matrix(equations, columns) -> list:
     for lhs, rhs in equations:
         row = {}
         if type(lhs) is Factored or type(rhs) is Factored:
-            pieces = _scaled(lhs, 1) + _scaled(rhs, -1)
-            for w, k in pieces:
+            sides = [*pieces(lhs), *pieces(rhs, -1)]
+            for w, k in sides:
                 for c in w:
                     i, s = pos[c]
                     acc[i] += k * s
-            for w, _ in pieces:  # read and reset the columns touched
+            for w, _ in sides:  # read and reset the columns touched
                 for c in w:
                     i = pos[c][0]
                     if acc[i]:

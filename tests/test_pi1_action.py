@@ -173,6 +173,29 @@ def test_equal_parts_share_one_cached_table(monkeypatch):
     assert all(a is t for a in again)
 
 
+def test_deciding_reads_the_sides_lazily(monkeypatch):
+    # deciding returns at the first piece with a u_i letter, so on the
+    # Delta_k entries, whose sides open with a run of u's, it takes one
+    # piece of one side and never walks the rest of Delta_k
+    import nmcg.pi1_action as pa
+
+    taken, real = [], pa.pieces
+
+    def counted(word, k=1):
+        for piece in real(word, k):
+            taken.append(piece)
+            yield piece
+
+    monkeypatch.setattr(pa, "pieces", counted)
+    ev = evaluator(48)
+    entries = [e for e in catalogue(48, 1) if e.tag in ("B5", "E1", "B6", "B7", "B8")]
+    assert {e.tag for e in entries} == {"B5", "E1", "B6", "B7", "B8"}
+    for e in entries:
+        taken.clear()
+        assert ev.deciding(e.lhs, e.rhs) is ev, e.label()
+        assert len(taken) == 1, (e.label(), len(taken))
+
+
 def test_one_record_per_letter_and_part_power(monkeypatch):
     # the Evaluator keeps one record per key, a letter or (part, k): each
     # is built once however often it is read, letter_table reads a

@@ -21,6 +21,7 @@ from nmcg.words import (
     named,
     parse,
     parse_raw,
+    pieces,
     power,
     substitute,
 )
@@ -221,9 +222,14 @@ _d = (letter(gen("a", 1)), letter(gen("u", 2)))
 @example(Factored(((_d, 2), (Factored(((_d, 1),)), -2))))
 def test_letters_is_the_reduced_expansion_of_the_parts(w):
     # nested parts, negative and zero exponents, and parts that cancel
-    # across their junctions or whole (the example has no letters): letters
-    # is the free reduction of the expansion, and len and truth value of
-    # a Factored are its letters'
+    # across their junctions or whole (the example has no letters): the
+    # pieces of w^k are plain, of nonzero exponent, and their powers in
+    # order are the expansion; letters is the free reduction of the
+    # expansion, and len and truth value of a Factored are its letters'
+    for k in (1, -2):
+        got = list(pieces(w, k))
+        assert all(type(p) is tuple and e for p, e in got)
+        assert sum((_naive_letters(p, e) for p, e in got), ()) == _naive_letters(w, k)
     flat = letters(w)
     assert flat == _naive_reduce(_naive_letters(w))
     if isinstance(w, Factored):
@@ -233,3 +239,12 @@ def test_letters_is_the_reduced_expansion_of_the_parts(w):
             iter(w)
     else:
         assert flat is w
+
+
+@given(_factored, _factored)
+@example(Factored(((Factored(((_d, 2), (lit(gen("b", 1)), 1))), -3),)), _d)
+def test_exponent_matrix_reads_a_factored_side_as_its_letters(w, v):
+    # a Factored side, nested or of negative exponent, is summed piece by
+    # piece and never flattened: its row is that of its letters
+    cols = [letter(gen(f, i)) for f in "aub" for i in range(1, 6)]
+    assert exponent_matrix([(w, v)], cols) == exponent_matrix([(letters(w), letters(v))], cols)
