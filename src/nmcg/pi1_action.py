@@ -27,6 +27,9 @@ image is cut only around the maximal runs of letters it moves whose
 image differs from the run. u_m and a_m^{+-1} map each run
 x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word, and its
 inverse, to itself, so most images of T(Delta_k) are kept as they are.
+T(Delta_k)(x_j) depends on k-j alone, so every k meets the same images
+again: each letter's record caches the image of every word splice has
+rewritten, and a repeated image is looked up, not scanned.
 The Evaluator docstring says how a word is folded by these kernels and
 what is cached. The boundary twist acts by conjugation by W, an inner
 automorphism, so boundary_conjugate conjugates each image by W^k.
@@ -95,37 +98,42 @@ def _step(acc, moved):
     return tuple(out)
 
 
-def splice(moved, runs, t2):
+def splice(moved, cache, t2):
     """T after t2, as compose, for the table T whose moves (see _moves)
     are in moved with the inverse of each image keyed -i (_Record.signed),
-    when T moves few letters. Each image of t2 is split into
-    maximal runs of letters T moves and the slices between them. The
-    image of a run under T is cached in runs, a dict kept per table T:
-    a run T maps to itself, such as x_m x_m x_{m+1} x_{m+1} under u_m,
-    stays inside its slice, and only the changed runs are cut out and
-    joined by mul to the untouched slices, so only the junctions are
-    reduced letter by letter. An image with no changed run is kept as
-    the same object."""
+    when T moves few letters. cache is T's image cache, a dict kept per
+    table T with cache[w] == xsub(w, T) for every word w it holds: each
+    image of t2 with a moved letter and each maximal run of moved letters
+    in it. An image found there is not scanned again. Else it is split
+    into its runs and the slices between them: a run T maps to itself,
+    such as x_m x_m x_{m+1} x_{m+1} under u_m, stays inside its slice,
+    and only the changed runs are cut out and joined by mul to the
+    untouched slices, so only the junctions are reduced letter by
+    letter. An image with no changed run is kept as the same object, on a
+    cache hit too; one with no moved letter is neither scanned nor cached."""
     disjoint, contains, image = moved.keys().isdisjoint, moved.__contains__, moved.__getitem__
     out = []
     for im in t2:
         if not disjoint(im):
-            pieces, start, lo, hi = [], 0, 0, 0
-            # the positions of moved letters, then -1 to end the last run
-            for p in (*compress(count(), map(contains, im)), -1):
-                if p != hi:  # the run im[lo:hi], if any, ends before p
-                    if hi:
-                        run = im[lo:hi]
-                        new = runs.get(run)
-                        if new is None:
-                            new = runs[run] = mul(*map(image, run))
-                        if new != run:
-                            pieces += (im[start:lo], new)
-                            start = hi
-                    lo = p
-                hi = p + 1
-            if pieces:
-                im = mul(*pieces, im[start:])
+            new = cache.get(im)
+            if new is None:
+                pieces, start, lo, hi = [], 0, 0, 0
+                # the positions of moved letters, then -1 to end the last run
+                for p in (*compress(count(), map(contains, im)), -1):
+                    if p != hi:  # the run im[lo:hi], if any, ends before p
+                        if hi:
+                            run = im[lo:hi]
+                            new = cache.get(run)
+                            if new is None:
+                                new = cache[run] = mul(*map(image, run))
+                            if new != run:
+                                pieces += (im[start:lo], new)
+                                start = hi
+                        lo = p
+                    hi = p + 1
+                new = cache[im] = mul(*pieces, im[start:]) if pieces else im
+            if new != im:  # else im is kept, an equal cached image too
+                im = new
         out.append(im)
     return tuple(out)
 
@@ -220,8 +228,8 @@ class Evaluator:
     only the images that table moves. The one special case is a leading
     one-letter part followed by further parts, such as u_{k-i} in
     u_{k-i} Delta_k (B5), which splice takes into the product of the rest
-    with its record; the images of every T(Delta_k) share their runs, so
-    each run's image is computed once per letter and basis. A Factored
+    with its record; the tables T(Delta_k) of every k share their images,
+    so each image and run is rewritten once per letter and basis. A Factored
     word evaluated whole is not cached itself; it reuses the record of an
     equal Factored part.
 
@@ -328,7 +336,7 @@ class Evaluator:
         lead, k = parts[0] if parts else ((), 0)
         if len(parts) > 1 and abs(k) == 1 and type(lead) is not Factored and len(lead) == 1:
             first = self._record(lead, k)
-            return splice(first.signed, first.runs, self._product(parts[1:]))
+            return splice(first.signed, first.cache, self._product(parts[1:]))
         return self._fold(self._record(part, k) for part, k in parts)
 
     def _fold(self, records):
@@ -344,13 +352,14 @@ class _Record:
     """A table of an Evaluator, with what _step and splice read of it:
     its moves (see _moves) for _step, made with the record, since _fold
     reads them once per letter step; the same with the inverse of each
-    image keyed -i for splice, made on first use; and its run cache,
-    which holds the image of each run of moved letters that splice has
-    met. Only letter tables are spliced, so a part's record never holds
-    the inverse images."""
+    image keyed -i for splice, made on first use; and its image cache,
+    which maps each word splice has rewritten by the table, an image with
+    a moved letter or a run of moved letters in it, to its image. Only
+    letter tables are spliced, so a part's record never holds the inverse
+    images and its cache stays empty."""
 
     def __init__(self, table):
-        self.table, self.moved, self.runs = table, _moves(table), {}
+        self.table, self.moved, self.cache = table, _moves(table), {}
 
     @cached_property
     def signed(self):

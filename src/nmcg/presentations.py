@@ -174,11 +174,13 @@ def expansion_env(g: int, n: int) -> dict:
     return env
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Entry:
     """The relation lhs = rhs in M(N_{g,n}), g = genus and n = boundary,
     checked at tier (see catalogue): a presentation relator or a
-    catalogue entry."""
+    catalogue entry. Equal and hashed by its fields; it is not frozen,
+    which would make each record about four times dearer to build, so
+    no code assigns a field of a built record."""
 
     tag: str
     params: tuple
@@ -189,7 +191,7 @@ class Entry:
     tier: int = 1
     twist: int = 0  # tier 2: the stated boundary-twist exponent k
 
-    @cached_property  # writes __dict__ directly, so frozen does not stop it
+    @cached_property
     def word(self) -> Word:
         return mul(letters(self.lhs), inverse(letters(self.rhs)))
 

@@ -360,26 +360,48 @@ def test_splice_is_compose_for_every_letter_table():
             assert splice(moved, {}, ev.letter_table(-c)) == identity_table(g), (g, c)
 
 
-def test_splice_reuses_one_letter_run_cache():
+def test_splice_reuses_one_letter_image_cache():
     # the Evaluator keeps one record per letter and basis: the moves of
-    # that letter's table and a run cache, which holds each run's image
-    # under that table alone. Read back across T(Delta_k) for every
-    # k <= g, the identity and the letter's own inverse table, it gives
-    # compose each time, and a second round finds every run it needs cached
+    # that letter's table and an image cache, which maps each word splice
+    # has rewritten (an image with a moved letter, and each maximal run of
+    # moved letters in it) to its image under that table alone. Read back
+    # across T(Delta_k) for every k <= g, the identity and the letter's
+    # own inverse table, it gives compose each time; a second round adds
+    # no key, and an image with no changed run comes back as itself
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
             t1 = ev.letter_table(c)
             rec = ev._record((c,), 1)
-            moved, runs = rec.signed, rec.runs
-            assert ev._record((c,), 1).runs is runs and moved == _Record(t1).signed, (g, c)
+            moved, cache = rec.signed, rec.cache
+            assert ev._record((c,), 1).cache is cache and moved == _Record(t1).signed, (g, c)
             tables = deltas + [identity_table(g), ev.letter_table(-c)]
             for t2 in tables:
-                assert splice(moved, runs, t2) == compose(t1, t2), (g, c)
-            known = dict(runs)
+                assert splice(moved, cache, t2) == compose(t1, t2), (g, c)
+            known = dict(cache)
             for t2 in tables:
-                assert splice(moved, runs, t2) == compose(t1, t2), (g, c)
-            assert runs == known, (g, c)
-            assert all(im == xsub(run, t1) for run, im in runs.items()), (g, c)
+                out = splice(moved, cache, t2)
+                assert out == compose(t1, t2), (g, c)
+                for im, new in zip(t2, out):
+                    assert new is im or new != im, (g, c, im)
+            assert cache == known, (g, c)
+            assert all(im == xsub(w, t1) for w, im in cache.items()), (g, c)
+
+
+def test_letters_moving_the_same_images_keep_separate_caches():
+    # u_m and a_m^-1 both move x_m and x_{m+1}, and only those (in basis
+    # x), but map them differently, so each record caches its own images:
+    # spliced in turn into the same T(Delta_k), each gives its own compose
+    for g, ev, _, deltas in _letter_tables_and_deltas():
+        for m in range(1, g):
+            recs = [ev._record((c,), 1) for c in (u(m)[0], -a(m)[0])]
+            if ev.q is not ev:
+                assert recs[0].moved.keys() == recs[1].moved.keys() == {m, m + 1}, (g, m)
+            assert recs[0].cache is not recs[1].cache, (g, m)
+            for t2 in deltas:
+                for rec in recs + recs[::-1]:
+                    assert splice(rec.signed, rec.cache, t2) == compose(rec.table, t2), (g, m)
+            for rec in recs:
+                assert all(im == xsub(w, rec.table) for w, im in rec.cache.items()), (g, m)
 
 
 def test_braid_relation_by_tables():

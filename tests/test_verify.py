@@ -186,6 +186,29 @@ def test_shared_factors_bound_the_compose_count(monkeypatch, cold_evaluators):
     assert counts == (24, 0, 895), counts
 
 
+def test_a_second_verify_splices_from_the_image_caches(monkeypatch, cold_evaluators):
+    # each letter's record caches every image that splice rewrites, so a
+    # second verify at (16,1) finds them all: it gives the same verdicts,
+    # splices as often, and calls mul from inside splice not once. When
+    # only the runs inside an image were cached, it made 528 such calls
+    import sys
+
+    import nmcg.pi1_action as pa
+
+    first = list(verify(16, 1))
+    calls = {"splice": 0, "mul": 0}
+    code, mul = pa.splice.__code__, pa.mul
+
+    def spy(*parts):
+        calls["mul"] += sys._getframe(1).f_code is code
+        return mul(*parts)
+
+    monkeypatch.setattr(pa, "mul", spy)
+    monkeypatch.setattr(pa, "splice", _counting(calls, "splice", pa.splice))
+    assert list(verify(16, 1)) == first
+    assert calls["splice"] > 100 and calls["mul"] == 0, calls
+
+
 def test_verify_never_flattens_a_factored_side(monkeypatch, cold_evaluators):
     # a Factored side holds only its parts; its flat letters, O(k^2) for
     # Delta_k times a letter, are built only by words.letters, and only
