@@ -51,7 +51,8 @@ def _cmd_verify(args) -> int:
     g, n = args.genus, args.boundary
     oks = _print_verdicts(verify(g, n, None if args.tier == "all" else {int(args.tier)}))
     if not oks:  # a selection that checks nothing must not pass silently
-        print(f"no tier-{args.tier} checks at ({g},{n})", file=sys.stderr)
+        what = "checks" if args.tier == "all" else f"tier-{args.tier} checks"
+        print(f"no {what} at ({g},{n})", file=sys.stderr)
         return 2
     return 0 if all(oks) else 1
 

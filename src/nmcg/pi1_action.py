@@ -22,14 +22,15 @@ one composition kernel, the letter step: t1 after t2 differs from t1
 only at the images t2 moves (two for a_i and u_i), so a step copies t1
 and rewrites those images alone, each by mul of t1's images of its
 letters; compose(t1, t2) is the step by every image t2 moves. splice
-takes a table that moves few letters into one with long images: each
-image is cut only around the maximal runs of letters it moves whose
-image differs from the run. u_m and a_m^{+-1} map each run
-x_m x_m x_{m+1} x_{m+1} of a prefix of the boundary word, and its
-inverse, to itself, so most images of T(Delta_k) are kept as they are.
-T(Delta_k)(x_j) depends on k-j alone, so every k meets the same images
-again: each letter's record caches the image of every word splice has
-rewritten, and a repeated image is looked up, not scanned.
+takes a table that moves few letters into one with long images and
+rewrites only the images that hold a moved letter: each is cut at its
+moved letters, and the slices and those letters' images are joined by
+one mul. T(Delta_k)(x_j) depends on k-j alone, so every k meets the
+same images again: each letter's record caches every image splice has
+rewritten, and a repeated image is looked up, not cut again. u_m and
+a_m^{+-1} map each run x_m x_m x_{m+1} x_{m+1} of a prefix of the
+boundary word, and its inverse, to itself, so most images of T(Delta_k)
+come back equal and are kept as they are.
 The Evaluator docstring says how a word is folded by these kernels and
 what is cached. The boundary twist acts by conjugation by W, an inner
 automorphism, so boundary_conjugate conjugates each image by W^k.
@@ -102,36 +103,25 @@ def splice(moved, cache, t2):
     """T after t2, as compose, for the table T whose moves (see _moves)
     are in moved with the inverse of each image keyed -i (_Record.signed),
     when T moves few letters. cache is T's image cache, a dict kept per
-    table T with cache[w] == xsub(w, T) for every word w it holds: each
-    image of t2 with a moved letter and each maximal run of moved letters
-    in it. An image found there is not scanned again. Else it is split
-    into its runs and the slices between them: a run T maps to itself,
-    such as x_m x_m x_{m+1} x_{m+1} under u_m, stays inside its slice,
-    and only the changed runs are cut out and joined by mul to the
-    untouched slices, so only the junctions are reduced letter by
-    letter. An image with no changed run is kept as the same object, on a
-    cache hit too; one with no moved letter is neither scanned nor cached."""
+    table T with cache[w] == xsub(w, T) for each image w of t2 with a
+    moved letter that splice has met. An image found there is not cut
+    again. Else it is cut at each moved letter, and the slices between
+    them and those letters' images are joined by one mul, so only the
+    junctions are reduced letter by letter. An image that comes back
+    equal is cached as itself and kept as the same object, on a cache hit
+    too; one with no moved letter is neither cut nor cached."""
     disjoint, contains, image = moved.keys().isdisjoint, moved.__contains__, moved.__getitem__
     out = []
     for im in t2:
         if not disjoint(im):
             new = cache.get(im)
             if new is None:
-                pieces, start, lo, hi = [], 0, 0, 0
-                # the positions of moved letters, then -1 to end the last run
-                for p in (*compress(count(), map(contains, im)), -1):
-                    if p != hi:  # the run im[lo:hi], if any, ends before p
-                        if hi:
-                            run = im[lo:hi]
-                            new = cache.get(run)
-                            if new is None:
-                                new = cache[run] = mul(*map(image, run))
-                            if new != run:
-                                pieces += (im[start:lo], new)
-                                start = hi
-                        lo = p
-                    hi = p + 1
-                new = cache[im] = mul(*pieces, im[start:]) if pieces else im
+                pieces, start = [], 0
+                for p in compress(count(), map(contains, im)):
+                    pieces += (im[start:p], image(im[p]))
+                    start = p + 1
+                new = mul(*pieces, im[start:])
+                cache[im] = new = im if new == im else new
             if new != im:  # else im is kept, an equal cached image too
                 im = new
         out.append(im)
@@ -229,7 +219,7 @@ class Evaluator:
     one-letter part followed by further parts, such as u_{k-i} in
     u_{k-i} Delta_k (B5), which splice takes into the product of the rest
     with its record; the tables T(Delta_k) of every k share their images,
-    so each image and run is rewritten once per letter and basis. A Factored
+    so each image is rewritten once per letter and basis. A Factored
     word evaluated whole is not cached itself; it reuses the record of an
     equal Factored part.
 
@@ -353,10 +343,10 @@ class _Record:
     its moves (see _moves) for _step, made with the record, since _fold
     reads them once per letter step; the same with the inverse of each
     image keyed -i for splice, made on first use; and its image cache,
-    which maps each word splice has rewritten by the table, an image with
-    a moved letter or a run of moved letters in it, to its image. Only
-    letter tables are spliced, so a part's record never holds the inverse
-    images and its cache stays empty."""
+    which maps each image with a moved letter that splice has rewritten
+    by the table to its image, the image itself if it comes back equal.
+    Only letter tables are spliced, so a part's record never holds the
+    inverse images and its cache stays empty."""
 
     def __init__(self, table):
         self.table, self.moved, self.cache = table, _moves(table), {}

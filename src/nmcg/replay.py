@@ -2,10 +2,11 @@
 
 A script is a JSON fixture holding a start word, an end word, and a
 list of rewrite steps. The replayer first checks the script's shape
-(_check_shape: every key it reads is there, and each op and dir is one
-it knows), then its metadata, before any step: its tier is 1 or 2, and
-a tier-2 script states its exponent w_power. It then executes the steps
-on a raw (unreduced) letter sequence and checks three things:
+(_check_shape: every key it reads is there and of its exact type, and
+each op and dir is one it knows), then its metadata, before any step:
+its tier is 1 or 2, and a tier-2 script states its exponent w_power. It
+then executes the steps on a raw (unreduced) letter sequence and checks
+three things:
 
 * each applied rewrite matches the current word letter-for-letter at
   the stated position, which lies inside the word;
@@ -89,21 +90,44 @@ def available_scripts() -> list:
 
 
 _STEP_KEYS = {"cancel": (), "insert": ("at", "aux"), "apply": ("at", "rel")}
+# the exact type of each key the replayer reads, and of the items of a list
+_SCRIPT_TYPES = {"genus": int, "boundary": int, "tier": int, "start": str, "end": str,
+                 "steps": list, "uses": list, "w_power": int}
+_STEP_TYPES = {"op": str, "at": int, "rel": str, "params": list, "dir": str,
+               "match": str, "replace": str, "aux": str}
+_ITEM_TYPES = {"uses": str, "params": int}
 
 
 def _check_shape(name: str, data: dict) -> None:
-    """Refuse a script that lacks a key the replayer reads, or whose step
-    has an unknown op or dir, naming the step (-1 for the script) and
-    the key. An apply step states either dir or both match and replace."""
+    """Refuse a script that lacks a key the replayer reads, gives a key
+    or a list item other than its exact type (so a bool is no int), or
+    whose step has an unknown op or dir, naming the step (-1 for the
+    script) and the key; a step that is not a dict is named as its step.
+    An apply step states either dir or both match and replace."""
 
     def need(i, obj, *keys):
         for key in keys:
             if key not in obj:
                 raise StepMismatch(name, i, f"missing key {key!r}")
 
+    def typed(i, what, v, t):
+        if type(v) is not t:
+            raise StepMismatch(name, i, f"{what} is {type(v).__name__}, not {t.__name__}")
+
+    def typed_keys(i, obj, types):
+        for key, t in types.items():
+            if key in obj:
+                typed(i, f"key {key!r}", obj[key], t)
+                if key in _ITEM_TYPES:
+                    for item in obj[key]:
+                        typed(i, f"an item of {key!r}", item, _ITEM_TYPES[key])
+
     need(-1, data, "genus", "boundary", "tier", "start", "end", "steps")
+    typed_keys(-1, data, _SCRIPT_TYPES)
     for i, step in enumerate(data["steps"]):
+        typed(i, "an item of 'steps'", step, dict)
         need(i, step, "op")
+        typed_keys(i, step, _STEP_TYPES)
         if step["op"] not in _STEP_KEYS:
             raise StepMismatch(name, i, f"unknown op {step['op']!r}")
         need(i, step, *_STEP_KEYS[step["op"]])

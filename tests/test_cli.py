@@ -88,7 +88,8 @@ def test_verify_selection_that_checks_nothing_is_a_usage_error(capsys, g, n, tie
     assert main(["verify", "-g", str(g), "-n", str(n), "--tier", tier]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"no tier-{tier} checks at ({g},{n})\n"
+    what = "checks" if tier == "all" else f"tier-{tier} checks"
+    assert captured.err == f"no {what} at ({g},{n})\n"
 
 
 def test_verify_all_tiers_closed_still_passes(capsys):

@@ -1,8 +1,6 @@
 """Punctured-surface representation: automorphism tables, evaluation,
 boundary behaviour, and conjugation by powers of the boundary word."""
 
-from itertools import groupby
-
 from hypothesis import given, settings, strategies as st
 from reference import conjugation_table
 
@@ -325,6 +323,23 @@ def test_splice_is_compose(t1, t2):
     assert splice(_Record(t1).signed, {}, t2) == compose(t1, t2)
 
 
+def _assert_splice_caches_the_images_with_a_moved_letter(rec, tables):
+    """Splices rec's table into each of tables with rec's cache, in two
+    rounds: after each, the cache keys are exactly the images of the
+    tables that hold a letter rec's table moves, or its inverse."""
+    want = {im for t2 in tables for im in t2 if not rec.signed.keys().isdisjoint(im)}
+    for _ in range(2):
+        for t2 in tables:
+            assert splice(rec.signed, rec.cache, t2) == compose(rec.table, t2)
+        assert rec.cache.keys() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables, st.lists(_tables, min_size=1, max_size=3))
+def test_splice_caches_exactly_the_images_with_a_moved_letter(t1, tables):
+    _assert_splice_caches_the_images_with_a_moved_letter(_Record(t1), tables)
+
+
 def _letter_tables_and_deltas():
     """(genus, Evaluator, every a/u/b letter of either sign, the tables
     T(Delta_k) for k = 2..g) in basis x and in basis q, g = 4..12."""
@@ -336,17 +351,11 @@ def _letter_tables_and_deltas():
             yield g, ev, letters, [ev.evaluate(delta_word(k)) for k in range(2, g + 1)]
 
 
-def _moved_runs(moved, im):
-    """The maximal runs of letters of im that are keys of moved."""
-    return [tuple(run) for is_moved, run in groupby(im, moved.__contains__) if is_moved]
-
-
 def test_splice_is_compose_for_every_letter_table():
     # each letter table spliced into T(Delta_k) for every k <= g, into
     # the identity, and into the letter's own inverse table, whose images
-    # cancel completely, each with a fresh run cache; an image whose
-    # maximal runs of moved letters all map to themselves (none, if it
-    # holds no moved letter) is kept as is
+    # cancel completely, each with a fresh image cache; an image that
+    # comes back equal (as one with no moved letter does) is kept as is
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
             t1 = ev.letter_table(c)
@@ -355,19 +364,18 @@ def test_splice_is_compose_for_every_letter_table():
                 out = splice(moved, {}, t2)
                 assert out == compose(t1, t2), (g, c)
                 for im, new in zip(t2, out):
-                    fixed = all(xsub(run, t1) == run for run in _moved_runs(moved, im))
-                    assert new is im or not fixed, (g, c, im)
+                    assert new is im or new != im, (g, c, im)
             assert splice(moved, {}, ev.letter_table(-c)) == identity_table(g), (g, c)
 
 
 def test_splice_reuses_one_letter_image_cache():
     # the Evaluator keeps one record per letter and basis: the moves of
     # that letter's table and an image cache, which maps each word splice
-    # has rewritten (an image with a moved letter, and each maximal run of
-    # moved letters in it) to its image under that table alone. Read back
-    # across T(Delta_k) for every k <= g, the identity and the letter's
-    # own inverse table, it gives compose each time; a second round adds
-    # no key, and an image with no changed run comes back as itself
+    # has rewritten (each image with a moved letter) to its image under
+    # that table alone. Read back across T(Delta_k) for every k <= g, the
+    # identity and the letter's own inverse table, it gives compose each
+    # time; a second round adds no key, and an image that comes back
+    # equal is cached as itself and comes back as itself
     for g, ev, letters, deltas in _letter_tables_and_deltas():
         for c in letters:
             t1 = ev.letter_table(c)
@@ -385,6 +393,16 @@ def test_splice_reuses_one_letter_image_cache():
                     assert new is im or new != im, (g, c, im)
             assert cache == known, (g, c)
             assert all(im == xsub(w, t1) for w, im in cache.items()), (g, c)
+            assert all(im is w or im != w for w, im in cache.items()), (g, c)
+
+
+def test_splice_caches_exactly_the_images_with_a_moved_letter_of_every_delta():
+    # the two rounds of test_splice_reuses_one_letter_image_cache, each
+    # letter with a fresh record: only whole images of the tables are cached
+    for g, ev, letters, deltas in _letter_tables_and_deltas():
+        for c in letters:
+            tables = deltas + [identity_table(g), ev.letter_table(-c)]
+            _assert_splice_caches_the_images_with_a_moved_letter(_Record(ev.letter_table(c)), tables)
 
 
 def test_letters_moving_the_same_images_keep_separate_caches():

@@ -1,6 +1,8 @@
 """Rewrite replayer: the shipped scripts, the licensing rule for ad-hoc
 match/replace steps, and the endpoint cross-check."""
 
+from functools import partial
+
 import pytest
 
 from nmcg.catalogue import relation_index
@@ -302,6 +304,14 @@ def test_script_metadata_is_checked_before_any_step(tmp_path, monkeypatch):
     assert applied == []
 
 
+def _step_edit(base, name, i, key, edit):
+    """(name, script, step, key) for the script base with edit applied to
+    a copy of its step i."""
+    steps = [dict(step) for step in base["steps"]]
+    edit(steps[i])
+    return name, dict(base, steps=steps), i, key
+
+
 def _malformed():
     """(name, script, step, key): a well-formed (4,1) script, b0 -> a1 by
     A7, then an inserted and cancelled u1 u1^-1, with one key taken out
@@ -312,12 +322,7 @@ def _malformed():
     yield "ok", base, None, None
     for key in ("genus", "boundary", "tier", "start", "end", "steps"):
         yield f"no_{key}", {k: v for k, v in base.items() if k != key}, -1, key
-
-    def step_edit(name, i, key, edit):
-        steps = [dict(step) for step in base["steps"]]
-        edit(steps[i])
-        return name, dict(base, steps=steps), i, key
-
+    step_edit = partial(_step_edit, base)
     for key in ("op", "at", "rel"):
         yield step_edit(f"apply_no_{key}", 0, key, lambda step: step.pop(key))
     # with no dir, an apply step needs both match and replace
@@ -350,6 +355,48 @@ def test_malformed_scripts_are_refused_by_step_and_key(tmp_path, monkeypatch, ca
     _scripts_with(tmp_path, monkeypatch, dict(no_end, name="t3", tier=3))
     with pytest.raises(StepMismatch, match=r"step -1: missing key 'end'"):
         replay_script("t3")
+
+
+def _ill_typed():
+    """(name, script, step, key): the well-formed script of _malformed
+    with one key, or an item of a list, of a type other than the one
+    replay reads, and the step (-1 for the script) and key replay names.
+    A bool is no int, and a str is no list, though both would be read."""
+    base = next(_malformed())[1]
+    step_edit = partial(_step_edit, base)
+    yield "genus_str", dict(base, genus="4"), -1, "genus"
+    yield "genus_bool", dict(base, genus=True), -1, "genus"
+    yield "boundary_str", dict(base, boundary="1"), -1, "boundary"
+    yield "tier_str", dict(base, tier="1"), -1, "tier"
+    yield "start_list", dict(base, start=["b0"]), -1, "start"
+    yield "end_int", dict(base, end=1), -1, "end"
+    yield "steps_dict", dict(base, steps=dict(enumerate(base["steps"]))), -1, "steps"
+    yield "uses_str", dict(base, uses="g1"), -1, "uses"
+    yield "uses_int_item", dict(base, uses=[1]), -1, "uses"
+    yield "w_power_str", dict(base, tier=2, w_power="0"), -1, "w_power"
+    yield "step_list", dict(base, steps=[["apply", 0, "A7", "LtoR"]]), 0, "steps"
+    yield step_edit("op_list", 0, "op", lambda step: step.update(op=["apply"]))
+    yield step_edit("at_str", 0, "at", lambda step: step.update(at="0"))
+    yield step_edit("at_bool", 0, "at", lambda step: step.update(at=False))
+    yield step_edit("rel_list", 0, "rel", lambda step: step.update(rel=["A7"]))
+    yield step_edit("params_dict", 0, "params", lambda step: step.update(params={}))
+    yield step_edit("params_bool_item", 0, "params", lambda step: step.update(params=[True]))
+    yield step_edit("dir_list", 0, "dir", lambda step: step.update(dir=["LtoR"]))
+    yield step_edit("match_list", 0, "match",
+                    lambda step: step.pop("dir") and step.update(match=["b0"], replace="a1"))
+    yield step_edit("replace_int", 0, "replace",
+                    lambda step: step.pop("dir") and step.update(match="b0", replace=1))
+    yield step_edit("aux_list", 1, "aux", lambda step: step.update(aux=["u1"]))
+
+
+@pytest.mark.parametrize("name, data, step, key", list(_ill_typed()), ids=[c[0] for c in _ill_typed()])
+def test_ill_typed_keys_are_refused_by_step_and_key(tmp_path, monkeypatch, name, data, step, key):
+    # the type check is part of the shape check, before the metadata
+    # check and any step: an ill-typed key is named, never a TypeError,
+    # an AttributeError, a missing file or a misread value
+    _scripts_with(tmp_path, monkeypatch, dict(data, name=name))
+    with pytest.raises(StepMismatch, match=rf"^script '{name}' step {step}: (key|an item of) '{key}' is \w+, not \w+$"):
+        replay_script(name)
 
 
 def test_shipped_scripts_cite_these_catalogue_entries():
